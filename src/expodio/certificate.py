@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from . import arith
@@ -396,7 +397,9 @@ def build_magic_prime_certificate(
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-def certificate_to_dict(cert: Certificate) -> dict[str, Any]:
+def _document(cert: Certificate) -> dict[str, Any]:
+    """The canonical document of a certificate; it shares the claims' params dicts."""
+    witness = cert.magic_prime_witness
     return {
         "format": FORMAT_TAG,
         "instance": {"a": cert.instance.a, "b": cert.instance.b, "c": cert.instance.c},
@@ -415,34 +418,90 @@ def certificate_to_dict(cert: Certificate) -> dict[str, Any]:
             "source_target": cert.constraint.source_target,
         },
         "magic_prime_witness": None
-        if cert.magic_prime_witness is None
+        if witness is None
         else {
-            "prime": cert.magic_prime_witness.prime,
-            "lifted_period": cert.magic_prime_witness.lifted_period,
-            "lifted_residues": list(cert.magic_prime_witness.lifted_residues),
-            "power_values": list(cert.magic_prime_witness.power_values),
-            "shifted_values": list(cert.magic_prime_witness.shifted_values),
-            "other_side_order": cert.magic_prime_witness.other_side_order,
-            "disjoint": cert.magic_prime_witness.disjoint,
+            "prime": witness.prime,
+            "lifted_period": witness.lifted_period,
+            "lifted_residues": list(witness.lifted_residues),
+            "power_values": list(witness.power_values),
+            "shifted_values": list(witness.shifted_values),
+            "other_side_order": witness.other_side_order,
+            "disjoint": witness.disjoint,
         },
         "enumeration": None
         if cert.enumeration is None
         else {"variable": cert.enumeration.variable, "strict_bound": cert.enumeration.strict_bound},
         "solutions": [list(s) for s in cert.solutions],
         "claims": [
-            {
-                "kind": claim.kind.value,
-                "params": copy.deepcopy(claim.params),
-                "premises": list(claim.premises),
-            }
+            {"kind": claim.kind.value, "params": claim.params, "premises": list(claim.premises)}
             for claim in cert.claims
         ],
     }
 
 
+def certificate_to_dict(cert: Certificate) -> dict[str, Any]:
+    """The canonical document as a private copy that callers may mutate."""
+    return copy.deepcopy(_document(cert))
+
+
+# exact types: a bool is an int subclass but serializes as true/false
+_INT_ONLY = {int}
+_STR_ONLY = {str}
+
+
+def _write_json(value: Any, indent: str, out: list[str]) -> None:
+    """Append the text json.dumps(value, indent=2) gives for value nested at indent."""
+    kind = type(value)
+    if kind is int:
+        out.append(str(value))
+    elif kind is str:
+        out.append(_quote(value))
+    elif kind is list and value:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if set(map(type, value)) <= _INT_ONLY:
+            out.append(f"[\n{inner}{sep.join(map(str, value))}\n{indent}]")
+            return
+        out.append("[\n" + inner)
+        for i, item in enumerate(value):
+            if i:
+                out.append(sep)
+            _write_json(item, inner, out)
+        out.append("\n" + indent + "]")
+    elif kind is dict and value and set(map(type, value)) <= _STR_ONLY:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for i, (key, item) in enumerate(value.items()):
+            if i:
+                out.append(sep)
+            out.append(_quote(key) + ": ")
+            _write_json(item, inner, out)
+        out.append("\n" + indent + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is list:
+        out.append("[]")
+    else:
+        # anything unusual (floats, tuples, subclasses, non-string keys):
+        # json's own text, re-indented (a json string holds no raw newline)
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + indent))
+
+
 def serialize_certificate(cert: Certificate) -> str:
-    """Canonical text form; field order is fixed, so bytes are reproducible."""
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+    """Canonical text form; field order is fixed, so bytes are reproducible.
+
+    The text is exactly json.dumps(certificate_to_dict(cert), indent=2) + "\n",
+    written directly because json's indented encoder runs in pure Python.
+    """
+    out: list[str] = []
+    _write_json(_document(cert), "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def certificate_digest(cert: Certificate) -> str:
@@ -454,24 +513,31 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedCertificateError(message)
 
 
+# The helpers below raise directly so that a valid field costs no message formatting.
+
 def _as_int(value: Any, what: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{what} must be an integer")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedCertificateError(f"{what} must be an integer")
     return value
 
 
-def _as_int_list(value: Any, what: str) -> list[int]:
-    _require(isinstance(value, list), f"{what} must be a list")
-    return [_as_int(v, what) for v in value]
+def _as_int_tuple(value: Any, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise MalformedCertificateError(f"{what} must be a list")
+    if set(map(type, value)) <= _INT_ONLY:
+        return tuple(value)
+    # the per-element rule, which lets int subclasses other than bool through
+    return tuple(_as_int(v, what) for v in value)
 
 
 def _as_str(value: Any, what: str) -> str:
-    _require(isinstance(value, str), f"{what} must be a string")
+    if not isinstance(value, str):
+        raise MalformedCertificateError(f"{what} must be a string")
     return value
 
 
-def certificate_from_dict(doc: Any) -> Certificate:
-    _require(isinstance(doc, dict), "certificate must be a JSON object")
-    expected_keys = {
+_DOCUMENT_KEYS = frozenset(
+    {
         "format",
         "instance",
         "shape",
@@ -485,11 +551,32 @@ def certificate_from_dict(doc: Any) -> Certificate:
         "solutions",
         "claims",
     }
-    _require(set(doc) == expected_keys, "unexpected or missing certificate fields")
-    _require(doc["format"] == FORMAT_TAG, f"unknown format {doc['format']!r}")
+)
+_INSTANCE_KEYS = frozenset({"a", "b", "c"})
+_CONSTRAINT_KEYS = frozenset({"variable", "residue", "period", "source_modulus", "source_target"})
+_WITNESS_KEYS = frozenset(
+    {
+        "prime",
+        "lifted_period",
+        "lifted_residues",
+        "power_values",
+        "shifted_values",
+        "other_side_order",
+        "disjoint",
+    }
+)
+_ENUMERATION_KEYS = frozenset({"variable", "strict_bound"})
+_CLAIM_KEYS = frozenset({"kind", "params", "premises"})
+
+
+def certificate_from_dict(doc: Any) -> Certificate:
+    _require(isinstance(doc, dict), "certificate must be a JSON object")
+    _require(set(doc) == _DOCUMENT_KEYS, "unexpected or missing certificate fields")
+    if doc["format"] != FORMAT_TAG:
+        raise MalformedCertificateError(f"unknown format {doc['format']!r}")
 
     inst = doc["instance"]
-    _require(isinstance(inst, dict) and set(inst) == {"a", "b", "c"}, "bad instance field")
+    _require(isinstance(inst, dict) and set(inst) == _INSTANCE_KEYS, "bad instance field")
     try:
         instance = EquationInstance(
             _as_int(inst["a"], "a"), _as_int(inst["b"], "b"), _as_int(inst["c"], "c")
@@ -512,9 +599,7 @@ def certificate_from_dict(doc: Any) -> Certificate:
     if doc["constraint"] is not None:
         con = doc["constraint"]
         _require(
-            isinstance(con, dict)
-            and set(con) == {"variable", "residue", "period", "source_modulus", "source_target"},
-            "bad constraint field",
+            isinstance(con, dict) and set(con) == _CONSTRAINT_KEYS, "bad constraint field"
         )
         constraint = Constraint(
             variable=_as_str(con["variable"], "constraint variable"),
@@ -528,26 +613,15 @@ def certificate_from_dict(doc: Any) -> Certificate:
     if doc["magic_prime_witness"] is not None:
         w = doc["magic_prime_witness"]
         _require(
-            isinstance(w, dict)
-            and set(w)
-            == {
-                "prime",
-                "lifted_period",
-                "lifted_residues",
-                "power_values",
-                "shifted_values",
-                "other_side_order",
-                "disjoint",
-            },
-            "bad magic_prime_witness field",
+            isinstance(w, dict) and set(w) == _WITNESS_KEYS, "bad magic_prime_witness field"
         )
         _require(isinstance(w["disjoint"], bool), "disjoint must be a boolean")
         witness = MagicPrimeWitness(
             prime=_as_int(w["prime"], "witness prime"),
             lifted_period=_as_int(w["lifted_period"], "lifted period"),
-            lifted_residues=tuple(_as_int_list(w["lifted_residues"], "lifted residues")),
-            power_values=tuple(_as_int_list(w["power_values"], "power values")),
-            shifted_values=tuple(_as_int_list(w["shifted_values"], "shifted values")),
+            lifted_residues=_as_int_tuple(w["lifted_residues"], "lifted residues"),
+            power_values=_as_int_tuple(w["power_values"], "power values"),
+            shifted_values=_as_int_tuple(w["shifted_values"], "shifted values"),
             other_side_order=_as_int(w["other_side_order"], "other side order"),
             disjoint=w["disjoint"],
         )
@@ -556,8 +630,7 @@ def certificate_from_dict(doc: Any) -> Certificate:
     if doc["enumeration"] is not None:
         en = doc["enumeration"]
         _require(
-            isinstance(en, dict) and set(en) == {"variable", "strict_bound"},
-            "bad enumeration field",
+            isinstance(en, dict) and set(en) == _ENUMERATION_KEYS, "bad enumeration field"
         )
         enumeration = EnumerationBound(
             variable=_as_str(en["variable"], "enumeration variable"),
@@ -573,16 +646,13 @@ def certificate_from_dict(doc: Any) -> Certificate:
     _require(isinstance(doc["claims"], list), "claims must be a list")
     claims = []
     for entry in doc["claims"]:
-        _require(
-            isinstance(entry, dict) and set(entry) == {"kind", "params", "premises"},
-            "bad claim record",
-        )
+        _require(isinstance(entry, dict) and set(entry) == _CLAIM_KEYS, "bad claim record")
         try:
             kind = ClaimKind(_as_str(entry["kind"], "claim kind"))
         except ValueError as exc:
             raise MalformedCertificateError(f"unknown claim kind {entry['kind']!r}") from exc
         _require(isinstance(entry["params"], dict), "claim params must be an object")
-        premises = tuple(_as_int_list(entry["premises"], "claim premises"))
+        premises = _as_int_tuple(entry["premises"], "claim premises")
         claims.append(ClaimRecord(kind=kind, params=entry["params"], premises=premises))
 
     return Certificate(

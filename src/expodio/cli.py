@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from . import emit
 from .certificate import (
@@ -41,14 +41,15 @@ EXIT_REJECTED = 3
 
 JOBS_ENV_VAR = "EXPODIO_JOBS"
 
-_CONFIG_FILE_KEYS = {
-    "ceiling": "ceiling",
-    "prime_budget_count": "prime_budget_count",
-    "prime_budget_cap": "prime_budget_cap",
-    "max_modulus": "max_modulus",
-    "max_queue_pops": "max_queue_pops",
-    "wall_limit": "wall_limit",
-}
+# config-file keys are the SolverConfig field names
+_CONFIG_KEYS = (
+    "ceiling",
+    "prime_budget_count",
+    "prime_budget_cap",
+    "max_modulus",
+    "max_queue_pops",
+    "wall_limit",
+)
 
 
 class CliError(Exception):
@@ -141,12 +142,10 @@ def build_config(args: argparse.Namespace) -> SolverConfig:
             raise CliError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise CliError(f"config file {args.config} must hold a JSON object")
-        for key, field_name in _CONFIG_FILE_KEYS.items():
-            if key in doc:
-                values[field_name] = doc[key]
-        unknown = set(doc) - set(_CONFIG_FILE_KEYS)
+        unknown = set(doc).difference(_CONFIG_KEYS)
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        values.update(doc)
     flag_map = {
         "ceiling": "ceiling",
         "prime_count": "prime_budget_count",
@@ -190,7 +189,7 @@ def _parse_instance(a: int, b: int, c: int) -> EquationInstance:
 # ---------------------------------------------------------------------------
 # solve
 
-def _verbose_printer(instance: EquationInstance, out: TextIO):
+def _verbose_printer(out: TextIO):
     def on_event(kind: str, payload: dict) -> None:
         if kind == "attempt":
             out.write(
@@ -208,7 +207,7 @@ def _verbose_printer(instance: EquationInstance, out: TextIO):
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _parse_instance(args.a, args.b, args.c)
     config = build_config(args)
-    on_event = _verbose_printer(instance, sys.stdout) if args.verbose else None
+    on_event = _verbose_printer(sys.stdout) if args.verbose else None
     result = solve(instance, config, on_event=on_event)
 
     if args.json:
@@ -285,10 +284,11 @@ def iter_cube(a_max: int, b_max: int, c_max: int) -> Iterable[tuple[int, int, in
                 yield (a, b, c)
 
 
-def read_records(path: str | Path) -> tuple[list[ScanRecord], int]:
-    """Parse a JSONL results file, tolerating a truncated trailing line."""
-    records: list[ScanRecord] = []
-    malformed = 0
+def iter_records(path: str | Path) -> Iterator[ScanRecord | None]:
+    """Parse a JSONL results file line by line; a malformed line yields None.
+
+    Blank lines are skipped, so a truncated trailing line is one None.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
@@ -296,11 +296,23 @@ def read_records(path: str | Path) -> tuple[list[ScanRecord], int]:
                 if not line:
                     continue
                 try:
-                    records.append(ScanRecord.from_json(line))
+                    record = ScanRecord.from_json(line)
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    malformed += 1
+                    record = None
+                yield record
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def read_records(path: str | Path) -> tuple[list[ScanRecord], int]:
+    """All well-formed records of a results file, and the malformed line count."""
+    records: list[ScanRecord] = []
+    malformed = 0
+    for record in iter_records(path):
+        if record is None:
+            malformed += 1
+        else:
+            records.append(record)
     return records, malformed
 
 
@@ -402,12 +414,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise CliError(f"cannot write {out_path}: {exc}") from exc
     elapsed = time.perf_counter() - start
 
-    total_records, _ = read_records(out_path)
-    total_unresolved = sum(1 for r in total_records if r.status == SolveStatus.UNRESOLVED.value)
+    total_records = total_unresolved = 0
+    for record in iter_records(out_path):
+        if record is not None:
+            total_records += 1
+            total_unresolved += record.status == SolveStatus.UNRESOLVED.value
     print(
         f"scanned {processed} instances in {elapsed:.1f}s "
         f"(jobs={jobs}, new solved={solved}, new unresolved={unresolved}); "
-        f"file now holds {len(total_records)} records, {total_unresolved} unresolved"
+        f"file now holds {total_records} records, {total_unresolved} unresolved"
     )
     return EXIT_OK if total_unresolved == 0 else EXIT_UNRESOLVED
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import random
 from pathlib import Path
 
@@ -17,10 +19,12 @@ from expodio import (
     certificate_digest,
     parse_certificate,
     serialize_certificate,
+    solve,
     verify_certificate,
 )
 from expodio.certificate import (
     CertificateBuildError,
+    ClaimRecord,
     MalformedCertificateError,
     build_direct_exclusion_certificate,
     build_divisibility_certificate,
@@ -40,6 +44,21 @@ _EXPECTED_KINDS = {
         "diophantine1_enumeration",
     ],
 }
+
+
+def _json_text(cert):
+    """The canonical text as json's own indented encoder writes it."""
+    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+
+
+def _coprime_sample(seed, count, limit):
+    rng = random.Random(seed)
+    triples = set()
+    while len(triples) < count:
+        a, b, c = rng.randint(2, limit), rng.randint(1, limit), rng.randint(2, limit)
+        if math.gcd(a, b) == math.gcd(b, c) == math.gcd(a, c) == 1:
+            triples.add((a, b, c))
+    return sorted(triples)
 
 
 def _expected_kinds(cert):
@@ -183,6 +202,77 @@ class TestSerialization:
         a = certificate_digest(golden_certificates[(2, 89, 91)])
         b = certificate_digest(golden_certificates[(5, 3, 2)])
         assert a != b
+
+    def test_writer_matches_json_on_goldens(self, golden_certificates):
+        for triple, cert in golden_certificates.items():
+            assert serialize_certificate(cert) == _json_text(cert), triple
+
+    def test_writer_matches_json_on_twelve_cube(self):
+        checked = 0
+        for a in range(2, 13):
+            for b in range(1, 13):
+                for c in range(2, 13):
+                    cert = solve(EquationInstance(a, b, c)).certificate
+                    assert cert is not None, (a, b, c)
+                    assert serialize_certificate(cert) == _json_text(cert), (a, b, c)
+                    checked += 1
+        assert checked == 11 * 12 * 11
+
+    def test_writer_matches_json_on_coprime_sample(self):
+        shapes = set()
+        for triple in _coprime_sample(seed=11, count=300, limit=200):
+            cert = solve(EquationInstance(*triple)).certificate
+            assert cert is not None, triple
+            shapes.add(cert.shape)
+            assert serialize_certificate(cert) == _json_text(cert), triple
+        assert CertShape.MAGIC_PRIME_EXCLUSION in shapes
+
+    def test_writer_matches_json_on_unusual_params(self, golden_certificates):
+        # parsed params are kept as given, so the writer meets every JSON type
+        doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
+        doc["claims"][0]["params"]["extra"] = {
+            "floats": [1.5, -0.0, 1e300],
+            "mixed": [True, False, None, [], {}, [[]], "caf\u00e9 \"q\"\n"],
+            "nested": {"": {"k": [1, [2, 3]]}},
+        }
+        cert = parse_certificate(json.dumps(doc))
+        assert serialize_certificate(cert) == _json_text(cert)
+        # hand-built params may hold what JSON text cannot: tuples, int keys
+        first = cert.claims[0]
+        params = {**first.params, "tuple": (1, (2, [3])), "int_keys": {1: [4], "s": (5,)}}
+        cert = dataclasses.replace(
+            cert, claims=(ClaimRecord(first.kind, params, first.premises),) + cert.claims[1:]
+        )
+        assert serialize_certificate(cert) == _json_text(cert)
+
+    def test_mutating_the_dict_leaves_the_certificate_alone(self, golden_certificates):
+        for triple, cert in golden_certificates.items():
+            text, digest = serialize_certificate(cert), certificate_digest(cert)
+            doc = certificate_to_dict(cert)
+            for claim in doc["claims"]:
+                for key, value in claim["params"].items():
+                    if isinstance(value, list):
+                        value.append(7)
+                    else:
+                        claim["params"][key] = 7
+                claim["params"]["extra"] = 1
+            if doc["magic_prime_witness"] is not None:
+                doc["magic_prime_witness"]["power_values"].append(7)
+            assert serialize_certificate(cert) == text, triple
+            assert certificate_digest(cert) == digest, triple
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.0])
+    def test_non_integers_in_integer_lists_are_malformed(self, golden_certificates, bad):
+        base = certificate_to_dict(golden_certificates[(2, 89, 91)])
+        for field in ("lifted_residues", "power_values"):
+            doc = json.loads(json.dumps(base))
+            doc["magic_prime_witness"][field][0] = bad
+            with pytest.raises(MalformedCertificateError):
+                parse_certificate(json.dumps(doc))
+        doc = json.loads(json.dumps(base))
+        doc["claims"][1]["premises"] = [bad]
+        with pytest.raises(MalformedCertificateError):
+            parse_certificate(json.dumps(doc))
 
     def test_malformed_inputs(self):
         with pytest.raises(MalformedCertificateError):

@@ -225,6 +225,24 @@ class TestScanCommand:
         keys = [(r.a, r.b, r.c) for r in retried]
         assert len(keys) == len(set(keys)) == len(records)
 
+    def test_summary_counts_rows_already_in_the_file(self, capsys, tmp_path):
+        # the closing summary covers the whole file: an Unresolved row from
+        # an earlier run sets exit code 2, and a malformed line is not counted
+        out_file = tmp_path / "scan.jsonl"
+        old = ScanRecord(
+            a=40, b=1, c=3, status="Unresolved", class_tag="ClassII", solution_count=0,
+            solutions=(), certificate_digest=None, elapsed_ms=1.0,
+        )
+        out_file.write_text(old.to_json() + "\n" + '{"truncated": ')
+        code, out, _ = run_cli(
+            ["scan", "--a-max", "3", "--b-max", "2", "--c-max", "3", "--jobs", "1",
+             "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 2
+        assert "new solved=8, new unresolved=0" in out
+        assert "file now holds 9 records, 1 unresolved" in out
+
     def test_env_var_jobs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EXPODIO_JOBS", "1")
         out_file = tmp_path / "scan.jsonl"
