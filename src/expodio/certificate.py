@@ -440,8 +440,14 @@ def _document(cert: Certificate) -> dict[str, Any]:
 
 
 def certificate_to_dict(cert: Certificate) -> dict[str, Any]:
-    """The canonical document as a private copy that callers may mutate."""
-    return copy.deepcopy(_document(cert))
+    """The canonical document as a private copy that callers may mutate.
+
+    Each claim's params are copied on their own, so a list that the builder
+    shares between two claims comes back as two independent lists.
+    """
+    doc = _document(cert)
+    doc["claims"] = [{**claim, "params": copy.deepcopy(claim["params"])} for claim in doc["claims"]]
+    return doc
 
 
 # exact types: a bool is an int subclass but serializes as true/false
