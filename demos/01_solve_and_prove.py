@@ -19,8 +19,9 @@ print()
 # the certificate records the full exclusion argument
 cert = result.certificate
 print(f"proof shape:   {cert.shape.value}")
-print(f"attacked side: {cert.mode.value} (bound {cert.enumeration.variable}"
-      f" < {cert.enumeration.strict_bound})")
+enumeration = cert.claims[-1].params
+print(f"attacked side: {cert.mode.value} (bound {enumeration['variable']}"
+      f" < {cert.bound_threshold})")
 print(f"claims:        {[c.kind.value for c in cert.claims]}")
 print()
 

@@ -32,7 +32,6 @@ print()
 # now play referee against a tampered copy: claim one solution fewer
 doc = json.loads(text)
 doc["solutions"] = [[1, 1]]
-doc["claims"][-1]["params"]["solutions"] = [[1, 1]]
 verdict = verify_certificate(parse_certificate(json.dumps(doc)))
 print(f"dropping a real solution: accepted={verdict.accepted}")
 print(f"  reason: {verdict.reason} (claim {verdict.claim_index})")
@@ -40,7 +39,6 @@ print()
 
 # or swap the magic prime for one that proves nothing
 doc = json.loads(text)
-doc["magic_prime_witness"]["prime"] = 883
 for claim in doc["claims"]:
     if "prime" in claim["params"]:
         claim["params"]["prime"] = 883

@@ -33,7 +33,7 @@ print(f"  exponent classes lift to {witness.lifted_residues} (mod {witness.lifte
 print(f"  5^x mod {witness.prime} is one of   {witness.power_values}")
 print(f"  so 2^y mod {witness.prime} would be {witness.shifted_values}")
 print(f"  powers of 2 mod {witness.prime} form a cycle of length {witness.other_side_order},")
-print(f"  and none of those values are in it: disjoint={witness.disjoint}")
+print("  and none of those values are in it")
 
 # the contradiction proves y < 8; enumerate the rest exactly
 print(f"enumerating y < 8: {final_enumeration(instance, 'y', 8)}")

@@ -5,39 +5,21 @@ inspect or serialize the resulting certificate, verify it independently,
 and render it as a prose proof or a Lean script.
 """
 
-from .arith import (
-    CycleDescriptor,
-    Factorization,
-    cycle_discrete_log,
-    exact_power_decompose,
-    factorize,
-    is_prime,
-    mod_pow,
-    multiplicative_order,
-    p_adic_valuation,
-    primes_in_progression,
-)
 from .certificate import (
-    Certificate,
     CertShape,
     ClaimKind,
-    ClaimRecord,
     Constraint,
-    MagicPrimeWitness,
     Mode,
-    Verdict,
     certificate_digest,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
 )
-from .classify import Classification, ClassTag, bounded_case_solutions, classify
-from .emit import RenderedProof, emit_lean, emit_text, write_proof_files
+from .classify import bounded_case_solutions, classify, final_enumeration
+from .emit import emit_lean, emit_text
 from .engine import (
     SolverConfig,
-    SolveResult,
     SolveStatus,
-    final_enumeration,
     initial_search,
     magic_prime_search,
     solve,
@@ -46,43 +28,24 @@ from .engine import (
 from .instance import EquationInstance
 
 __all__ = [
-    "Certificate",
     "CertShape",
     "ClaimKind",
-    "ClaimRecord",
-    "Classification",
-    "ClassTag",
     "Constraint",
-    "CycleDescriptor",
     "EquationInstance",
-    "Factorization",
-    "MagicPrimeWitness",
     "Mode",
-    "RenderedProof",
-    "SolveResult",
-    "SolverConfig",
     "SolveStatus",
-    "Verdict",
+    "SolverConfig",
     "bounded_case_solutions",
     "certificate_digest",
     "classify",
-    "cycle_discrete_log",
     "emit_lean",
     "emit_text",
-    "exact_power_decompose",
-    "factorize",
     "final_enumeration",
     "initial_search",
-    "is_prime",
     "magic_prime_search",
-    "mod_pow",
-    "multiplicative_order",
-    "p_adic_valuation",
     "parse_certificate",
-    "primes_in_progression",
     "serialize_certificate",
     "solve",
     "verify_certificate",
     "witness_for_prime",
-    "write_proof_files",
 ]

@@ -68,17 +68,6 @@ class CycleDescriptor:
     order: int
 
 
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """base^exp mod m for m >= 2 and exp >= 0."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if exp < 0:
-        raise ValueError(f"exponent must be >= 0, got {exp}")
-    if base < 0:
-        raise ValueError(f"base must be >= 0, got {base}")
-    return pow(base, exp, m)
-
-
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for all n < 2^63."""
     if n < 2:

@@ -77,28 +77,38 @@ def classify(instance: EquationInstance) -> Classification:
     return Classification(tag=ClassTag.CLASS_II)
 
 
+def final_enumeration(
+    instance: EquationInstance, variable: str, strict_bound: int
+) -> tuple[tuple[int, int], ...]:
+    """Complete solution list once `variable < strict_bound` is proved.
+
+    variable is "x", "y", or "either" when only min(x, y) is bounded;
+    each bounded exponent is enumerated with an exact big-integer power
+    test on the other side.
+    """
+    if variable not in ("x", "y", "either"):
+        raise ValueError(f"variable must be 'x', 'y' or 'either', got {variable!r}")
+    a, b, c = instance.a, instance.b, instance.c
+    found: set[tuple[int, int]] = set()
+    if variable != "y":
+        for x in range(1, strict_bound):
+            y = arith.exact_power_decompose(a**x + b, c)
+            if y is not None:
+                found.add((x, y))
+    if variable != "x":
+        for y in range(1, strict_bound):
+            rest = c**y - b
+            if rest >= 2:
+                x = arith.exact_power_decompose(rest, a)
+                if x is not None:
+                    found.add((x, y))
+    return tuple(sorted(found))
+
+
 def bounded_case_solutions(
     instance: EquationInstance, classification: Classification
 ) -> tuple[tuple[int, int], ...]:
-    """All solutions of a common-factor instance, by exhausting min(x, y) <= bound.
-
-    Both variables are enumerated up to the bound (the common-factor
-    argument only bounds the smaller one), with exact big-integer power
-    tests on the other side.
-    """
+    """All solutions of a common-factor instance, by exhausting min(x, y) <= bound."""
     if classification.tag is not ClassTag.TYPE_I_III_BOUNDED:
         raise ValueError(f"expected a bounded common-factor classification, got {classification.tag}")
-    a, b, c = instance.a, instance.b, instance.c
-    bound = classification.bound or 0
-    found: set[tuple[int, int]] = set()
-    for x in range(1, bound + 1):
-        y = arith.exact_power_decompose(a**x + b, c)
-        if y is not None:
-            found.add((x, y))
-    for y in range(1, bound + 1):
-        rest = c**y - b
-        if rest >= 2:
-            x = arith.exact_power_decompose(rest, a)
-            if x is not None:
-                found.add((x, y))
-    return tuple(sorted(found))
+    return final_enumeration(instance, "either", classification.bound + 1)

@@ -8,7 +8,8 @@ declares the `VerifiedFact` structure and the `Claim` axiom.
 
 Rendering is deterministic: the same certificate always produces the
 same bytes.  Only certificates accepted by the independent verifier are
-rendered at all.
+rendered at all, so a renderer reads each fact from its claim by the
+claim's position in the shape's template.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .certificate import (
     Certificate,
     CertShape,
     Mode,
+    _sides,
     verify_certificate,
 )
 
@@ -77,14 +79,6 @@ def _pair_list(solutions) -> str:
     return ", ".join(f"({x}, {y})" for x, y in solutions)
 
 
-def _sides(cert: Certificate) -> tuple[int, str, int, str]:
-    """(bounded base, bounded var, constrained base, constrained var)."""
-    inst = cert.instance
-    if cert.mode is Mode.FORWARD:
-        return inst.c, "y", inst.a, "x"
-    return inst.a, "x", inst.c, "y"
-
-
 def _case_header(cert: Certificate) -> str:
     if cert.shape is CertShape.DIVISIBILITY_NO_SOLUTION:
         case = "Type i" if cert.mode is Mode.FORWARD else "Type ii"
@@ -94,12 +88,12 @@ def _case_header(cert: Certificate) -> str:
     side = "Front Mode" if cert.mode is Mode.FORWARD else "Back Mode"
     if cert.shape is CertShape.DIRECT_MODULAR_EXCLUSION:
         return f"(Class II, {side}, no magic prime)"
-    return f"(Class II, {side}, with magic prime {cert.magic_prime_witness.prime})"
+    return f"(Class II, {side}, with magic prime {cert.claims[2].params['prime']})"
 
 
 def _conclusion_lines(cert: Certificate) -> list[str]:
     equation = cert.instance.equation_text()
-    if cert.enumeration is not None and cert.enumeration.strict_bound <= 1:
+    if cert.bound_threshold <= 1:
         return [f"So {equation} is impossible."]
     if not cert.solutions:
         return [f"Further examination shows that {equation} is impossible."]
@@ -132,35 +126,33 @@ def _narrative(cert: Certificate) -> list[str]:
 
     t = cert.bound_threshold
     modulus = cert.witness_prime**cert.modulus_exponent
-    bound_base, bound_var, con_base, con_var = _sides(cert)
+    bound_base, bound_var, con_base, con_var = _sides(cert.instance, cert.mode)
 
     if cert.shape is CertShape.DIRECT_MODULAR_EXCLUSION:
         target = cert.claims[1].params["target"]
         lines.append(f"if {bound_var} >= {t}, {con_base} ^ {con_var} = {target} (mod {modulus}).")
         lines.append("However, this is impossible.")
     else:
-        constraint = cert.constraint
-        witness = cert.magic_prime_witness
+        observe, utilize, compute = (claim.params for claim in cert.claims[1:4])
+        residue, period, prime = observe["residue"], observe["period"], utilize["prime"]
         lines.append(
-            f"if {bound_var} >= {t}, {con_base} ^ {con_var} = "
-            f"{constraint.source_target} (mod {modulus})."
+            f"if {bound_var} >= {t}, {con_base} ^ {con_var} = {observe['target']} (mod {modulus})."
         )
         # Power values mod P only depend on the exponent mod ord_P(base);
         # report the residues modulo that order when it differs from K.
-        order = arith.multiplicative_order(con_base % witness.prime, witness.prime).order
-        if order == constraint.period:
-            lines.append(f"So {con_var} = {constraint.residue} (mod {constraint.period}).")
+        order = arith.multiplicative_order(con_base % prime, prime).order
+        if order == period:
+            lines.append(f"So {con_var} = {residue} (mod {period}).")
         else:
-            reduced = [r % order for r in witness.lifted_residues]
-            lines.append(f"So {con_var} = {constraint.residue} (mod {constraint.period}),")
+            reduced = [r % order for r in utilize["lifted_residues"]]
+            lines.append(f"So {con_var} = {residue} (mod {period}),")
             lines.append(f"which implies {con_var} = {_int_list(reduced)} (mod {order}).")
         lines.append(
-            f"Therefore, {con_base} ^ {con_var} = "
-            f"{_int_list(witness.power_values)} (mod {witness.prime})."
+            f"Therefore, {con_base} ^ {con_var} = {_int_list(utilize['values'])} (mod {prime})."
         )
         impossible = (
             f"So {bound_base} ^ {bound_var} = "
-            f"{_int_list(witness.shifted_values)} (mod {witness.prime}), but this is impossible."
+            f"{_int_list(compute['output_values'])} (mod {prime}), but this is impossible."
         )
         if len(impossible) > _WRAP_COLUMN:
             head = impossible[: -len(" but this is impossible.")]
@@ -243,10 +235,7 @@ def _enumeration_premises(cert: Certificate, bound_prop: str) -> list[tuple[str,
 def _script_divisibility(cert: Certificate) -> _Script:
     inst = cert.instance
     p = cert.witness_prime
-    if cert.mode is Mode.FORWARD:
-        zero_base, zero_var, other_base, other_var = inst.c, "y", inst.a, "x"
-    else:
-        zero_base, zero_var, other_base, other_var = inst.a, "x", inst.c, "y"
+    zero_base, zero_var, other_base, other_var = _sides(inst, cert.mode)
     target = cert.claims[1].params["target"]
     script = _Script()
     _prologue(script, cert)
@@ -305,7 +294,7 @@ def _script_common_factor(cert: Certificate) -> _Script:
 def _script_direct(cert: Certificate) -> _Script:
     t = cert.bound_threshold
     modulus = cert.witness_prime**cert.modulus_exponent
-    bound_base, bound_var, con_base, con_var = _sides(cert)
+    bound_base, bound_var, con_base, con_var = _sides(cert.instance, cert.mode)
     target = cert.claims[1].params["target"]
     script = _Script()
     _prologue(script, cert)
@@ -342,10 +331,9 @@ def _script_direct(cert: Certificate) -> _Script:
 def _script_magic(cert: Certificate) -> _Script:
     t = cert.bound_threshold
     modulus = cert.witness_prime**cert.modulus_exponent
-    bound_base, bound_var, con_base, con_var = _sides(cert)
-    constraint = cert.constraint
-    witness = cert.magic_prime_witness
-    prime = witness.prime
+    bound_base, bound_var, con_base, con_var = _sides(cert.instance, cert.mode)
+    observe, utilize, compute = (claim.params for claim in cert.claims[1:4])
+    prime = utilize["prime"]
     script = _Script()
     _prologue(script, cert)
     script.add(f"  by_cases h6 : {bound_var} >= {t}")
@@ -358,9 +346,9 @@ def _script_magic(cert: Certificate) -> _Script:
         ],
         "pow_mod_eq_zero",
     )
-    congruence = f"{con_base} ^ {con_var} % {modulus} = {constraint.source_target}"
+    congruence = f"{con_base} ^ {con_var} % {modulus} = {observe['target']}"
     script.add(f"  have h8 : {congruence} := by omega")
-    residue_prop = f"{con_var} % {constraint.period} = {constraint.residue}"
+    residue_prop = f"{con_var} % {observe['period']} = {observe['residue']}"
     script.claim(
         "h9",
         residue_prop,
@@ -371,7 +359,7 @@ def _script_magic(cert: Certificate) -> _Script:
         ],
         "observe_mod_cycle",
     )
-    values_prop = f"List.Mem ({con_base} ^ {con_var} % {prime}) [{_int_list(witness.power_values)}]"
+    values_prop = f"List.Mem ({con_base} ^ {con_var} % {prime}) [{_int_list(utilize['values'])}]"
     script.claim(
         "h10",
         values_prop,
@@ -383,7 +371,7 @@ def _script_magic(cert: Certificate) -> _Script:
         "utilize_mod_cycle",
     )
     shifted_prop = (
-        f"List.Mem ({bound_base} ^ {bound_var} % {prime}) [{_int_list(witness.shifted_values)}]"
+        f"List.Mem ({bound_base} ^ {bound_var} % {prime}) [{_int_list(compute['output_values'])}]"
     )
     shift_kind = "compute_mod_add" if cert.mode is Mode.FORWARD else "compute_mod_sub"
     script.claim(

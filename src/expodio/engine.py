@@ -37,7 +37,13 @@ from .certificate import (
     build_divisibility_certificate,
     build_magic_prime_certificate,
 )
-from .classify import Classification, ClassTag, bounded_case_solutions, classify
+from .classify import (
+    Classification,
+    ClassTag,
+    bounded_case_solutions,
+    classify,
+    final_enumeration,
+)
 from .instance import EquationInstance
 
 EventCallback = Callable[[str, dict], None]
@@ -125,7 +131,6 @@ class SolveResult:
 class ExclusionKind(str, Enum):
     DIRECT = "DirectExclusion"
     CONDITIONAL = "Conditional"
-    DEGENERATE = "Degenerate"
 
 
 @dataclass(frozen=True)
@@ -153,11 +158,7 @@ def initial_search(instance: EquationInstance, ceiling: int) -> tuple[tuple[int,
     return tuple(found)
 
 
-def exclusion_step(
-    instance: EquationInstance,
-    candidate: ModulusCandidate,
-    max_modulus: int = arith.MODULUS_CAP,
-) -> ExclusionStep:
+def exclusion_step(instance: EquationInstance, candidate: ModulusCandidate) -> ExclusionStep:
     """Try to refute `var >= t` modulo p^k: a contradiction or a congruence.
 
     Forward mode forces a^x = -b (mod M); Backward forces c^y = b (mod M).
@@ -165,8 +166,6 @@ def exclusion_step(
     outright; otherwise the unique discrete log becomes a constraint.
     """
     modulus = candidate.key
-    if modulus > max_modulus:
-        return ExclusionStep(kind=ExclusionKind.DEGENERATE)
     if candidate.mode is Mode.FORWARD:
         base, variable = instance.a, "x"
         target = (-instance.b) % modulus
@@ -225,7 +224,6 @@ def witness_for_prime(
         power_values=values,
         shifted_values=shifted,
         other_side_order=other_order,
-        disjoint=True,
     )
 
 
@@ -262,29 +260,6 @@ def magic_prime_search(
         if tried >= config.prime_budget_count:
             break
     return None
-
-
-def final_enumeration(
-    instance: EquationInstance, variable: str, strict_bound: int
-) -> tuple[tuple[int, int], ...]:
-    """Complete solution list once `variable < strict_bound` is proved."""
-    if variable not in ("x", "y"):
-        raise ValueError(f"variable must be 'x' or 'y', got {variable!r}")
-    a, b, c = instance.a, instance.b, instance.c
-    found = set()
-    if variable == "x":
-        for x in range(1, strict_bound):
-            y = arith.exact_power_decompose(a**x + b, c)
-            if y is not None:
-                found.add((x, y))
-    else:
-        for y in range(1, strict_bound):
-            rest = c**y - b
-            if rest >= 2:
-                x = arith.exact_power_decompose(rest, a)
-                if x is not None:
-                    found.add((x, y))
-    return tuple(sorted(found))
 
 
 def _solve_class_one(
@@ -404,9 +379,7 @@ def solve(
                     "modulus": candidate.key,
                 },
             )
-        step = exclusion_step(instance, candidate, config.max_modulus)
-        if step.kind is ExclusionKind.DEGENERATE:
-            continue
+        step = exclusion_step(instance, candidate)
         if step.kind is ExclusionKind.DIRECT:
             solutions, cert = _conclude(
                 instance,

@@ -168,15 +168,15 @@ def test_criterion_5_arithmetic_properties():
 def test_criterion_6_magic_prime_fidelity(golden_results):
     with criterion(6, "witnesses at P=257 and P=17497 reproduce the published value sets"):
         result = golden_results[(5, 3, 2)]
-        witness = result.certificate.magic_prime_witness
-        if witness.prime == 257:
-            assert witness.shifted_values == (17, 227, 246, 36)
+        utilize, compute = (c.params for c in result.certificate.claims[2:4])
+        if utilize["prime"] == 257:
+            assert compute["output_values"] == [17, 227, 246, 36]
         assert verify_certificate(result.certificate).accepted
 
         result = golden_results[(3, 10, 13)]
-        witness = result.certificate.magic_prime_witness
-        if witness.prime == 17497:
-            assert witness.power_values == (11616, 6486, 5881, 11011)
+        utilize = result.certificate.claims[2].params
+        if utilize["prime"] == 17497:
+            assert utilize["values"] == [11616, 6486, 5881, 11011]
         assert verify_certificate(result.certificate).accepted
 
         # pinned-prime checks, independent of what the default budget picked
@@ -199,8 +199,9 @@ def test_criterion_6_magic_prime_fidelity(golden_results):
         config = SolverConfig(pinned_magic_primes=(257, 17497))
         result = solve(EquationInstance(5, 3, 2), config)
         assert result.status is SolveStatus.SOLVED
-        assert result.certificate.magic_prime_witness.prime == 257
-        assert result.certificate.magic_prime_witness.shifted_values == (17, 227, 246, 36)
+        utilize, compute = (c.params for c in result.certificate.claims[2:4])
+        assert utilize["prime"] == 257
+        assert compute["output_values"] == [17, 227, 246, 36]
 
 
 def test_criterion_7_emitter_determinism(golden_certificates):

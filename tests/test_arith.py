@@ -13,25 +13,6 @@ from oracle import brute_force_cycle, brute_force_order, sieve_primes
 from expodio import arith
 
 
-class TestModPow:
-    def test_known_congruence(self):
-        assert arith.mod_pow(5, 35, 257) == 14
-
-    def test_empty_product(self):
-        assert arith.mod_pow(7, 0, 100) == 1
-
-    def test_plain_power(self):
-        assert arith.mod_pow(2, 10, 1000) == 24
-
-    def test_invalid_modulus(self):
-        with pytest.raises(ValueError):
-            arith.mod_pow(2, 3, 1)
-
-    @given(st.integers(0, 10**6), st.integers(0, 300), st.integers(2, 10**9))
-    def test_matches_builtin(self, base, exp, m):
-        assert arith.mod_pow(base, exp, m) == base**exp % m
-
-
 class TestIsPrime:
     def test_examples(self):
         assert arith.is_prime(257)

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
-import math
 import random
 from pathlib import Path
 
@@ -20,12 +18,10 @@ from expodio import (
     certificate_digest,
     parse_certificate,
     serialize_certificate,
-    solve,
     verify_certificate,
 )
 from expodio.certificate import (
     CertificateBuildError,
-    ClaimRecord,
     MalformedCertificateError,
     build_direct_exclusion_certificate,
     build_divisibility_certificate,
@@ -45,21 +41,6 @@ _EXPECTED_KINDS = {
         "diophantine1_enumeration",
     ],
 }
-
-
-def _json_text(cert):
-    """The canonical text as json's own indented encoder writes it."""
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
-
-
-def _coprime_sample(seed, count, limit):
-    rng = random.Random(seed)
-    triples = set()
-    while len(triples) < count:
-        a, b, c = rng.randint(2, limit), rng.randint(1, limit), rng.randint(2, limit)
-        if math.gcd(a, b) == math.gcd(b, c) == math.gcd(a, c) == 1:
-            triples.add((a, b, c))
-    return sorted(triples)
 
 
 def _expected_kinds(cert):
@@ -131,14 +112,12 @@ class TestVerifyCertificate:
     def test_rejects_wrong_solution_list(self, golden_certificates):
         doc = certificate_to_dict(golden_certificates[(5, 3, 2)])
         doc["solutions"] = [[1, 3]]
-        doc["claims"][-1]["params"]["solutions"] = [[1, 3]]
         verdict = verify_certificate(parse_certificate(json.dumps(doc)))
         assert not verdict.accepted
         assert verdict.claim_index == len(doc["claims"]) - 1  # the enumeration claim
 
     def test_rejects_swapped_magic_prime(self, golden_certificates):
         doc = certificate_to_dict(golden_certificates[(5, 3, 2)])
-        doc["magic_prime_witness"]["prime"] = 19
         for claim in doc["claims"]:
             if "prime" in claim["params"]:
                 claim["params"]["prime"] = 19
@@ -191,7 +170,6 @@ class TestSerialization:
         # a tampered certificate is rejected identically before and
         # after a trip through the wire format
         doc = certificate_to_dict(golden_certificates[(3, 7, 2)])
-        doc["magic_prime_witness"]["power_values"][0] += 1
         doc["claims"][2]["params"]["values"][0] += 1
         text = json.dumps(doc)
         first = verify_certificate(parse_certificate(text))
@@ -204,35 +182,6 @@ class TestSerialization:
         b = certificate_digest(golden_certificates[(5, 3, 2)])
         assert a != b
 
-    def test_writer_matches_json_on_twelve_cube_and_coprime_sample(self):
-        # the goldens are covered by test_frozen_goldens_still_verify_and_reserialize
-        cube = [(a, b, c) for a in range(2, 13) for b in range(1, 13) for c in range(2, 13)]
-        shapes = set()
-        for triple in cube + _coprime_sample(seed=11, count=300, limit=200):
-            cert = solve(EquationInstance(*triple)).certificate
-            assert cert is not None, triple
-            shapes.add(cert.shape)
-            assert serialize_certificate(cert) == _json_text(cert), triple
-        assert CertShape.MAGIC_PRIME_EXCLUSION in shapes
-
-    def test_writer_matches_json_on_unusual_params(self, golden_certificates):
-        # parsed params are kept as given, so the writer meets every JSON type
-        doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
-        doc["claims"][0]["params"]["extra"] = {
-            "floats": [1.5, -0.0, 1e300],
-            "mixed": [True, False, None, [], {}, [[]], "caf\u00e9 \"q\"\n"],
-            "nested": {"": {"k": [1, [2, 3]]}},
-        }
-        cert = parse_certificate(json.dumps(doc))
-        assert serialize_certificate(cert) == _json_text(cert)
-        # hand-built params may hold what JSON text cannot: tuples, int keys
-        first = cert.claims[0]
-        params = {**first.params, "tuple": (1, (2, [3])), "int_keys": {1: [4], "s": (5,)}}
-        cert = dataclasses.replace(
-            cert, claims=(ClaimRecord(first.kind, params, first.premises),) + cert.claims[1:]
-        )
-        assert serialize_certificate(cert) == _json_text(cert)
-
     def test_mutating_the_dict_leaves_the_certificate_alone(self, golden_certificates):
         for triple, cert in golden_certificates.items():
             text, digest = serialize_certificate(cert), certificate_digest(cert)
@@ -244,14 +193,12 @@ class TestSerialization:
                     else:
                         claim["params"][key] = 7
                 claim["params"]["extra"] = 1
-            if doc["magic_prime_witness"] is not None:
-                doc["magic_prime_witness"]["power_values"].append(7)
             assert serialize_certificate(cert) == text, triple
             assert certificate_digest(cert) == digest, triple
 
     def test_to_dict_shares_no_list_between_claims(self, golden_certificates):
-        # the magic-prime builder hands one list to claims 2 and 3 and
-        # another to claims 3 and 4; the document must not link them
+        # changing one value list of a magic-prime document leaves every
+        # other params value as it was
         cert = golden_certificates[(2, 89, 91)]
         assert cert.shape is CertShape.MAGIC_PRIME_EXCLUSION
         doc = certificate_to_dict(cert)
@@ -259,22 +206,48 @@ class TestSerialization:
         before = copy.deepcopy(params)
         params[2]["values"][0] += 1
         params[3]["output_values"][0] += 1
-        assert params[3]["input_values"] == before[3]["input_values"]
-        assert params[4]["values"] == before[4]["values"]
+        for i, p in enumerate(params):
+            for key, value in p.items():
+                if (i, key) not in {(2, "values"), (3, "output_values")}:
+                    assert value == before[i][key], (i, key)
         lists = [id(v) for p in params for v in p.values() if isinstance(v, list)]
         assert len(lists) == len(set(lists))
 
     @pytest.mark.parametrize("bad", [True, False, 1.0, 0.0])
     def test_non_integers_in_integer_lists_are_malformed(self, golden_certificates, bad):
         base = certificate_to_dict(golden_certificates[(2, 89, 91)])
-        for field in ("lifted_residues", "power_values"):
+        for field in ("lifted_residues", "values"):
             doc = json.loads(json.dumps(base))
-            doc["magic_prime_witness"][field][0] = bad
+            doc["claims"][2]["params"][field][0] = bad
             with pytest.raises(MalformedCertificateError):
                 parse_certificate(json.dumps(doc))
         doc = json.loads(json.dumps(base))
         doc["claims"][1]["premises"] = [bad]
         with pytest.raises(MalformedCertificateError):
+            parse_certificate(json.dumps(doc))
+
+    def test_params_hold_exact_integers(self, golden_certificates):
+        # each edit compares equal to the integer it replaces, so only the
+        # parser can tell it apart from the canonical certificate
+        edited = []
+        doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
+        doc["claims"][0]["params"]["base"] = 2.0
+        edited.append(doc)
+        doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
+        values = doc["claims"][2]["params"]["values"]
+        values[0] = float(values[0])
+        edited.append(doc)
+        doc = certificate_to_dict(golden_certificates[(2, 6, 9)])
+        doc["claims"][0]["params"]["threshold"] = True
+        edited.append(doc)
+        for doc in edited:
+            with pytest.raises(MalformedCertificateError):
+                parse_certificate(json.dumps(doc))
+
+    def test_retired_format_is_malformed(self, golden_certificates):
+        doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
+        doc["format"] = "diophantine1-certificate/1"
+        with pytest.raises(MalformedCertificateError, match="unknown format"):
             parse_certificate(json.dumps(doc))
 
     def test_malformed_inputs(self):

@@ -275,7 +275,7 @@ class TestVerifyCommand:
         cert_file = tmp_path / "cert.json"
         assert run_cli(["solve", "3", "7", "2", "--cert", str(cert_file)], capsys)[0] == 0
         doc = json.loads(cert_file.read_text())
-        doc["magic_prime_witness"]["shifted_values"][0] += 1
+        doc["claims"][3]["params"]["output_values"][0] += 1
         cert_file.write_text(json.dumps(doc))
         code, out, _ = run_cli(["verify", str(cert_file)], capsys)
         assert code == 3
