@@ -17,18 +17,23 @@ residues and power values in utilize_mod_cycle, the shifted values in
 compute_mod_*, the solution list at the top level of the document.
 The canonical text is that document as one line of compact JSON.
 
+Certificates are immutable: the dataclasses are frozen, and claim
+params are a read-only mapping whose integer lists are tuples.
+
 verify_certificate replays every claim from the (a, b, c) triple alone.
 It deliberately shares nothing with the solver beyond the arithmetic
 kernel, so an accepted certificate is evidence independent of the
-search that produced it.
+search that produced it.  It remembers, by identity, each certificate
+it has accepted; was_accepted lets a renderer reuse that acceptance
+instead of verifying the same object again.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -38,9 +43,9 @@ from .instance import EquationInstance
 
 FORMAT_TAG = "diophantine1-certificate/2"
 
-# Cycles up to this order are checked by literal exhaustion; beyond it
-# the verifier falls back to order/discrete-log arguments, which decide
-# the same membership questions.
+# Cycles up to this order are walked element by element; beyond it the
+# verifier falls back to order/discrete-log arguments, which decide the
+# same membership questions.
 _EXHAUST_LIMIT = 1 << 21
 
 
@@ -96,10 +101,35 @@ class MagicPrimeWitness:
     other_side_order: int
 
 
+class Params(dict):
+    """Read-only claim parameters: integers, strings and tuples of integers.
+
+    A dict subclass, so json encodes it as an object; every mutator raises
+    TypeError.  Its values are immutable, so a copy may be the object itself.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("claim params are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return (Params, (dict(self),))
+
+    def __copy__(self) -> Params:
+        return self
+
+    def __deepcopy__(self, memo) -> Params:
+        return self
+
+
 @dataclass(frozen=True)
 class ClaimRecord:
     kind: ClaimKind
-    params: dict[str, Any] = field(default_factory=dict)
+    params: Params = field(default_factory=Params)
     premises: tuple[int, ...] = ()
 
 
@@ -165,14 +195,14 @@ def _check_solutions(instance: EquationInstance, solutions) -> tuple[tuple[int, 
 def _pow_claim(base: int, variable: str, threshold: int, modulus: int) -> ClaimRecord:
     return ClaimRecord(
         kind=ClaimKind.POW_MOD_EQ_ZERO,
-        params={"base": base, "variable": variable, "threshold": threshold, "modulus": modulus},
+        params=Params(base=base, variable=variable, threshold=threshold, modulus=modulus),
     )
 
 
 def _enumeration_claim(variable: str, bound: int, premises: tuple[int, ...]) -> ClaimRecord:
     return ClaimRecord(
         kind=ClaimKind.DIOPHANTINE1_ENUMERATION,
-        params={"variable": variable, "bound": bound},
+        params=Params(variable=variable, bound=bound),
         premises=premises,
     )
 
@@ -188,13 +218,13 @@ def build_divisibility_certificate(instance: EquationInstance, mode: Mode, p: in
         _pow_claim(zero_base, zero_var, 1, p),
         ClaimRecord(
             kind=ClaimKind.OBSERVE_MOD_CYCLE,
-            params={
-                "base": other_base,
-                "variable": other_var,
-                "target": _expected_target(instance, mode, p),
-                "modulus": p,
-                "outcome": "impossible",
-            },
+            params=Params(
+                base=other_base,
+                variable=other_var,
+                target=_expected_target(instance, mode, p),
+                modulus=p,
+                outcome="impossible",
+            ),
             premises=(0,),
         ),
     )
@@ -255,13 +285,13 @@ def build_direct_exclusion_certificate(
         _pow_claim(zero_base, zero_var, t, modulus),
         ClaimRecord(
             kind=ClaimKind.OBSERVE_MOD_CYCLE,
-            params={
-                "base": other_base,
-                "variable": other_var,
-                "target": _expected_target(instance, mode, modulus),
-                "modulus": modulus,
-                "outcome": "impossible",
-            },
+            params=Params(
+                base=other_base,
+                variable=other_var,
+                target=_expected_target(instance, mode, modulus),
+                modulus=modulus,
+                outcome="impossible",
+            ),
             premises=(0,),
         ),
         _enumeration_claim(zero_var, t - 1, premises=(1,)),
@@ -305,51 +335,47 @@ def build_magic_prime_certificate(
         _pow_claim(zero_base, zero_var, t, modulus),
         ClaimRecord(
             kind=ClaimKind.OBSERVE_MOD_CYCLE,
-            params={
-                "base": con_base,
-                "variable": con_var,
-                "target": constraint.source_target,
-                "modulus": modulus,
-                "outcome": "constrains",
-                "residue": constraint.residue,
-                "period": constraint.period,
-            },
+            params=Params(
+                base=con_base,
+                variable=con_var,
+                target=constraint.source_target,
+                modulus=modulus,
+                outcome="constrains",
+                residue=constraint.residue,
+                period=constraint.period,
+            ),
             premises=(0,),
         ),
         ClaimRecord(
             kind=ClaimKind.UTILIZE_MOD_CYCLE,
-            params={
-                "base": con_base,
-                "variable": con_var,
-                "residue": constraint.residue,
-                "period": constraint.period,
-                "prime": witness.prime,
-                "lifted_period": witness.lifted_period,
-                "lifted_residues": list(witness.lifted_residues),
-                "values": list(witness.power_values),
-            },
+            params=Params(
+                base=con_base,
+                variable=con_var,
+                residue=constraint.residue,
+                period=constraint.period,
+                prime=witness.prime,
+                lifted_period=witness.lifted_period,
+                lifted_residues=witness.lifted_residues,
+                values=witness.power_values,
+            ),
             premises=(1,),
         ),
         ClaimRecord(
             kind=shift_kind,
-            params={
-                "prime": witness.prime,
-                "input_base": con_base,
-                "input_variable": con_var,
-                "shift": instance.b,
-                "output_base": zero_base,
-                "output_variable": zero_var,
-                "output_values": list(witness.shifted_values),
-            },
+            params=Params(
+                prime=witness.prime,
+                input_base=con_base,
+                input_variable=con_var,
+                shift=instance.b,
+                output_base=zero_base,
+                output_variable=zero_var,
+                output_values=witness.shifted_values,
+            ),
             premises=(2,),
         ),
         ClaimRecord(
             kind=ClaimKind.EXHAUST_MOD_CYCLE,
-            params={
-                "base": zero_base,
-                "variable": zero_var,
-                "prime": witness.prime,
-            },
+            params=Params(base=zero_base, variable=zero_var, prime=witness.prime),
             premises=(3,),
         ),
         _enumeration_claim(zero_var, t - 1, premises=(4,)),
@@ -388,8 +414,8 @@ def _document(cert: Certificate) -> dict[str, Any]:
 
 
 def certificate_to_dict(cert: Certificate) -> dict[str, Any]:
-    """The canonical document as a private copy that callers may mutate."""
-    return copy.deepcopy(_document(cert))
+    """The canonical document as a private copy, with lists, that callers may mutate."""
+    return json.loads(serialize_certificate(cert))
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -419,12 +445,8 @@ def _as_int(value: Any, what: str) -> int:
     return value
 
 
-def _is_int_list(value: Any) -> bool:
-    return type(value) is list and set(map(type, value)) <= {int}
-
-
 def _as_int_tuple(value: Any, what: str) -> tuple[int, ...]:
-    if not _is_int_list(value):
+    if type(value) is not list or not set(map(type, value)) <= {int}:
         raise MalformedCertificateError(f"{what} must be a list of integers")
     return tuple(value)
 
@@ -435,16 +457,21 @@ def _as_str(value: Any, what: str) -> str:
     return value
 
 
-def _as_params(value: Any) -> dict[str, Any]:
-    """Claim params: each value an integer, a string or a list of integers."""
+def _as_params(value: Any) -> Params:
+    """Read-only claim params: integers, strings, and integer lists made tuples."""
     if not isinstance(value, dict):
         raise MalformedCertificateError("claim params must be an object")
-    for item in value.values():
-        if type(item) is not int and type(item) is not str and not _is_int_list(item):
+    params = {}
+    for key, item in value.items():
+        kind = type(item)
+        if kind is list and set(map(type, item)) <= {int}:
+            item = tuple(item)
+        elif kind is not int and kind is not str:
             raise MalformedCertificateError(
                 "claim params hold only integers, strings and lists of integers"
             )
-    return value
+        params[key] = item
+    return Params(params)
 
 
 _DOCUMENT_KEYS = frozenset(
@@ -581,25 +608,34 @@ _EXHAUST_PARAMS = {"base", "variable", "prime"}
 _ENUM_PARAMS = {"variable", "bound"}
 
 
-def _power_cycle_values(base: int, modulus: int) -> set[int]:
-    """{base^j mod modulus : j >= 1}, by walking until the sequence repeats."""
-    values: set[int] = set()
-    v = base % modulus
-    while v not in values:
-        values.add(v)
-        v = v * base % modulus
-    return values
+def _valuation(n: int, p: int) -> int:
+    """Largest v with p^v dividing n >= 1, for a p the caller has proved prime."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
-def _cycle_membership_disjoint(base: int, modulus: int, targets: list[int]) -> bool:
-    """True when no target lies in {base^j mod modulus : j >= 1}."""
-    if base % modulus == 0 or not arith.is_prime(modulus):
-        return not (_power_cycle_values(base, modulus) & set(targets))
-    order = arith.multiplicative_order(base % modulus, modulus).order
-    if order <= _EXHAUST_LIMIT:
-        return not (_power_cycle_values(base, modulus) & set(targets))
-    # In (Z/PZ)* the subgroup of order d is unique, so membership is t^d = 1.
-    return all(t == 0 or pow(t, order, modulus) != 1 for t in targets)
+def _cycle_membership_disjoint(base: int, prime: int, targets) -> bool:
+    """True when no target lies in {base^j mod prime : j >= 1}.
+
+    The caller has proved `prime` prime, so the powers are purely periodic
+    and a walk from base returns to its start.
+    """
+    wanted = set(targets)
+    start = base % prime
+    if start and prime > _EXHAUST_LIMIT:
+        order = arith.multiplicative_order(start, prime).order
+        if order > _EXHAUST_LIMIT:
+            # In (Z/PZ)* the subgroup of order d is unique, so membership is t^d = 1.
+            return all(t == 0 or pow(t, order, prime) != 1 for t in wanted)
+    v = start
+    while v not in wanted:
+        v = v * base % prime
+        if v == start:
+            return True
+    return False
 
 
 def _enumerate_solutions(
@@ -637,7 +673,7 @@ def _verify_pow_claim(
     if threshold < 1 or exponent < 1:
         return "pow_mod_eq_zero needs threshold >= 1 and modulus >= 2"
     # var >= t implies base^var = 0 (mod p^k) iff t * v_p(base) >= k
-    if threshold * arith.p_adic_valuation(base, prime) < exponent:
+    if threshold * _valuation(base, prime) < exponent:
         return f"{modulus} does not divide {base}^{threshold}"
     return None
 
@@ -670,7 +706,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     if not arith.is_prime(p):
         return _reject(f"{p} is not prime")
     zero_base, zero_var, con_base, con_var = _sides(instance, mode)
-    if t < 1 or k != t * arith.p_adic_valuation(zero_base, p):
+    if t < 1 or k != t * _valuation(zero_base, p):
         return _reject("modulus exponent does not match the attacked bound")
     if k * (p.bit_length() - 1) > 62:
         return _reject("modulus exceeds the supported cap")
@@ -698,12 +734,10 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     if observe.params["modulus"] != modulus or observe.params["target"] != target:
         return _reject("observe_mod_cycle target is not forced by the equation", claim_index=1)
 
-    dlog = arith.cycle_discrete_log(con_base % modulus, target, modulus)
-
     if cert.shape is CertShape.DIRECT_MODULAR_EXCLUSION:
         if observe.params["outcome"] != "impossible":
             return _reject("direct exclusion requires an impossibility outcome", claim_index=1)
-        if dlog is not None:
+        if arith.cycle_discrete_log(con_base % modulus, target, modulus) is not None:
             return _reject("target actually lies in the power cycle", claim_index=1)
         error = _verify_enumeration_claim(cert.claims[2], instance, zero_var, t, cert.solutions)
         if error:
@@ -714,7 +748,14 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     if observe.params["outcome"] != "constrains":
         return _reject("magic prime exclusion requires a congruence outcome", claim_index=1)
     period = arith.multiplicative_order(con_base % modulus, modulus).order
-    if dlog is None or observe.params["residue"] != dlog or observe.params["period"] != period:
+    residue = observe.params["residue"]
+    # period is the exact order, so a residue in [0, period) that maps to
+    # the target is the unique discrete log
+    if (
+        observe.params["period"] != period
+        or not 0 <= residue < period
+        or pow(con_base, residue, modulus) != target
+    ):
         return _reject("congruence is not the discrete log of the target", claim_index=1)
 
     utilize = cert.claims[2]
@@ -723,7 +764,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     if (
         utilize.params["base"] != con_base
         or utilize.params["variable"] != con_var
-        or utilize.params["residue"] != dlog
+        or utilize.params["residue"] != residue
         or utilize.params["period"] != period
     ):
         return _reject("utilize_mod_cycle lifts the wrong congruence", claim_index=2)
@@ -736,8 +777,8 @@ def _verify_class_two(cert: Certificate) -> Verdict:
         return _reject("magic prime divides one of the parameters", claim_index=2)
     prime_order = arith.multiplicative_order(con_base % P, P).order
     lifted_period = math.lcm(period, prime_order)
-    lifted = [dlog + j * period for j in range(lifted_period // period)]
-    values = [pow(con_base, r, P) for r in lifted]
+    lifted = tuple(range(residue, lifted_period, period))
+    values = tuple(pow(con_base, r, P) for r in lifted)
     if utilize.params["lifted_period"] != lifted_period or utilize.params["lifted_residues"] != lifted:
         return _reject("lifted residues do not match lcm(period, prime order)", claim_index=2)
     if utilize.params["values"] != values:
@@ -752,7 +793,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     if set(compute.params) != _COMPUTE_PARAMS:
         return _reject("compute claim has wrong parameters", claim_index=3)
     shift = instance.b if mode is Mode.FORWARD else -instance.b
-    shifted = [(v + shift) % P for v in values]
+    shifted = tuple((v + shift) % P for v in values)
     if (
         compute.params["prime"] != P
         or compute.params["input_base"] != con_base
@@ -782,12 +823,36 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     return ACCEPT
 
 
+# The certificates verify_certificate has accepted, keyed by id(); an entry
+# goes when its certificate is collected, so a reused id never matches.
+_accepted: weakref.WeakValueDictionary[int, Certificate] = weakref.WeakValueDictionary()
+
+
+def was_accepted(cert: Certificate) -> bool:
+    """True when verify_certificate has already accepted this very object."""
+    return _accepted.get(id(cert)) is cert
+
+
 def verify_certificate(cert: Certificate) -> Verdict:
     """Re-validate every claim from the instance alone; Accept or Reject.
 
     Acceptance means the claim chain proves that the certificate's
-    solution list is the complete solution set of a^x + b = c^y.
+    solution list is the complete solution set of a^x + b = c^y.  Every
+    call re-validates.  An accepted certificate is also remembered for
+    was_accepted, because it cannot change afterwards.  One assembled by
+    hand from a list of claims or plain dict params could, so it is not.
     """
+    verdict = _verify(cert)
+    if (
+        verdict.accepted
+        and type(cert.claims) is tuple
+        and all(type(claim.params) is Params for claim in cert.claims)
+    ):
+        _accepted[id(cert)] = cert
+    return verdict
+
+
+def _verify(cert: Certificate) -> Verdict:
     try:
         instance = cert.instance
         if not isinstance(instance, EquationInstance):

@@ -9,7 +9,10 @@ declares the `VerifiedFact` structure and the `Claim` axiom.
 Rendering is deterministic: the same certificate always produces the
 same bytes.  Only certificates accepted by the independent verifier are
 rendered at all, so a renderer reads each fact from its claim by the
-claim's position in the shape's template.
+claim's position in the shape's template.  Certificates are immutable,
+so a renderer reuses an acceptance the verifier already gave to the same
+object and runs the verifier only when it has not: verifying and then
+rendering, or rendering both outputs, verifies once.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .certificate import (
     Mode,
     _sides,
     verify_certificate,
+    was_accepted,
 )
 
 _WRAP_COLUMN = 80
@@ -66,6 +70,8 @@ def theorem_name(cert: Certificate) -> str:
 
 
 def _require_verified(cert: Certificate) -> None:
+    if was_accepted(cert):
+        return
     verdict = verify_certificate(cert)
     if not verdict.accepted:
         raise EmitRefusedError(f"refusing to render a rejected certificate: {verdict.reason}")
@@ -91,8 +97,7 @@ def _case_header(cert: Certificate) -> str:
     return f"(Class II, {side}, with magic prime {cert.claims[2].params['prime']})"
 
 
-def _conclusion_lines(cert: Certificate) -> list[str]:
-    equation = cert.instance.equation_text()
+def _conclusion_lines(cert: Certificate, equation: str) -> list[str]:
     if cert.bound_threshold <= 1:
         return [f"So {equation} is impossible."]
     if not cert.solutions:
@@ -100,10 +105,9 @@ def _conclusion_lines(cert: Certificate) -> list[str]:
     return [f"Further examination shows that (x, y) = {_pair_list(cert.solutions)}."]
 
 
-def _narrative(cert: Certificate) -> list[str]:
+def _narrative(cert: Certificate, equation: str) -> list[str]:
     """The prose proof, one sentence per line, as placed in the comment block."""
     inst = cert.instance
-    equation = inst.equation_text()
     lines = [
         f"{_case_header(cert)}   {equation}",
         f"For positive integers x, y satisfying {equation},",
@@ -121,7 +125,7 @@ def _narrative(cert: Certificate) -> list[str]:
         lines.append(f"if x >= {k} and y >= {k},")
         lines.append(f"{inst.b} = 0 (mod {modulus}), which is impossible.")
         lines.append(f"Therefore, x < {k} or y < {k}.")
-        lines.extend(_conclusion_lines(cert))
+        lines.extend(_conclusion_lines(cert, equation))
         return lines
 
     t = cert.bound_threshold
@@ -161,7 +165,7 @@ def _narrative(cert: Certificate) -> list[str]:
         else:
             lines.append(impossible)
     lines.append(f"Therefore, {bound_var} < {t}.")
-    lines.extend(_conclusion_lines(cert))
+    lines.extend(_conclusion_lines(cert, equation))
     return lines
 
 
@@ -183,9 +187,7 @@ class _Script:
 
     def __init__(self) -> None:
         self.lines: list[str] = []
-
-    def add(self, line: str) -> None:
-        self.lines.append(line)
+        self.add = self.lines.append
 
     def claim(self, handle: str, statement: str, premises: list[tuple[str, str]], kind: str) -> None:
         wrapped = statement if statement == "False" else f"({statement})"
@@ -209,36 +211,35 @@ class _Script:
         return "\n".join(self.lines) + "\n"
 
 
-def _prologue(script: _Script, cert: Certificate) -> None:
-    inst = cert.instance
+def _prologue(script: _Script, cert: Certificate, equation: str) -> None:
     script.add(
         f"theorem {theorem_name(cert)} (x : Nat) (y : Nat) (h1 : x >= 1) (h2 : y >= 1)"
     )
-    script.add(f"(h3 : {inst.equation_text()}) :")
+    script.add(f"(h3 : {equation}) :")
     script.add(f"  {_goal(cert)}")
     script.add("  := by")
     script.add("  have h4 : x % 1 = 0 := Nat.mod_one x")
     script.add("  have h5 : y % 1 = 0 := Nat.mod_one y")
 
 
-def _enumeration_premises(cert: Certificate, bound_prop: str) -> list[tuple[str, str]]:
+def _enumeration_premises(equation: str, bound_prop: str) -> list[tuple[str, str]]:
     return [
         ("x % 1 = 0", "h4"),
         ("x >= 1", "h1"),
         ("y % 1 = 0", "h5"),
         ("y >= 1", "h2"),
-        (cert.instance.equation_text(), "h3"),
+        (equation, "h3"),
         (bound_prop, "h7"),
     ]
 
 
-def _script_divisibility(cert: Certificate) -> _Script:
+def _script_divisibility(cert: Certificate, equation: str) -> _Script:
     inst = cert.instance
     p = cert.witness_prime
     zero_base, zero_var, other_base, other_var = _sides(inst, cert.mode)
     target = cert.claims[1].params["target"]
     script = _Script()
-    _prologue(script, cert)
+    _prologue(script, cert, equation)
     script.claim(
         "h6",
         f"{zero_base} ^ {zero_var} % {p} = 0",
@@ -264,12 +265,12 @@ def _script_divisibility(cert: Certificate) -> _Script:
     return script
 
 
-def _script_common_factor(cert: Certificate) -> _Script:
+def _script_common_factor(cert: Certificate, equation: str) -> _Script:
     inst = cert.instance
     k = cert.modulus_exponent
     modulus = cert.witness_prime**k
     script = _Script()
-    _prologue(script, cert)
+    _prologue(script, cert, equation)
     script.add(f"  by_cases h6 : And (x >= {k}) (y >= {k})")
     script.claim(
         "h7",
@@ -286,18 +287,18 @@ def _script_common_factor(cert: Certificate) -> _Script:
     script.add("  omega")
     bound_prop = f"Or (x <= {k - 1}) (y <= {k - 1})"
     script.add(f"  have h7 : {bound_prop} := by omega")
-    script.claim("h8", _goal(cert), _enumeration_premises(cert, bound_prop), "diophantine1_enumeration")
+    script.claim("h8", _goal(cert), _enumeration_premises(equation, bound_prop), "diophantine1_enumeration")
     script.add("  exact h8")
     return script
 
 
-def _script_direct(cert: Certificate) -> _Script:
+def _script_direct(cert: Certificate, equation: str) -> _Script:
     t = cert.bound_threshold
     modulus = cert.witness_prime**cert.modulus_exponent
     bound_base, bound_var, con_base, con_var = _sides(cert.instance, cert.mode)
     target = cert.claims[1].params["target"]
     script = _Script()
-    _prologue(script, cert)
+    _prologue(script, cert, equation)
     script.add(f"  by_cases h6 : {bound_var} >= {t}")
     script.claim(
         "h7",
@@ -323,19 +324,19 @@ def _script_direct(cert: Certificate) -> _Script:
     script.add("  apply False.elim h9")
     bound_prop = f"{bound_var} <= {t - 1}"
     script.add(f"  have h7 : {bound_prop} := by omega")
-    script.claim("h8", _goal(cert), _enumeration_premises(cert, bound_prop), "diophantine1_enumeration")
+    script.claim("h8", _goal(cert), _enumeration_premises(equation, bound_prop), "diophantine1_enumeration")
     script.add("  exact h8")
     return script
 
 
-def _script_magic(cert: Certificate) -> _Script:
+def _script_magic(cert: Certificate, equation: str) -> _Script:
     t = cert.bound_threshold
     modulus = cert.witness_prime**cert.modulus_exponent
     bound_base, bound_var, con_base, con_var = _sides(cert.instance, cert.mode)
     observe, utilize, compute = (claim.params for claim in cert.claims[1:4])
     prime = utilize["prime"]
     script = _Script()
-    _prologue(script, cert)
+    _prologue(script, cert, equation)
     script.add(f"  by_cases h6 : {bound_var} >= {t}")
     script.claim(
         "h7",
@@ -377,7 +378,7 @@ def _script_magic(cert: Certificate) -> _Script:
     script.claim(
         "h11",
         shifted_prop,
-        [(values_prop, "h10"), (cert.instance.equation_text(), "h3")],
+        [(values_prop, "h10"), (equation, "h3")],
         shift_kind,
     )
     script.claim(
@@ -393,7 +394,7 @@ def _script_magic(cert: Certificate) -> _Script:
     script.add("  apply False.elim h12")
     bound_prop = f"{bound_var} <= {t - 1}"
     script.add(f"  have h7 : {bound_prop} := by omega")
-    script.claim("h8", _goal(cert), _enumeration_premises(cert, bound_prop), "diophantine1_enumeration")
+    script.claim("h8", _goal(cert), _enumeration_premises(equation, bound_prop), "diophantine1_enumeration")
     script.add("  exact h8")
     return script
 
@@ -409,14 +410,15 @@ _SCRIPT_BUILDERS = {
 def emit_text(cert: Certificate) -> str:
     """Deterministic prose proof for a verified certificate."""
     _require_verified(cert)
-    return "\n".join(_narrative(cert)) + "\n"
+    return "\n".join(_narrative(cert, cert.instance.equation_text())) + "\n"
 
 
 def emit_lean(cert: Certificate) -> RenderedProof:
     """Deterministic Lean proof script for a verified certificate."""
     _require_verified(cert)
-    comment = "/-\n" + "\n".join(_narrative(cert)) + "\n-/"
-    body = _SCRIPT_BUILDERS[cert.shape](cert).text()
+    equation = cert.instance.equation_text()
+    comment = "/-\n" + "\n".join(_narrative(cert, equation)) + "\n-/"
+    body = _SCRIPT_BUILDERS[cert.shape](cert, equation).text()
     return RenderedProof(
         comment_block=comment,
         theorem_name=theorem_name(cert),

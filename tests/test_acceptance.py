@@ -170,13 +170,13 @@ def test_criterion_6_magic_prime_fidelity(golden_results):
         result = golden_results[(5, 3, 2)]
         utilize, compute = (c.params for c in result.certificate.claims[2:4])
         if utilize["prime"] == 257:
-            assert compute["output_values"] == [17, 227, 246, 36]
+            assert compute["output_values"] == (17, 227, 246, 36)
         assert verify_certificate(result.certificate).accepted
 
         result = golden_results[(3, 10, 13)]
         utilize = result.certificate.claims[2].params
         if utilize["prime"] == 17497:
-            assert utilize["values"] == [11616, 6486, 5881, 11011]
+            assert utilize["values"] == (11616, 6486, 5881, 11011)
         assert verify_certificate(result.certificate).accepted
 
         # pinned-prime checks, independent of what the default budget picked
@@ -201,7 +201,7 @@ def test_criterion_6_magic_prime_fidelity(golden_results):
         assert result.status is SolveStatus.SOLVED
         utilize, compute = (c.params for c in result.certificate.claims[2:4])
         assert utilize["prime"] == 257
-        assert compute["output_values"] == [17, 227, 246, 36]
+        assert compute["output_values"] == (17, 227, 246, 36)
 
 
 def test_criterion_7_emitter_determinism(golden_certificates):

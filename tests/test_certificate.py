@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import gc
 import json
+import pickle
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,6 +24,7 @@ from expodio import (
     serialize_certificate,
     verify_certificate,
 )
+from expodio import certificate as certificate_module
 from expodio.certificate import (
     CertificateBuildError,
     MalformedCertificateError,
@@ -142,6 +147,17 @@ class TestVerifyCertificate:
         doc["bound_threshold"] = 4
         verdict = verify_certificate(parse_certificate(json.dumps(doc)))
         assert not verdict.accepted
+
+    @pytest.mark.parametrize("shift", ["period", "minus_one"])
+    def test_rejects_residue_outside_the_period(self, golden_certificates, shift):
+        # residue + period and -1 both map to the same or no target, but
+        # only the residue in [0, period) is the discrete log
+        doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
+        observe = doc["claims"][1]["params"]
+        observe["residue"] = observe["residue"] + observe["period"] if shift == "period" else -1
+        verdict = verify_certificate(parse_certificate(json.dumps(doc)))
+        assert not verdict.accepted
+        assert verdict.claim_index == 1
 
     def test_fuzz_mutations_rejected(self, golden_certificates):
         rng = random.Random(20250810)
@@ -275,6 +291,88 @@ class TestSerialization:
             path = golden_dir / f"diophantine1_{a}_{b}_{c}.cert.json"
             assert path.exists(), path.name
             assert serialize_certificate(cert) == path.read_text(encoding="utf-8"), triple
+
+
+class TestImmutability:
+    def test_params_are_read_only(self, golden_certificates):
+        cert = parse_certificate(serialize_certificate(golden_certificates[(2, 89, 91)]))
+        for claim in cert.claims:
+            params = claim.params
+            key = next(iter(params))
+            edits = (
+                lambda: params.__setitem__("extra", 1),
+                lambda: params.__setitem__(key, 7),
+                lambda: params.__delitem__(key),
+                lambda: params.update({key: 7}),
+                lambda: params.pop(key),
+                lambda: params.setdefault("extra", 1),
+                lambda: params.clear(),
+            )
+            for edit in edits:
+                with pytest.raises(TypeError):
+                    edit()
+            with pytest.raises(TypeError):
+                params |= {key: 7}
+        assert verify_certificate(cert).accepted
+
+    def test_integer_lists_are_tuples(self, golden_certificates):
+        for cert in golden_certificates.values():
+            parsed = parse_certificate(serialize_certificate(cert))
+            for built, read in zip(cert.claims, parsed.claims):
+                for params in (built.params, read.params):
+                    assert not any(isinstance(v, list) for v in params.values())
+                assert built.params == read.params
+
+    def test_collected_certificate_leaves_the_memo_empty(self, golden_certificates, monkeypatch):
+        monkeypatch.setattr(certificate_module, "_accepted", weakref.WeakValueDictionary())
+        cert = parse_certificate(serialize_certificate(golden_certificates[(2, 89, 91)]))
+        assert not certificate_module.was_accepted(cert)
+        assert verify_certificate(cert).accepted
+        assert certificate_module.was_accepted(cert)
+        assert len(certificate_module._accepted) == 1
+        del cert
+        gc.collect()
+        assert len(certificate_module._accepted) == 0
+
+    def test_mutable_hand_built_certificate_is_not_remembered(self, golden_certificates):
+        cert = golden_certificates[(2, 89, 91)]
+        plain = tuple(dataclasses.replace(c, params=dict(c.params)) for c in cert.claims)
+        for twin in (
+            dataclasses.replace(cert, claims=plain),
+            dataclasses.replace(cert, claims=list(cert.claims)),
+        ):
+            assert verify_certificate(twin).accepted
+            assert not certificate_module.was_accepted(twin)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_pickle_and_copy_round_trip(self, golden_certificates, clone):
+        for cert in golden_certificates.values():
+            twin = clone(cert)
+            assert twin == cert
+            assert serialize_certificate(twin) == serialize_certificate(cert)
+            assert all(type(c.params) is type(o.params) for c, o in zip(twin.claims, cert.claims))
+            assert verify_certificate(twin).accepted
+
+
+def test_cycle_walk_agrees_with_the_order_test(monkeypatch):
+    # with a tiny walk limit every long cycle falls through to the
+    # subgroup-order test; both must decide membership identically
+    disjoint = certificate_module._cycle_membership_disjoint
+    rng = random.Random(7)
+    cases = []
+    for prime in (3, 5, 7, 11, 13, 73, 257, 2647):
+        for _ in range(12):
+            base = rng.randrange(1, 3 * prime)
+            targets = [rng.randrange(prime) for _ in range(rng.randrange(1, 6))]
+            cases.append((base, prime, targets))
+    walked = [disjoint(*case) for case in cases]
+    monkeypatch.setattr(certificate_module, "_EXHAUST_LIMIT", 2)
+    assert [disjoint(*case) for case in cases] == walked
+    assert True in walked and False in walked
 
 
 class TestVerifierIndependence:

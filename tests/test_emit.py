@@ -4,7 +4,15 @@ import re
 
 import pytest
 
-from expodio import EquationInstance, Mode, emit_lean, emit_text
+from expodio import (
+    EquationInstance,
+    Mode,
+    emit_lean,
+    emit_text,
+    parse_certificate,
+    serialize_certificate,
+    verify_certificate,
+)
 from expodio.certificate import (
     CertShape,
     build_direct_exclusion_certificate,
@@ -185,3 +193,57 @@ class TestWriteProofFiles:
         first = (tmp_path / "diophantine1_5_3_2.lean").read_bytes()
         write_proof_files(cert, tmp_path)
         assert (tmp_path / "diophantine1_5_3_2.lean").read_bytes() == first
+
+
+class TestVerifyOnce:
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        """Count the verifier runs the renderers make through emit.verify_certificate."""
+        import expodio.emit as emit_module
+
+        calls = []
+        real = emit_module.verify_certificate
+
+        def counting(cert):
+            calls.append(cert)
+            return real(cert)
+
+        monkeypatch.setattr(emit_module, "verify_certificate", counting)
+        return calls
+
+    @staticmethod
+    def _fresh(cert):
+        return parse_certificate(serialize_certificate(cert))
+
+    def test_renderers_reuse_an_acceptance(self, verify_calls, golden_certificates):
+        for cert in golden_certificates.values():
+            cert = self._fresh(cert)
+            assert verify_certificate(cert).accepted
+            emit_lean(cert)
+            emit_text(cert)
+        assert verify_calls == []
+
+    def test_write_proof_files_verifies_once(self, verify_calls, tmp_path, golden_certificates):
+        cert = self._fresh(golden_certificates[(2, 89, 91)])
+        written = write_proof_files(cert, tmp_path)
+        assert len(written) == 3
+        assert verify_calls == [cert]
+
+    def test_cli_solve_with_both_outputs_verifies_once(self, verify_calls, tmp_path, capsys):
+        from expodio.cli import main
+
+        out = str(tmp_path)
+        assert main(["solve", "5", "3", "2", "--emit-lean", out, "--emit-text", out]) == 0
+        capsys.readouterr()
+        assert len(verify_calls) == 1
+        assert (tmp_path / "diophantine1_5_3_2.lean").exists()
+        assert (tmp_path / "diophantine1_5_3_2.txt").exists()
+
+    def test_rejected_certificate_is_verified_each_time(self, verify_calls, golden_certificates):
+        import dataclasses
+
+        broken = dataclasses.replace(golden_certificates[(5, 3, 2)], solutions=((1, 3),))
+        for render in (emit_text, emit_lean, emit_text):
+            with pytest.raises(EmitRefusedError):
+                render(broken)
+        assert len(verify_calls) == 3
