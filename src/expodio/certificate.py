@@ -44,8 +44,8 @@ from .instance import EquationInstance
 FORMAT_TAG = "diophantine1-certificate/2"
 
 # Cycles up to this order are walked element by element; beyond it the
-# verifier falls back to order/discrete-log arguments, which decide the
-# same membership questions.
+# verifier decides membership by the subgroup-order test, which answers
+# the same question.
 _EXHAUST_LIMIT = 1 << 21
 
 
