@@ -12,23 +12,24 @@ from pathlib import Path
 
 from expodio.cli import main, read_records
 
-out = Path(tempfile.mkdtemp()) / "scan20.jsonl"
+with tempfile.TemporaryDirectory() as scratch:
+    out = Path(scratch) / "scan20.jsonl"
 
-main(["scan", "--a-max", "20", "--b-max", "20", "--c-max", "20", "--out", str(out)])
+    main(["scan", "--a-max", "20", "--b-max", "20", "--c-max", "20", "--out", str(out)])
 
-records, _ = read_records(out)
-histogram = Counter(r.solution_count for r in records)
-print(f"\nsolution-count histogram over {len(records)} instances:")
-for count in sorted(histogram):
-    print(f"  {count} solutions: {histogram[count]} equations")
+    records, _ = read_records(out)
+    histogram = Counter(r.solution_count for r in records)
+    print(f"\nsolution-count histogram over {len(records)} instances:")
+    for count in sorted(histogram):
+        print(f"  {count} solutions: {histogram[count]} equations")
 
-print("\nequations attaining the maximum:")
-best = max(histogram)
-for r in records:
-    if r.solution_count == best:
-        sols = " ".join(f"({x},{y})" for x, y in r.solutions)
-        print(f"  {r.a}^x + {r.b} = {r.c}^y: {sols}")
+    print("\nequations attaining the maximum:")
+    best = max(histogram)
+    for r in records:
+        if r.solution_count == best:
+            sols = " ".join(f"({x},{y})" for x, y in r.solutions)
+            print(f"  {r.a}^x + {r.b} = {r.c}^y: {sols}")
 
-# the same file drives the stats subcommand
-print()
-main(["stats", str(out)])
+    # the same file drives the stats subcommand
+    print()
+    main(["stats", str(out)])

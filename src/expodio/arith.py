@@ -1,11 +1,12 @@
 """Exact and modular integer arithmetic kernel.
 
 Everything here is a pure function of its inputs: modular powers,
-deterministic 64-bit primality, factorization, multiplicative orders,
-discrete logs inside a single power cycle, primes in arithmetic
-progressions, and exact perfect-power decomposition.  Modular work is
-done on machine-word-sized moduli (capped at 2^62); only the searches
-that compare raw power values use arbitrary precision.
+deterministic 64-bit primality, factorization, multiplicative orders
+(multiplicative_order returns the order itself, as an int), discrete
+logs inside a single power cycle, primes in arithmetic progressions,
+and exact perfect-power decomposition.  Modular work is done on
+machine-word-sized moduli (capped at 2^62); only the searches that
+compare raw power values use arbitrary precision.
 """
 
 from __future__ import annotations
@@ -57,15 +58,6 @@ class Factorization:
 
     def __iter__(self):
         return iter(self.factors)
-
-
-@dataclass(frozen=True)
-class CycleDescriptor:
-    """A base, a coprime modulus, and the exact multiplicative order of the base."""
-
-    base: int
-    modulus: int
-    order: int
 
 
 def is_prime(n: int) -> bool:
@@ -188,11 +180,11 @@ def _order(base: int, m: int) -> int:
     return order
 
 
-def multiplicative_order(base: int, m: int) -> CycleDescriptor:
+def multiplicative_order(base: int, m: int) -> int:
     """Exact order of base in (Z/mZ)*; base must be coprime to m >= 2."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    return CycleDescriptor(base=base, modulus=m, order=_order(base, m))
+    return _order(base, m)
 
 
 def _dlog_enumerate(base: int, target: int, m: int, order: int) -> int | None:

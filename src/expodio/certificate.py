@@ -43,6 +43,9 @@ from .instance import EquationInstance
 
 FORMAT_TAG = "diophantine1-certificate/2"
 
+# json.dumps(doc, separators=(",", ":")) without building an encoder per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 # Cycles up to this order are walked element by element; beyond it the
 # verifier decides membership by the subgroup-order test, which answers
 # the same question.
@@ -194,15 +197,15 @@ def _check_solutions(instance: EquationInstance, solutions) -> tuple[tuple[int, 
 
 def _pow_claim(base: int, variable: str, threshold: int, modulus: int) -> ClaimRecord:
     return ClaimRecord(
-        kind=ClaimKind.POW_MOD_EQ_ZERO,
-        params=Params(base=base, variable=variable, threshold=threshold, modulus=modulus),
+        ClaimKind.POW_MOD_EQ_ZERO,
+        Params(base=base, variable=variable, threshold=threshold, modulus=modulus),
     )
 
 
 def _enumeration_claim(variable: str, bound: int, premises: tuple[int, ...]) -> ClaimRecord:
     return ClaimRecord(
-        kind=ClaimKind.DIOPHANTINE1_ENUMERATION,
-        params=Params(variable=variable, bound=bound),
+        ClaimKind.DIOPHANTINE1_ENUMERATION,
+        Params(variable=variable, bound=bound),
         premises=premises,
     )
 
@@ -217,8 +220,8 @@ def build_divisibility_certificate(instance: EquationInstance, mode: Mode, p: in
     claims = (
         _pow_claim(zero_base, zero_var, 1, p),
         ClaimRecord(
-            kind=ClaimKind.OBSERVE_MOD_CYCLE,
-            params=Params(
+            ClaimKind.OBSERVE_MOD_CYCLE,
+            Params(
                 base=other_base,
                 variable=other_var,
                 target=_expected_target(instance, mode, p),
@@ -277,15 +280,15 @@ def build_direct_exclusion_certificate(
     modulus = p**k
     zero_base, zero_var, other_base, other_var = _sides(instance, mode)
     solutions = _check_solutions(instance, solutions)
-    bounded = {"x": 0, "y": 1}[zero_var]
+    bounded = 0 if zero_var == "x" else 1
     for sol in solutions:
         if sol[bounded] >= t:
             raise CertificateBuildError(f"solution {sol} contradicts {zero_var} < {t}")
     claims = (
         _pow_claim(zero_base, zero_var, t, modulus),
         ClaimRecord(
-            kind=ClaimKind.OBSERVE_MOD_CYCLE,
-            params=Params(
+            ClaimKind.OBSERVE_MOD_CYCLE,
+            Params(
                 base=other_base,
                 variable=other_var,
                 target=_expected_target(instance, mode, modulus),
@@ -326,7 +329,7 @@ def build_magic_prime_certificate(
             f"constraint variable {constraint.variable} does not match mode {mode.value}"
         )
     solutions = _check_solutions(instance, solutions)
-    bounded = {"x": 0, "y": 1}[zero_var]
+    bounded = 0 if zero_var == "x" else 1
     for sol in solutions:
         if sol[bounded] >= t:
             raise CertificateBuildError(f"solution {sol} contradicts {zero_var} < {t}")
@@ -334,8 +337,8 @@ def build_magic_prime_certificate(
     claims = (
         _pow_claim(zero_base, zero_var, t, modulus),
         ClaimRecord(
-            kind=ClaimKind.OBSERVE_MOD_CYCLE,
-            params=Params(
+            ClaimKind.OBSERVE_MOD_CYCLE,
+            Params(
                 base=con_base,
                 variable=con_var,
                 target=constraint.source_target,
@@ -347,8 +350,8 @@ def build_magic_prime_certificate(
             premises=(0,),
         ),
         ClaimRecord(
-            kind=ClaimKind.UTILIZE_MOD_CYCLE,
-            params=Params(
+            ClaimKind.UTILIZE_MOD_CYCLE,
+            Params(
                 base=con_base,
                 variable=con_var,
                 residue=constraint.residue,
@@ -361,8 +364,8 @@ def build_magic_prime_certificate(
             premises=(1,),
         ),
         ClaimRecord(
-            kind=shift_kind,
-            params=Params(
+            shift_kind,
+            Params(
                 prime=witness.prime,
                 input_base=con_base,
                 input_variable=con_var,
@@ -374,8 +377,8 @@ def build_magic_prime_certificate(
             premises=(2,),
         ),
         ClaimRecord(
-            kind=ClaimKind.EXHAUST_MOD_CYCLE,
-            params=Params(base=zero_base, variable=zero_var, prime=witness.prime),
+            ClaimKind.EXHAUST_MOD_CYCLE,
+            Params(base=zero_base, variable=zero_var, prime=witness.prime),
             premises=(3,),
         ),
         _enumeration_claim(zero_var, t - 1, premises=(4,)),
@@ -396,18 +399,23 @@ def build_magic_prime_certificate(
 # canonical serialization
 
 def _document(cert: Certificate) -> dict[str, Any]:
-    """The canonical document of a certificate; it shares the claims' params dicts."""
+    """The canonical document of a certificate; it shares the claims' params and tuples.
+
+    json's encoder writes a str-enum member as its value and a tuple as an
+    array, so both go in as they are.
+    """
+    inst = cert.instance
     return {
         "format": FORMAT_TAG,
-        "instance": {"a": cert.instance.a, "b": cert.instance.b, "c": cert.instance.c},
-        "shape": cert.shape.value,
-        "mode": cert.mode.value if cert.mode is not None else None,
+        "instance": {"a": inst.a, "b": inst.b, "c": inst.c},
+        "shape": cert.shape,
+        "mode": cert.mode,
         "witness_prime": cert.witness_prime,
         "modulus_exponent": cert.modulus_exponent,
         "bound_threshold": cert.bound_threshold,
-        "solutions": [list(s) for s in cert.solutions],
+        "solutions": cert.solutions,
         "claims": [
-            {"kind": claim.kind.value, "params": claim.params, "premises": list(claim.premises)}
+            {"kind": claim.kind, "params": claim.params, "premises": claim.premises}
             for claim in cert.claims
         ],
     }
@@ -423,21 +431,19 @@ def serialize_certificate(cert: Certificate) -> str:
 
     Field order is fixed, so the bytes are reproducible.
     """
-    return json.dumps(_document(cert), separators=(",", ":")) + "\n"
+    return _ENCODER.encode(_document(cert)) + "\n"
 
 
 def certificate_digest(cert: Certificate) -> str:
     return hashlib.sha256(serialize_certificate(cert).encode("utf-8")).hexdigest()
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise MalformedCertificateError(message)
-
-
 # The helpers below raise directly so that a valid field costs no message formatting.
 # Types are matched exactly: a bool is an int subclass, and a float or a
 # bool can compare equal to the integer the verifier expects.
+
+_INT = frozenset({int})
+
 
 def _as_int(value: Any, what: str) -> int:
     if type(value) is not int:
@@ -446,33 +452,43 @@ def _as_int(value: Any, what: str) -> int:
 
 
 def _as_int_tuple(value: Any, what: str) -> tuple[int, ...]:
-    if type(value) is not list or not set(map(type, value)) <= {int}:
+    if type(value) is not list or not set(map(type, value)) <= _INT:
         raise MalformedCertificateError(f"{what} must be a list of integers")
     return tuple(value)
-
-
-def _as_str(value: Any, what: str) -> str:
-    if not isinstance(value, str):
-        raise MalformedCertificateError(f"{what} must be a string")
-    return value
 
 
 def _as_params(value: Any) -> Params:
     """Read-only claim params: integers, strings, and integer lists made tuples."""
     if not isinstance(value, dict):
         raise MalformedCertificateError("claim params must be an object")
-    params = {}
+    params = Params(value)
     for key, item in value.items():
         kind = type(item)
-        if kind is list and set(map(type, item)) <= {int}:
-            item = tuple(item)
+        if kind is list and set(map(type, item)) <= _INT:
+            # no one holds params yet: swap the list for a tuple past the guard
+            dict.__setitem__(params, key, tuple(item))
         elif kind is not int and kind is not str:
             raise MalformedCertificateError(
                 "claim params hold only integers, strings and lists of integers"
             )
-        params[key] = item
-    return Params(params)
+    return params
 
+
+def _enum_member(enum: type[Enum], value: Any, what: str) -> Enum:
+    """The member of `enum` that `value` names; raises MalformedCertificateError if none."""
+    if not isinstance(value, str):
+        raise MalformedCertificateError(f"{what} must be a string")
+    try:
+        return enum(value)
+    except ValueError as exc:
+        raise MalformedCertificateError(f"unknown {what} {value!r}") from exc
+
+
+# A JSON string finds its enum member in these tables.  Anything else goes
+# to _enum_member without being hashed: a list or a dict would raise TypeError.
+_SHAPES = {member.value: member for member in CertShape}
+_MODES = {member.value: member for member in Mode}
+_KINDS = {member.value: member for member in ClaimKind}
 
 _DOCUMENT_KEYS = frozenset(
     {
@@ -492,13 +508,16 @@ _CLAIM_KEYS = frozenset({"kind", "params", "premises"})
 
 
 def certificate_from_dict(doc: Any) -> Certificate:
-    _require(isinstance(doc, dict), "certificate must be a JSON object")
+    if not isinstance(doc, dict):
+        raise MalformedCertificateError("certificate must be a JSON object")
     if doc.get("format") != FORMAT_TAG:
         raise MalformedCertificateError(f"unknown format {doc.get('format')!r}")
-    _require(set(doc) == _DOCUMENT_KEYS, "unexpected or missing certificate fields")
+    if doc.keys() != _DOCUMENT_KEYS:
+        raise MalformedCertificateError("unexpected or missing certificate fields")
 
     inst = doc["instance"]
-    _require(isinstance(inst, dict) and set(inst) == _INSTANCE_KEYS, "bad instance field")
+    if not isinstance(inst, dict) or inst.keys() != _INSTANCE_KEYS:
+        raise MalformedCertificateError("bad instance field")
     try:
         instance = EquationInstance(
             _as_int(inst["a"], "a"), _as_int(inst["b"], "b"), _as_int(inst["c"], "c")
@@ -506,44 +525,48 @@ def certificate_from_dict(doc: Any) -> Certificate:
     except ValueError as exc:
         raise MalformedCertificateError(str(exc)) from exc
 
-    try:
-        shape = CertShape(_as_str(doc["shape"], "shape"))
-    except ValueError as exc:
-        raise MalformedCertificateError(f"unknown shape {doc['shape']!r}") from exc
-    mode = None
-    if doc["mode"] is not None:
-        try:
-            mode = Mode(_as_str(doc["mode"], "mode"))
-        except ValueError as exc:
-            raise MalformedCertificateError(f"unknown mode {doc['mode']!r}") from exc
+    value = doc["shape"]
+    shape = _SHAPES.get(value) if type(value) is str else None
+    if shape is None:
+        shape = _enum_member(CertShape, value, "shape")
+    value = doc["mode"]
+    mode = _MODES.get(value) if type(value) is str else None
+    if mode is None and value is not None:
+        mode = _enum_member(Mode, value, "mode")
 
-    _require(isinstance(doc["solutions"], list), "solutions must be a list")
+    if not isinstance(doc["solutions"], list):
+        raise MalformedCertificateError("solutions must be a list")
     solutions = []
     for pair in doc["solutions"]:
-        _require(isinstance(pair, list) and len(pair) == 2, "each solution must be a pair")
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise MalformedCertificateError("each solution must be a pair")
         solutions.append((_as_int(pair[0], "solution x"), _as_int(pair[1], "solution y")))
 
-    _require(isinstance(doc["claims"], list), "claims must be a list")
+    if not isinstance(doc["claims"], list):
+        raise MalformedCertificateError("claims must be a list")
     claims = []
     for entry in doc["claims"]:
-        _require(isinstance(entry, dict) and set(entry) == _CLAIM_KEYS, "bad claim record")
-        try:
-            kind = ClaimKind(_as_str(entry["kind"], "claim kind"))
-        except ValueError as exc:
-            raise MalformedCertificateError(f"unknown claim kind {entry['kind']!r}") from exc
-        params = _as_params(entry["params"])
-        premises = _as_int_tuple(entry["premises"], "claim premises")
-        claims.append(ClaimRecord(kind=kind, params=params, premises=premises))
+        if not isinstance(entry, dict) or entry.keys() != _CLAIM_KEYS:
+            raise MalformedCertificateError("bad claim record")
+        value = entry["kind"]
+        kind = _KINDS.get(value) if type(value) is str else None
+        if kind is None:
+            kind = _enum_member(ClaimKind, value, "claim kind")
+        claims.append(
+            ClaimRecord(
+                kind, _as_params(entry["params"]), _as_int_tuple(entry["premises"], "claim premises")
+            )
+        )
 
     return Certificate(
-        instance=instance,
-        shape=shape,
-        mode=mode,
-        witness_prime=_as_int(doc["witness_prime"], "witness_prime"),
-        modulus_exponent=_as_int(doc["modulus_exponent"], "modulus_exponent"),
-        bound_threshold=_as_int(doc["bound_threshold"], "bound_threshold"),
-        solutions=tuple(solutions),
-        claims=tuple(claims),
+        instance,
+        shape,
+        mode,
+        _as_int(doc["witness_prime"], "witness_prime"),
+        _as_int(doc["modulus_exponent"], "modulus_exponent"),
+        _as_int(doc["bound_threshold"], "bound_threshold"),
+        tuple(solutions),
+        tuple(claims),
     )
 
 
@@ -626,7 +649,7 @@ def _cycle_membership_disjoint(base: int, prime: int, targets) -> bool:
     wanted = set(targets)
     start = base % prime
     if start and prime > _EXHAUST_LIMIT:
-        order = arith.multiplicative_order(start, prime).order
+        order = arith.multiplicative_order(start, prime)
         if order > _EXHAUST_LIMIT:
             # In (Z/PZ)* the subgroup of order d is unique, so membership is t^d = 1.
             return all(t == 0 or pow(t, order, prime) != 1 for t in wanted)
@@ -747,7 +770,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     # magic prime shape
     if observe.params["outcome"] != "constrains":
         return _reject("magic prime exclusion requires a congruence outcome", claim_index=1)
-    period = arith.multiplicative_order(con_base % modulus, modulus).order
+    period = arith.multiplicative_order(con_base % modulus, modulus)
     residue = observe.params["residue"]
     # period is the exact order, so a residue in [0, period) that maps to
     # the target is the unique discrete log
@@ -775,7 +798,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
         return _reject("magic prime is not 1 mod the constraint period", claim_index=2)
     if any(v % P == 0 for v in (instance.a, instance.b, instance.c)):
         return _reject("magic prime divides one of the parameters", claim_index=2)
-    prime_order = arith.multiplicative_order(con_base % P, P).order
+    prime_order = arith.multiplicative_order(con_base % P, P)
     lifted_period = math.lcm(period, prime_order)
     lifted = tuple(range(residue, lifted_period, period))
     values = tuple(pow(con_base, r, P) for r in lifted)

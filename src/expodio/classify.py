@@ -90,15 +90,18 @@ def final_enumeration(
         raise ValueError(f"variable must be 'x', 'y' or 'either', got {variable!r}")
     a, b, c = instance.a, instance.b, instance.c
     found: set[tuple[int, int]] = set()
+    # a power with a positive exponent is a multiple of its base
     if variable != "y":
         for x in range(1, strict_bound):
-            y = arith.exact_power_decompose(a**x + b, c)
-            if y is not None:
-                found.add((x, y))
+            rest = a**x + b
+            if rest % c == 0:
+                y = arith.exact_power_decompose(rest, c)
+                if y is not None:
+                    found.add((x, y))
     if variable != "x":
         for y in range(1, strict_bound):
             rest = c**y - b
-            if rest >= 2:
+            if rest >= 2 and rest % a == 0:
                 x = arith.exact_power_decompose(rest, a)
                 if x is not None:
                     found.add((x, y))

@@ -78,7 +78,7 @@ def _require_verified(cert: Certificate) -> None:
 
 
 def _int_list(values) -> str:
-    return ", ".join(str(v) for v in values)
+    return ", ".join(map(str, values))
 
 
 def _pair_list(solutions) -> str:
@@ -144,7 +144,7 @@ def _narrative(cert: Certificate, equation: str) -> list[str]:
         )
         # Power values mod P only depend on the exponent mod ord_P(base);
         # report the residues modulo that order when it differs from K.
-        order = arith.multiplicative_order(con_base % prime, prime).order
+        order = arith.multiplicative_order(con_base % prime, prime)
         if order == period:
             lines.append(f"So {con_var} = {residue} (mod {period}).")
         else:
@@ -190,22 +190,23 @@ class _Script:
         self.add = self.lines.append
 
     def claim(self, handle: str, statement: str, premises: list[tuple[str, str]], kind: str) -> None:
+        add = self.add
         wrapped = statement if statement == "False" else f"({statement})"
         head = f"  have {handle} := Claim {wrapped} ["
         if len(head) > _WRAP_COLUMN and "[" in statement:
             stem, _, values = statement.partition(" [")
-            self.add(f"  have {handle} := Claim ({stem}")
-            self.add(f"  [{values}) [")
+            add(f"  have {handle} := Claim ({stem}")
+            add(f"  [{values}) [")
         else:
-            self.add(head)
+            add(head)
         for prop, proof in premises:
             line = f"    {{prop := {prop}, proof := {proof}}},"
             if len(line) > _WRAP_COLUMN:
-                self.add(f"    {{prop := {prop},")
-                self.add(f"    proof := {proof}}},")
+                add(f"    {{prop := {prop},")
+                add(f"    proof := {proof}}},")
             else:
-                self.add(line)
-        self.add(f'  ] "{kind}"')
+                add(line)
+        add(f'  ] "{kind}"')
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"

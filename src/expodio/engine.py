@@ -149,7 +149,8 @@ def initial_search(instance: EquationInstance, ceiling: int) -> tuple[tuple[int,
     y = 1
     while power <= ceiling:
         rest = power - b
-        if rest >= 2:
+        # a^x with x >= 1 is a multiple of a
+        if rest >= 2 and rest % a == 0:
             x = arith.exact_power_decompose(rest, a)
             if x is not None:
                 found.append((x, y))
@@ -175,7 +176,7 @@ def exclusion_step(instance: EquationInstance, candidate: ModulusCandidate) -> E
     residue = arith.cycle_discrete_log(base % modulus, target, modulus)
     if residue is None:
         return ExclusionStep(kind=ExclusionKind.DIRECT)
-    period = arith.multiplicative_order(base % modulus, modulus).order
+    period = arith.multiplicative_order(base % modulus, modulus)
     return ExclusionStep(
         kind=ExclusionKind.CONDITIONAL,
         constraint=Constraint(
@@ -204,7 +205,7 @@ def witness_for_prime(
         base, other, forward = instance.a, instance.c, True
     else:
         base, other, forward = instance.c, instance.a, False
-    base_order = arith.multiplicative_order(base % prime, prime).order
+    base_order = arith.multiplicative_order(base % prime, prime)
     lifted_period = math.lcm(constraint.period, base_order)
     lifted = tuple(
         constraint.residue + j * constraint.period
@@ -213,7 +214,7 @@ def witness_for_prime(
     values = tuple(pow(base, r, prime) for r in lifted)
     shift = instance.b if forward else -instance.b
     shifted = tuple((v + shift) % prime for v in values)
-    other_order = arith.multiplicative_order(other % prime, prime).order
+    other_order = arith.multiplicative_order(other % prime, prime)
     for s in shifted:
         if s != 0 and pow(s, other_order, prime) == 1:
             return None
@@ -342,16 +343,19 @@ def solve(
 
     heap: list[tuple[int, int, int, ModulusCandidate]] = []
 
-    def push(mode: Mode, p: int, t: int) -> None:
-        cand = make_candidate(instance, mode, p, t)
-        if cand.key <= config.max_modulus:
+    def push(mode: Mode, p: int, v: int, t: int) -> None:
+        # v = v_p(base), read once from the factorization, so k = t * v
+        # needs no valuation (and no primality test) per push
+        cand = ModulusCandidate(mode=mode, p=p, t=t, k=t * v)
+        key = cand.key
+        if key <= config.max_modulus:
             mode_rank = 0 if mode is Mode.FORWARD else 1
-            heapq.heappush(heap, (cand.key, mode_rank, p, cand))
+            heapq.heappush(heap, (key, mode_rank, p, cand))
 
-    for p, _ in arith.factorize(instance.c):
-        push(Mode.FORWARD, p, y_max + 1)
-    for p, _ in arith.factorize(instance.a):
-        push(Mode.BACKWARD, p, x_max + 1)
+    for p, v in arith.factorize(instance.c):
+        push(Mode.FORWARD, p, v, y_max + 1)
+    for p, v in arith.factorize(instance.a):
+        push(Mode.BACKWARD, p, v, x_max + 1)
 
     pops = 0
     while heap:
@@ -430,7 +434,7 @@ def solve(
                     effort=effort,
                 )
             )
-        push(candidate.mode, candidate.p, candidate.t + 1)
+        push(candidate.mode, candidate.p, candidate.k // candidate.t, candidate.t + 1)
 
     if on_event is not None:
         on_event("unresolved", {"pops": pops})

@@ -72,9 +72,9 @@ class TestPAdicValuation:
 
 class TestMultiplicativeOrder:
     def test_examples(self):
-        assert arith.multiplicative_order(2, 27).order == 18
-        assert arith.multiplicative_order(5, 256).order == 64
-        assert arith.multiplicative_order(1, 97).order == 1
+        assert arith.multiplicative_order(2, 27) == 18
+        assert arith.multiplicative_order(5, 256) == 64
+        assert arith.multiplicative_order(1, 97) == 1
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
@@ -85,8 +85,7 @@ class TestMultiplicativeOrder:
     def test_against_brute_force(self, base, m):
         if math.gcd(base, m) != 1:
             return
-        descriptor = arith.multiplicative_order(base, m)
-        assert descriptor.order == brute_force_order(base, m)
+        assert arith.multiplicative_order(base, m) == brute_force_order(base, m)
 
 
 class TestCycleDiscreteLog:
@@ -118,7 +117,7 @@ class TestCycleDiscreteLog:
         # both strategies must agree wherever either is applicable
         cases = [(3, 65537), (5, 3**9), (2, 104729), (7, 2**16 + 1)]
         for base, m in cases:
-            order = arith.multiplicative_order(base, m).order
+            order = arith.multiplicative_order(base, m)
             for exp in (0, 1, 2, order // 2, order - 1):
                 target = pow(base, exp, m)
                 enum = arith._dlog_enumerate(base, target, m, order)
@@ -131,7 +130,7 @@ class TestCycleDiscreteLog:
 
     def test_pohlig_hellman_matches_bsgs(self):
         m = 3**13  # order of 2 is large enough to exercise the decomposition
-        order = arith.multiplicative_order(2, m).order
+        order = arith.multiplicative_order(2, m)
         for exp in (1, 17, 12345, order - 3):
             target = pow(2, exp, m)
             assert arith._dlog_pohlig_hellman(2, target, m, order) == exp % order
@@ -139,7 +138,7 @@ class TestCycleDiscreteLog:
 
     def test_huge_prime_power_modulus(self):
         m = 5**26  # just below the 2^62 cap
-        order = arith.multiplicative_order(2, m).order
+        order = arith.multiplicative_order(2, m)
         exp = 123_456_789
         target = pow(2, exp, m)
         assert arith.cycle_discrete_log(2, target, m) == exp % order

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import json
+import math
 import pickle
 import random
 import weakref
@@ -19,9 +20,13 @@ from expodio import (
     ClaimKind,
     EquationInstance,
     Mode,
+    SolveStatus,
     certificate_digest,
+    emit_lean,
+    emit_text,
     parse_certificate,
     serialize_certificate,
+    solve,
     verify_certificate,
 )
 from expodio import certificate as certificate_module
@@ -260,6 +265,26 @@ class TestSerialization:
             with pytest.raises(MalformedCertificateError):
                 parse_certificate(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            (field, bad)
+            for field in ("kind", "shape", "mode")
+            for bad in (["pow_mod_eq_zero"], [], {"Forward": 1}, {}, 7, None)
+            # a null mode is well formed: it means "no mode"
+            if not (field == "mode" and bad is None)
+        ],
+    )
+    def test_enum_fields_must_be_strings(self, golden_certificates, field, bad):
+        # a list or a dict is unhashable, so it must be refused before any lookup
+        doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
+        if field == "kind":
+            doc["claims"][1]["kind"] = bad
+        else:
+            doc[field] = bad
+        with pytest.raises(MalformedCertificateError, match="must be a string"):
+            parse_certificate(json.dumps(doc))
+
     def test_retired_format_is_malformed(self, golden_certificates):
         doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
         doc["format"] = "diophantine1-certificate/1"
@@ -356,6 +381,31 @@ class TestImmutability:
             assert serialize_certificate(twin) == serialize_certificate(cert)
             assert all(type(c.params) is type(o.params) for c, o in zip(twin.claims, cert.claims))
             assert verify_certificate(twin).accepted
+
+
+def _coprime_sample(seed: int, count: int, top: int = 200) -> list[tuple[int, int, int]]:
+    """`count` distinct pairwise-coprime triples, a, c in [2, top] and b in [1, top]."""
+    rng = random.Random(seed)
+    seen: set[tuple[int, int, int]] = set()
+    while len(seen) < count:
+        a, b, c = rng.randint(2, top), rng.randint(1, top), rng.randint(2, top)
+        if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1:
+            seen.add((a, b, c))
+    return sorted(seen)
+
+
+def test_round_trip_is_the_identity_on_sampled_triples():
+    # the single-solve path: what parse reads back serializes to the same
+    # bytes, verifies, and renders the same proofs as the solved certificate
+    for triple in _coprime_sample(4217, 300):
+        result = solve(EquationInstance(*triple))
+        assert result.status is SolveStatus.SOLVED, triple
+        text = serialize_certificate(result.certificate)
+        parsed = parse_certificate(text)
+        assert serialize_certificate(parsed) == text, triple
+        assert verify_certificate(parsed).accepted, triple
+        assert emit_lean(parsed).text == emit_lean(result.certificate).text, triple
+        assert emit_text(parsed) == emit_text(result.certificate), triple
 
 
 def test_cycle_walk_agrees_with_the_order_test(monkeypatch):

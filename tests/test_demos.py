@@ -21,9 +21,11 @@ def test_demos_exist():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["TMPDIR"] = str(tmp_path)  # demo 04 scans into a temporary directory
+    env["TMPDIR"] = str(tmp_path)  # demo 04 scans into a temporary directory it must remove
     done = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    left = sorted(path.name for path in tmp_path.iterdir())
+    assert left == [], f"{demo.name} left {left} in its temporary directory"
