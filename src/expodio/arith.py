@@ -12,7 +12,6 @@ compare raw power values use arbitrary precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 
@@ -38,26 +37,6 @@ def _small_prime_sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _small_prime_sieve(1 << 12)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization as (prime, exponent) pairs, primes ascending."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    @property
-    def value(self) -> int:
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
 
 
 def is_prime(n: int) -> bool:
@@ -114,8 +93,8 @@ def _pollard_rho(n: int) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n for 2 <= n < 2^62."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of 2 <= n < 2^62 as (prime, exponent) pairs, primes ascending."""
     if n < 2:
         raise ValueError(f"cannot factorize {n}: need n >= 2")
     factors: dict[int, int] = {}
@@ -136,7 +115,7 @@ def factorize(n: int) -> Factorization:
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(tuple(sorted(factors.items())))
+    return tuple(sorted(factors.items()))
 
 
 def p_adic_valuation(n: int, p: int) -> int:
@@ -163,7 +142,7 @@ def _group_exponent_factors(m: int) -> tuple[tuple[int, int], ...]:
         lam = lam * lam_pe // math.gcd(lam, lam_pe)
     if lam == 1:
         return ()
-    return factorize(lam).factors
+    return factorize(lam)
 
 
 @lru_cache(maxsize=1 << 14)

@@ -20,12 +20,13 @@ The canonical text is that document as one line of compact JSON.
 Certificates are immutable: the dataclasses are frozen, and claim
 params are a read-only mapping whose integer lists are tuples.
 
-verify_certificate replays every claim from the (a, b, c) triple alone.
-It deliberately shares nothing with the solver beyond the arithmetic
-kernel, so an accepted certificate is evidence independent of the
-search that produced it.  It remembers, by identity, each certificate
-it has accepted; was_accepted lets a renderer reuse that acceptance
-instead of verifying the same object again.
+verify_certificate works from the (a, b, c) triple alone.  It re-derives
+the facts the claims rest on with the arithmetic kernel, sharing nothing
+with the solver's search, then checks each claim against the builders'
+claim for those facts (one claims function per shape states its layout)
+and re-runs the bounded enumeration at the enumeration claim.  It
+remembers, by identity, each certificate it has accepted; was_accepted
+lets a renderer reuse that acceptance instead of verifying it again.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _reject(reason: str, claim_index: int | None = None) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# claim layout and builders
 
 def _sides(instance: EquationInstance, mode: Mode) -> tuple[int, str, int, str]:
     """(zeroed base, zeroed var, constrained base, constrained var) for a mode."""
@@ -195,42 +196,139 @@ def _check_solutions(instance: EquationInstance, solutions) -> tuple[tuple[int, 
     return solutions
 
 
-def _pow_claim(base: int, variable: str, threshold: int, modulus: int) -> ClaimRecord:
-    return ClaimRecord(
+def _check_bound(solutions, zero_var: str, t: int) -> None:
+    bounded = 0 if zero_var == "x" else 1
+    for sol in solutions:
+        if sol[bounded] >= t:
+            raise CertificateBuildError(f"solution {sol} contradicts {zero_var} < {t}")
+
+
+# The claims functions below are the one statement of each shape's claim
+# layout.  The builders wrap their triples in ClaimRecords; the verifier
+# compares a certificate's claims with the triples they give for the
+# facts it has re-derived.  They return plain (kind, dict, premises)
+# tuples, since the verifier calls them on every certificate.
+
+Claim = tuple[ClaimKind, dict[str, Any], tuple[int, ...]]
+
+
+def _pow_claim(base: int, variable: str, threshold: int, modulus: int) -> Claim:
+    return (
         ClaimKind.POW_MOD_EQ_ZERO,
-        Params(base=base, variable=variable, threshold=threshold, modulus=modulus),
+        {"base": base, "variable": variable, "threshold": threshold, "modulus": modulus},
+        (),
     )
 
 
-def _enumeration_claim(variable: str, bound: int, premises: tuple[int, ...]) -> ClaimRecord:
-    return ClaimRecord(
-        ClaimKind.DIOPHANTINE1_ENUMERATION,
-        Params(variable=variable, bound=bound),
-        premises=premises,
+def _enumeration_claim(variable: str, bound: int, premises: tuple[int, ...]) -> Claim:
+    return (ClaimKind.DIOPHANTINE1_ENUMERATION, {"variable": variable, "bound": bound}, premises)
+
+
+def _common_factor_claims(instance: EquationInstance, p: int, k: int) -> tuple[Claim, ...]:
+    modulus = p**k
+    return (
+        _pow_claim(instance.a, "x", k, modulus),
+        _pow_claim(instance.c, "y", k, modulus),
+        _enumeration_claim("either", k - 1, (0, 1)),
     )
+
+
+def _direct_exclusion_claims(
+    instance: EquationInstance, mode: Mode, modulus: int, t: int
+) -> tuple[Claim, ...]:
+    """The direct-exclusion claims; a divisibility certificate is their first two at t = 1."""
+    zero_base, zero_var, other_base, other_var = _sides(instance, mode)
+    return (
+        _pow_claim(zero_base, zero_var, t, modulus),
+        (
+            ClaimKind.OBSERVE_MOD_CYCLE,
+            {
+                "base": other_base,
+                "variable": other_var,
+                "target": _expected_target(instance, mode, modulus),
+                "modulus": modulus,
+                "outcome": "impossible",
+            },
+            (0,),
+        ),
+        _enumeration_claim(zero_var, t - 1, (1,)),
+    )
+
+
+def _magic_prime_claims(
+    instance: EquationInstance,
+    mode: Mode,
+    modulus: int,
+    t: int,
+    target: int,
+    residue: int,
+    period: int,
+    prime: int,
+    lifted_period: int,
+    lifted_residues: tuple[int, ...],
+    values: tuple[int, ...],
+    shifted_values: tuple[int, ...],
+) -> tuple[Claim, ...]:
+    zero_base, zero_var, con_base, con_var = _sides(instance, mode)
+    shift_kind = ClaimKind.COMPUTE_MOD_ADD if mode is Mode.FORWARD else ClaimKind.COMPUTE_MOD_SUB
+    return (
+        _pow_claim(zero_base, zero_var, t, modulus),
+        (
+            ClaimKind.OBSERVE_MOD_CYCLE,
+            {
+                "base": con_base,
+                "variable": con_var,
+                "target": target,
+                "modulus": modulus,
+                "outcome": "constrains",
+                "residue": residue,
+                "period": period,
+            },
+            (0,),
+        ),
+        (
+            ClaimKind.UTILIZE_MOD_CYCLE,
+            {
+                "base": con_base,
+                "variable": con_var,
+                "residue": residue,
+                "period": period,
+                "prime": prime,
+                "lifted_period": lifted_period,
+                "lifted_residues": lifted_residues,
+                "values": values,
+            },
+            (1,),
+        ),
+        (
+            shift_kind,
+            {
+                "prime": prime,
+                "input_base": con_base,
+                "input_variable": con_var,
+                "shift": instance.b,
+                "output_base": zero_base,
+                "output_variable": zero_var,
+                "output_values": shifted_values,
+            },
+            (2,),
+        ),
+        (ClaimKind.EXHAUST_MOD_CYCLE, {"base": zero_base, "variable": zero_var, "prime": prime}, (3,)),
+        _enumeration_claim(zero_var, t - 1, (4,)),
+    )
+
+
+def _records(claims: tuple[Claim, ...]) -> tuple[ClaimRecord, ...]:
+    return tuple([ClaimRecord(kind, Params(params), premises) for kind, params, premises in claims])
 
 
 def build_divisibility_certificate(instance: EquationInstance, mode: Mode, p: int) -> Certificate:
     """Type i / ii certificate: one side is 0 mod p, the other never is."""
-    zero_base, zero_var, other_base, other_var = _sides(instance, mode)
+    zero_base, _, other_base, _ = _sides(instance, mode)
     if zero_base % p != 0 or instance.b % p != 0:
         raise CertificateBuildError(f"prime {p} does not divide both b and {zero_base}")
     if other_base % p == 0:
         raise CertificateBuildError(f"prime {p} divides both sides of {instance.equation_text()}")
-    claims = (
-        _pow_claim(zero_base, zero_var, 1, p),
-        ClaimRecord(
-            ClaimKind.OBSERVE_MOD_CYCLE,
-            Params(
-                base=other_base,
-                variable=other_var,
-                target=_expected_target(instance, mode, p),
-                modulus=p,
-                outcome="impossible",
-            ),
-            premises=(0,),
-        ),
-    )
     return Certificate(
         instance=instance,
         shape=CertShape.DIVISIBILITY_NO_SOLUTION,
@@ -239,7 +337,7 @@ def build_divisibility_certificate(instance: EquationInstance, mode: Mode, p: in
         modulus_exponent=1,
         bound_threshold=1,
         solutions=(),
-        claims=claims,
+        claims=_records(_direct_exclusion_claims(instance, mode, p, 1)[:2]),
     )
 
 
@@ -256,11 +354,6 @@ def build_common_factor_certificate(
     for x, y in solutions:
         if x >= k and y >= k:
             raise CertificateBuildError(f"solution ({x}, {y}) contradicts min(x, y) < {k}")
-    claims = (
-        _pow_claim(instance.a, "x", k, modulus),
-        _pow_claim(instance.c, "y", k, modulus),
-        _enumeration_claim("either", k - 1, premises=(0, 1)),
-    )
     return Certificate(
         instance=instance,
         shape=CertShape.COMMON_FACTOR_BOUND,
@@ -269,7 +362,7 @@ def build_common_factor_certificate(
         modulus_exponent=k,
         bound_threshold=k,
         solutions=solutions,
-        claims=claims,
+        claims=_records(_common_factor_claims(instance, p, k)),
     )
 
 
@@ -277,28 +370,8 @@ def build_direct_exclusion_certificate(
     instance: EquationInstance, mode: Mode, p: int, k: int, t: int, solutions
 ) -> Certificate:
     """Type iv / vi certificate: the forced residue is outside the power cycle."""
-    modulus = p**k
-    zero_base, zero_var, other_base, other_var = _sides(instance, mode)
     solutions = _check_solutions(instance, solutions)
-    bounded = 0 if zero_var == "x" else 1
-    for sol in solutions:
-        if sol[bounded] >= t:
-            raise CertificateBuildError(f"solution {sol} contradicts {zero_var} < {t}")
-    claims = (
-        _pow_claim(zero_base, zero_var, t, modulus),
-        ClaimRecord(
-            ClaimKind.OBSERVE_MOD_CYCLE,
-            Params(
-                base=other_base,
-                variable=other_var,
-                target=_expected_target(instance, mode, modulus),
-                modulus=modulus,
-                outcome="impossible",
-            ),
-            premises=(0,),
-        ),
-        _enumeration_claim(zero_var, t - 1, premises=(1,)),
-    )
+    _check_bound(solutions, _sides(instance, mode)[1], t)
     return Certificate(
         instance=instance,
         shape=CertShape.DIRECT_MODULAR_EXCLUSION,
@@ -307,7 +380,7 @@ def build_direct_exclusion_certificate(
         modulus_exponent=k,
         bound_threshold=t,
         solutions=solutions,
-        claims=claims,
+        claims=_records(_direct_exclusion_claims(instance, mode, p**k, t)),
     )
 
 
@@ -322,66 +395,26 @@ def build_magic_prime_certificate(
     solutions,
 ) -> Certificate:
     """Type v / vii certificate: a magic prime separates the two value sets."""
-    modulus = p**k
-    zero_base, zero_var, con_base, con_var = _sides(instance, mode)
+    _, zero_var, _, con_var = _sides(instance, mode)
     if constraint.variable != con_var:
         raise CertificateBuildError(
             f"constraint variable {constraint.variable} does not match mode {mode.value}"
         )
     solutions = _check_solutions(instance, solutions)
-    bounded = 0 if zero_var == "x" else 1
-    for sol in solutions:
-        if sol[bounded] >= t:
-            raise CertificateBuildError(f"solution {sol} contradicts {zero_var} < {t}")
-    shift_kind = ClaimKind.COMPUTE_MOD_ADD if mode is Mode.FORWARD else ClaimKind.COMPUTE_MOD_SUB
-    claims = (
-        _pow_claim(zero_base, zero_var, t, modulus),
-        ClaimRecord(
-            ClaimKind.OBSERVE_MOD_CYCLE,
-            Params(
-                base=con_base,
-                variable=con_var,
-                target=constraint.source_target,
-                modulus=modulus,
-                outcome="constrains",
-                residue=constraint.residue,
-                period=constraint.period,
-            ),
-            premises=(0,),
-        ),
-        ClaimRecord(
-            ClaimKind.UTILIZE_MOD_CYCLE,
-            Params(
-                base=con_base,
-                variable=con_var,
-                residue=constraint.residue,
-                period=constraint.period,
-                prime=witness.prime,
-                lifted_period=witness.lifted_period,
-                lifted_residues=witness.lifted_residues,
-                values=witness.power_values,
-            ),
-            premises=(1,),
-        ),
-        ClaimRecord(
-            shift_kind,
-            Params(
-                prime=witness.prime,
-                input_base=con_base,
-                input_variable=con_var,
-                shift=instance.b,
-                output_base=zero_base,
-                output_variable=zero_var,
-                output_values=witness.shifted_values,
-            ),
-            premises=(2,),
-        ),
-        ClaimRecord(
-            ClaimKind.EXHAUST_MOD_CYCLE,
-            Params(base=zero_base, variable=zero_var, prime=witness.prime),
-            premises=(3,),
-        ),
-        _enumeration_claim(zero_var, t - 1, premises=(4,)),
+    _check_bound(solutions, zero_var, t)
+    claims = _magic_prime_claims(
+        instance,
+        mode,
+        p**k,
+        t,
+        constraint.source_target,
+        constraint.residue,
+        constraint.period,
+        witness.prime,
+        witness.lifted_period,
+        witness.lifted_residues,
+        witness.power_values,
+        witness.shifted_values,
     )
     return Certificate(
         instance=instance,
@@ -391,7 +424,7 @@ def build_magic_prime_certificate(
         modulus_exponent=k,
         bound_threshold=t,
         solutions=solutions,
-        claims=claims,
+        claims=_records(claims),
     )
 
 
@@ -581,56 +614,6 @@ def parse_certificate(text: str) -> Certificate:
 # ---------------------------------------------------------------------------
 # verification
 
-_SHAPE_CLAIM_KINDS: dict[CertShape, tuple[ClaimKind, ...]] = {
-    CertShape.DIVISIBILITY_NO_SOLUTION: (
-        ClaimKind.POW_MOD_EQ_ZERO,
-        ClaimKind.OBSERVE_MOD_CYCLE,
-    ),
-    CertShape.COMMON_FACTOR_BOUND: (
-        ClaimKind.POW_MOD_EQ_ZERO,
-        ClaimKind.POW_MOD_EQ_ZERO,
-        ClaimKind.DIOPHANTINE1_ENUMERATION,
-    ),
-    CertShape.DIRECT_MODULAR_EXCLUSION: (
-        ClaimKind.POW_MOD_EQ_ZERO,
-        ClaimKind.OBSERVE_MOD_CYCLE,
-        ClaimKind.DIOPHANTINE1_ENUMERATION,
-    ),
-}
-
-_SHAPE_PREMISES: dict[CertShape, tuple[tuple[int, ...], ...]] = {
-    CertShape.DIVISIBILITY_NO_SOLUTION: ((), (0,)),
-    CertShape.COMMON_FACTOR_BOUND: ((), (), (0, 1)),
-    CertShape.DIRECT_MODULAR_EXCLUSION: ((), (0,), (1,)),
-    CertShape.MAGIC_PRIME_EXCLUSION: ((), (0,), (1,), (2,), (3,), (4,)),
-}
-
-_POW_PARAMS = {"base", "variable", "threshold", "modulus"}
-_OBSERVE_IMPOSSIBLE_PARAMS = {"base", "variable", "target", "modulus", "outcome"}
-_OBSERVE_CONSTRAINS_PARAMS = _OBSERVE_IMPOSSIBLE_PARAMS | {"residue", "period"}
-_UTILIZE_PARAMS = {
-    "base",
-    "variable",
-    "residue",
-    "period",
-    "prime",
-    "lifted_period",
-    "lifted_residues",
-    "values",
-}
-_COMPUTE_PARAMS = {
-    "prime",
-    "input_base",
-    "input_variable",
-    "shift",
-    "output_base",
-    "output_variable",
-    "output_values",
-}
-_EXHAUST_PARAMS = {"base", "variable", "prime"}
-_ENUM_PARAMS = {"variable", "bound"}
-
-
 def _valuation(n: int, p: int) -> int:
     """Largest v with p^v dividing n >= 1, for a p the caller has proved prime."""
     v = 0
@@ -682,42 +665,58 @@ def _enumerate_solutions(
     return tuple(sorted(found))
 
 
-def _verify_pow_claim(
-    claim: ClaimRecord, base: int, variable: str, threshold: int, prime: int, exponent: int
-) -> str | None:
-    modulus = prime**exponent
-    p = claim.params
-    if set(p) != _POW_PARAMS:
-        return "pow_mod_eq_zero has wrong parameters"
-    if p["base"] != base or p["variable"] != variable:
-        return "pow_mod_eq_zero attacks the wrong side"
-    if p["threshold"] != threshold or p["modulus"] != modulus:
-        return "pow_mod_eq_zero threshold or modulus mismatch"
+def _zero_power_error(base: int, threshold: int, prime: int, exponent: int) -> str | None:
+    """Why var >= threshold fails to make base^var = 0 (mod prime^exponent), or None."""
     if threshold < 1 or exponent < 1:
         return "pow_mod_eq_zero needs threshold >= 1 and modulus >= 2"
     # var >= t implies base^var = 0 (mod p^k) iff t * v_p(base) >= k
     if threshold * _valuation(base, prime) < exponent:
-        return f"{modulus} does not divide {base}^{threshold}"
+        return f"{prime**exponent} does not divide {base}^{threshold}"
     return None
 
 
-def _verify_enumeration_claim(
-    claim: ClaimRecord,
-    instance: EquationInstance,
-    variable: str,
-    strict_bound: int,
-    solutions: tuple[tuple[int, int], ...],
-) -> str | None:
-    p = claim.params
-    if set(p) != _ENUM_PARAMS:
-        return "diophantine1_enumeration has wrong parameters"
-    if p["variable"] != variable:
-        return "enumeration bounds the wrong variable"
-    if p["bound"] != strict_bound - 1:
-        return "enumeration bound does not match the proved exclusion"
-    if _enumerate_solutions(instance, variable, strict_bound - 1) != solutions:
-        return "re-enumeration does not reproduce the claimed solutions"
-    return None
+def _stated(cert: Certificate, index: int, key: str) -> tuple[Any, Verdict | None]:
+    """(value, None) for the value claim `index` chooses for `key`; (None, rejection) if none."""
+    if index < len(cert.claims) and key in cert.claims[index].params:
+        return cert.claims[index].params[key], None
+    return None, _reject(f"claim {index} states no {key}", claim_index=index)
+
+
+_ABSENT = object()
+
+
+def _difference(claim: ClaimRecord, kind: ClaimKind, params: dict, premises) -> str:
+    """How a claim differs from the expected one; built only on rejection."""
+    if claim.kind != kind:
+        return f"the shape needs {kind.value} here"
+    if claim.premises != premises:
+        return f"{kind.value} premises break the dependency chain"
+    stated = dict(claim.params)
+    key = next(
+        (k for k in [*params, *stated] if stated.get(k, _ABSENT) != params.get(k, _ABSENT)),
+        None,
+    )
+    return f"{kind.value} param {key!r} does not match the re-derived facts"
+
+
+def _check_claims(cert: Certificate, expected: tuple[Claim, ...]) -> Verdict:
+    """Accept when the claims are exactly `expected`, the layout of the re-derived facts.
+
+    At the enumeration claim the solution list must equal a fresh
+    enumeration up to that claim's bound.
+    """
+    claims = cert.claims
+    for i, ((kind, params, premises), claim) in enumerate(zip(expected, claims)):
+        if claim.kind != kind or claim.params != params or claim.premises != premises:
+            return _reject(_difference(claim, kind, params, premises), claim_index=i)
+        if kind is ClaimKind.DIOPHANTINE1_ENUMERATION and cert.solutions != _enumerate_solutions(
+            cert.instance, params["variable"], params["bound"]
+        ):
+            return _reject("re-enumeration does not reproduce the claimed solutions", claim_index=i)
+    if len(claims) != len(expected):
+        # the common prefix matches: the first claim that differs is missing or extra
+        return _reject("claim count does not fit the shape", min(len(claims), len(expected)))
+    return ACCEPT
 
 
 def _verify_class_two(cert: Certificate) -> Verdict:
@@ -738,112 +737,48 @@ def _verify_class_two(cert: Certificate) -> Verdict:
         return _reject("modulus exceeds the supported cap")
     if math.gcd(con_base, modulus) != 1:
         return _reject("constrained base shares a factor with the modulus")
-
-    error = _verify_pow_claim(cert.claims[0], zero_base, zero_var, t, p, k)
+    error = _zero_power_error(zero_base, t, p, k)
     if error:
         return _reject(error, claim_index=0)
-
-    observe = cert.claims[1]
     target = _expected_target(instance, mode, modulus)
-    expected_keys = (
-        _OBSERVE_CONSTRAINS_PARAMS
-        if cert.shape is CertShape.MAGIC_PRIME_EXCLUSION
-        else _OBSERVE_IMPOSSIBLE_PARAMS
-    )
-    if set(observe.params) != expected_keys:
-        return _reject("observe_mod_cycle has wrong parameters", claim_index=1)
-    if observe.params["base"] != con_base or observe.params["variable"] != con_var:
-        return _reject("observe_mod_cycle inspects the wrong side", claim_index=1)
-    if observe.params["modulus"] != modulus or observe.params["target"] != target:
-        return _reject("observe_mod_cycle target is not forced by the equation", claim_index=1)
 
     if cert.shape is CertShape.DIRECT_MODULAR_EXCLUSION:
-        if observe.params["outcome"] != "impossible":
-            return _reject("direct exclusion requires an impossibility outcome", claim_index=1)
         if arith.cycle_discrete_log(con_base % modulus, target, modulus) is not None:
             return _reject("target actually lies in the power cycle", claim_index=1)
-        error = _verify_enumeration_claim(cert.claims[2], instance, zero_var, t, cert.solutions)
-        if error:
-            return _reject(error, claim_index=2)
-        return ACCEPT
+        return _check_claims(cert, _direct_exclusion_claims(instance, mode, modulus, t))
 
     # magic prime shape
-    if observe.params["outcome"] != "constrains":
-        return _reject("magic prime exclusion requires a congruence outcome", claim_index=1)
     period = arith.multiplicative_order(con_base % modulus, modulus)
-    residue = observe.params["residue"]
+    residue, rejection = _stated(cert, 1, "residue")
+    if rejection:
+        return rejection
     # period is the exact order, so a residue in [0, period) that maps to
     # the target is the unique discrete log
-    if (
-        observe.params["period"] != period
-        or not 0 <= residue < period
-        or pow(con_base, residue, modulus) != target
-    ):
+    if not 0 <= residue < period or pow(con_base, residue, modulus) != target:
         return _reject("congruence is not the discrete log of the target", claim_index=1)
 
-    utilize = cert.claims[2]
-    if set(utilize.params) != _UTILIZE_PARAMS:
-        return _reject("utilize_mod_cycle has wrong parameters", claim_index=2)
-    if (
-        utilize.params["base"] != con_base
-        or utilize.params["variable"] != con_var
-        or utilize.params["residue"] != residue
-        or utilize.params["period"] != period
-    ):
-        return _reject("utilize_mod_cycle lifts the wrong congruence", claim_index=2)
-    P = utilize.params["prime"]
+    P, rejection = _stated(cert, 2, "prime")
+    if rejection:
+        return rejection
     if not arith.is_prime(P):
         return _reject(f"magic prime {P} is not prime", claim_index=2)
     if P % period != 1 % period:
         return _reject("magic prime is not 1 mod the constraint period", claim_index=2)
     if any(v % P == 0 for v in (instance.a, instance.b, instance.c)):
         return _reject("magic prime divides one of the parameters", claim_index=2)
-    prime_order = arith.multiplicative_order(con_base % P, P)
-    lifted_period = math.lcm(period, prime_order)
-    lifted = tuple(range(residue, lifted_period, period))
+    L = math.lcm(period, arith.multiplicative_order(con_base % P, P))
+    lifted = tuple(range(residue, L, period))
     values = tuple(pow(con_base, r, P) for r in lifted)
-    if utilize.params["lifted_period"] != lifted_period or utilize.params["lifted_residues"] != lifted:
-        return _reject("lifted residues do not match lcm(period, prime order)", claim_index=2)
-    if utilize.params["values"] != values:
-        return _reject("lifted power values are wrong", claim_index=2)
-
-    compute = cert.claims[3]
-    expected_kind = (
-        ClaimKind.COMPUTE_MOD_ADD if mode is Mode.FORWARD else ClaimKind.COMPUTE_MOD_SUB
-    )
-    if compute.kind is not expected_kind:
-        return _reject(f"mode {mode.value} requires {expected_kind.value}", claim_index=3)
-    if set(compute.params) != _COMPUTE_PARAMS:
-        return _reject("compute claim has wrong parameters", claim_index=3)
     shift = instance.b if mode is Mode.FORWARD else -instance.b
     shifted = tuple((v + shift) % P for v in values)
-    if (
-        compute.params["prime"] != P
-        or compute.params["input_base"] != con_base
-        or compute.params["input_variable"] != con_var
-        or compute.params["shift"] != instance.b
-        or compute.params["output_base"] != zero_base
-        or compute.params["output_variable"] != zero_var
-        or compute.params["output_values"] != shifted
-    ):
-        return _reject("shifted values are not the equation's other side", claim_index=3)
-
-    exhaust = cert.claims[4]
-    if set(exhaust.params) != _EXHAUST_PARAMS:
-        return _reject("exhaust_mod_cycle has wrong parameters", claim_index=4)
-    if (
-        exhaust.params["base"] != zero_base
-        or exhaust.params["variable"] != zero_var
-        or exhaust.params["prime"] != P
-    ):
-        return _reject("exhaust_mod_cycle tests the wrong set", claim_index=4)
     if not _cycle_membership_disjoint(zero_base, P, shifted):
         return _reject("shifted values intersect the other power cycle", claim_index=4)
-
-    error = _verify_enumeration_claim(cert.claims[5], instance, zero_var, t, cert.solutions)
-    if error:
-        return _reject(error, claim_index=5)
-    return ACCEPT
+    return _check_claims(
+        cert,
+        _magic_prime_claims(
+            instance, mode, modulus, t, target, residue, period, P, L, lifted, values, shifted
+        ),
+    )
 
 
 # The certificates verify_certificate has accepted, keyed by id(); an entry
@@ -880,44 +815,19 @@ def _verify(cert: Certificate) -> Verdict:
         instance = cert.instance
         if not isinstance(instance, EquationInstance):
             return _reject("missing instance")
-
-        expected_kinds: tuple[ClaimKind, ...]
-        if cert.shape is CertShape.MAGIC_PRIME_EXCLUSION:
-            shift_kind = (
-                ClaimKind.COMPUTE_MOD_ADD if cert.mode is Mode.FORWARD else ClaimKind.COMPUTE_MOD_SUB
-            )
-            expected_kinds = (
-                ClaimKind.POW_MOD_EQ_ZERO,
-                ClaimKind.OBSERVE_MOD_CYCLE,
-                ClaimKind.UTILIZE_MOD_CYCLE,
-                shift_kind,
-                ClaimKind.EXHAUST_MOD_CYCLE,
-                ClaimKind.DIOPHANTINE1_ENUMERATION,
-            )
-        elif cert.shape in _SHAPE_CLAIM_KINDS:
-            expected_kinds = _SHAPE_CLAIM_KINDS[cert.shape]
-        else:
-            return _reject(f"unknown certificate shape {cert.shape!r}")
-
-        kinds = tuple(claim.kind for claim in cert.claims)
-        if kinds != expected_kinds:
-            return _reject("claim kinds do not follow the shape's template")
-        expected_premises = _SHAPE_PREMISES[cert.shape]
-        for i, claim in enumerate(cert.claims):
-            if claim.premises != expected_premises[i]:
-                return _reject("claim premises break the dependency chain", claim_index=i)
-
         # completeness and exactness of the solution list are settled by
-        # re-running the bounded enumeration during the shape checks; the
+        # re-running the bounded enumeration at the enumeration claim; the
         # claimed pairs are only ever compared, never exponentiated
         if cert.solutions != tuple(sorted(set(cert.solutions))):
             return _reject("solution list is not sorted and duplicate-free")
-
-        if cert.shape is CertShape.DIVISIBILITY_NO_SOLUTION:
+        shape = cert.shape
+        if shape is CertShape.DIVISIBILITY_NO_SOLUTION:
             return _verify_divisibility(cert)
-        if cert.shape is CertShape.COMMON_FACTOR_BOUND:
+        if shape is CertShape.COMMON_FACTOR_BOUND:
             return _verify_common_factor(cert)
-        return _verify_class_two(cert)
+        if shape is CertShape.DIRECT_MODULAR_EXCLUSION or shape is CertShape.MAGIC_PRIME_EXCLUSION:
+            return _verify_class_two(cert)
+        return _reject(f"unknown certificate shape {shape!r}")
     except (ValueError, OverflowError, KeyError, TypeError, ZeroDivisionError) as exc:
         return _reject(f"malformed certificate: {exc}")
 
@@ -934,27 +844,13 @@ def _verify_divisibility(cert: Certificate) -> Verdict:
         return _reject("divisibility certificates work modulo a single prime")
     if cert.solutions != ():
         return _reject("divisibility certificates prove there are no solutions")
-    zero_base, zero_var, other_base, other_var = _sides(instance, mode)
-
-    error = _verify_pow_claim(cert.claims[0], zero_base, zero_var, 1, p, 1)
+    zero_base, _, other_base, _ = _sides(instance, mode)
+    error = _zero_power_error(zero_base, 1, p, 1)
     if error:
         return _reject(error, claim_index=0)
-
-    observe = cert.claims[1]
-    if set(observe.params) != _OBSERVE_IMPOSSIBLE_PARAMS:
-        return _reject("observe_mod_cycle has wrong parameters", claim_index=1)
-    target = _expected_target(instance, mode, p)
-    if (
-        observe.params["base"] != other_base
-        or observe.params["variable"] != other_var
-        or observe.params["target"] != target
-        or observe.params["modulus"] != p
-        or observe.params["outcome"] != "impossible"
-    ):
-        return _reject("observe_mod_cycle does not match the equation", claim_index=1)
-    if not _cycle_membership_disjoint(other_base, p, [target]):
+    if not _cycle_membership_disjoint(other_base, p, [_expected_target(instance, mode, p)]):
         return _reject("target actually lies in the power cycle", claim_index=1)
-    return ACCEPT
+    return _check_claims(cert, _direct_exclusion_claims(instance, mode, p, 1)[:2])
 
 
 def _verify_common_factor(cert: Certificate) -> Verdict:
@@ -972,14 +868,8 @@ def _verify_common_factor(cert: Certificate) -> Verdict:
     modulus = p**k
     if instance.b % modulus == 0:
         return _reject(f"{modulus} divides b, so no contradiction arises")
-
-    error = _verify_pow_claim(cert.claims[0], instance.a, "x", k, p, k)
-    if error:
-        return _reject(error, claim_index=0)
-    error = _verify_pow_claim(cert.claims[1], instance.c, "y", k, p, k)
-    if error:
-        return _reject(error, claim_index=1)
-    error = _verify_enumeration_claim(cert.claims[2], instance, "either", k, cert.solutions)
-    if error:
-        return _reject(error, claim_index=2)
-    return ACCEPT
+    for index, base in enumerate((instance.a, instance.c)):
+        error = _zero_power_error(base, k, p, k)
+        if error:
+            return _reject(error, claim_index=index)
+    return _check_claims(cert, _common_factor_claims(instance, p, k))

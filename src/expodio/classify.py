@@ -44,10 +44,6 @@ class Classification:
     bound: int | None = None
 
 
-def _smallest_prime_factor(n: int) -> int:
-    return arith.factorize(n).factors[0][0]
-
-
 def classify(instance: EquationInstance) -> Classification:
     """Decide the trivial cases of (a, b, c), or certify pairwise coprimality.
 
@@ -59,7 +55,7 @@ def classify(instance: EquationInstance) -> Classification:
     a, b, c = instance.a, instance.b, instance.c
     d_ac = math.gcd(a, c)
     if d_ac > 1:
-        p = _smallest_prime_factor(d_ac)
+        p = arith.factorize(d_ac)[0][0]
         k = arith.p_adic_valuation(b, p) + 1
         return Classification(
             tag=ClassTag.TYPE_I_III_BOUNDED,
@@ -70,10 +66,10 @@ def classify(instance: EquationInstance) -> Classification:
         )
     d_bc = math.gcd(b, c)
     if d_bc > 1:
-        return Classification(tag=ClassTag.TYPE_I_I, witness_prime=_smallest_prime_factor(d_bc))
+        return Classification(tag=ClassTag.TYPE_I_I, witness_prime=arith.factorize(d_bc)[0][0])
     d_ab = math.gcd(a, b)
     if d_ab > 1:
-        return Classification(tag=ClassTag.TYPE_I_II, witness_prime=_smallest_prime_factor(d_ab))
+        return Classification(tag=ClassTag.TYPE_I_II, witness_prime=arith.factorize(d_ab)[0][0])
     return Classification(tag=ClassTag.CLASS_II)
 
 

@@ -41,15 +41,17 @@ EXIT_REJECTED = 3
 
 JOBS_ENV_VAR = "EXPODIO_JOBS"
 
-# config-file keys are the SolverConfig field names
-_CONFIG_KEYS = (
-    "ceiling",
-    "prime_budget_count",
-    "prime_budget_cap",
-    "max_modulus",
-    "max_queue_pops",
-    "wall_limit",
+# Each solver budget flag: the SolverConfig field it sets (its dest, and
+# its key in a config file), its value type and its help text.
+_CONFIG_FLAGS = (
+    ("--ceiling", "ceiling", int, "initial search bound on c^y"),
+    ("--prime-count", "prime_budget_count", int, "magic prime candidates per constraint"),
+    ("--prime-cap", "prime_budget_cap", int, "largest magic prime candidate"),
+    ("--max-modulus", "max_modulus", int, "largest modulus the queue may reach"),
+    ("--max-pops", "max_queue_pops", int, "queue pops before giving up"),
+    ("--time-limit", "wall_limit", float, "wall-clock limit per instance (seconds)"),
 )
+_CONFIG_KEYS = tuple(dest for _, dest, _, _ in _CONFIG_FLAGS)
 
 
 class CliError(Exception):
@@ -123,12 +125,8 @@ def record_from_result(instance: EquationInstance, result: SolveResult) -> ScanR
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="JSON file with solver budget overrides")
-    parser.add_argument("--ceiling", type=int, help="initial search bound on c^y")
-    parser.add_argument("--prime-count", type=int, help="magic prime candidates per constraint")
-    parser.add_argument("--prime-cap", type=int, help="largest magic prime candidate")
-    parser.add_argument("--max-modulus", type=int, help="largest modulus the queue may reach")
-    parser.add_argument("--max-pops", type=int, help="queue pops before giving up")
-    parser.add_argument("--time-limit", type=float, help="wall-clock limit per instance (seconds)")
+    for flag, dest, kind, text in _CONFIG_FLAGS:
+        parser.add_argument(flag, dest=dest, type=kind, help=text)
 
 
 def build_config(args: argparse.Namespace) -> SolverConfig:
@@ -146,18 +144,10 @@ def build_config(args: argparse.Namespace) -> SolverConfig:
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
         values.update(doc)
-    flag_map = {
-        "ceiling": "ceiling",
-        "prime_count": "prime_budget_count",
-        "prime_cap": "prime_budget_cap",
-        "max_modulus": "max_modulus",
-        "max_pops": "max_queue_pops",
-        "time_limit": "wall_limit",
-    }
-    for attr, field_name in flag_map.items():
-        value = getattr(args, attr, None)
+    for name in _CONFIG_KEYS:
+        value = getattr(args, name, None)
         if value is not None:
-            values[field_name] = value
+            values[name] = value
     try:
         return SolverConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -252,7 +242,8 @@ def _scan_worker_init(config: SolverConfig, keep_certs: bool) -> None:
     _WORKER_KEEP_CERTS = keep_certs
 
 
-def _scan_worker(triple: tuple[int, int, int]) -> tuple[str, str | None]:
+def _scan_worker(triple: tuple[int, int, int]) -> tuple[str, str, tuple[int, int, int], str | None]:
+    """Solve one triple: its record line, its status, the triple, and the certificate if kept."""
     a, b, c = triple
     instance = EquationInstance(a, b, c)
     result = solve(instance, _WORKER_CONFIG or SolverConfig())
@@ -260,7 +251,7 @@ def _scan_worker(triple: tuple[int, int, int]) -> tuple[str, str | None]:
     cert_text = None
     if _WORKER_KEEP_CERTS and result.certificate is not None:
         cert_text = serialize_certificate(result.certificate)
-    return record.to_json(), cert_text
+    return record.to_json(), record.status, triple, cert_text
 
 
 def _terminate_partial_line(path: Path) -> None:
@@ -333,18 +324,17 @@ def _run_pool(
 
     start = time.perf_counter()
 
-    def consume(payload: tuple[str, str | None]) -> None:
+    def consume(payload: tuple[str, str, tuple[int, int, int], str | None]) -> None:
         nonlocal processed, solved, unresolved
-        line, cert_text = payload
+        line, status, (a, b, c), cert_text = payload
         out_handle.write(line + "\n")
-        doc = json.loads(line)
         processed += 1
-        if doc["status"] == SolveStatus.SOLVED.value:
+        if status == SolveStatus.SOLVED.value:
             solved += 1
         else:
             unresolved += 1
         if cert_text is not None and keep_certs_dir is not None:
-            name = f"cert_{doc['a']}_{doc['b']}_{doc['c']}.json"
+            name = f"cert_{a}_{b}_{c}.json"
             (keep_certs_dir / name).write_text(cert_text, encoding="utf-8")
         if processed % 250_000 == 0:
             rate = processed / (time.perf_counter() - start)

@@ -289,28 +289,29 @@ def _solve_class_one(
     )
 
 
-def _bounded_variable_index(mode: Mode) -> int:
-    return 1 if mode is Mode.FORWARD else 0
-
-
 def _conclude(
     instance: EquationInstance,
     candidate: ModulusCandidate,
     known: tuple[tuple[int, int], ...],
-    build,
+    constraint: Constraint | None,
+    witness: MagicPrimeWitness | None,
 ) -> tuple[tuple[tuple[int, int], ...], Certificate]:
-    """Run the closing enumeration and build the certificate for a success."""
-    variable = "y" if candidate.mode is Mode.FORWARD else "x"
-    idx = _bounded_variable_index(candidate.mode)
+    """Run the closing enumeration and build the certificate: magic-prime given a witness."""
+    mode, p, k, t = candidate.mode, candidate.p, candidate.k, candidate.t
+    variable, idx = ("y", 1) if mode is Mode.FORWARD else ("x", 0)
     for sol in known:
-        if sol[idx] >= candidate.t:
+        if sol[idx] >= t:
             raise CertificateBuildError(
-                f"exclusion at {variable} >= {candidate.t} contradicts known solution {sol}"
+                f"exclusion at {variable} >= {t} contradicts known solution {sol}"
             )
-    solutions = final_enumeration(instance, variable, candidate.t)
+    solutions = final_enumeration(instance, variable, t)
     if not set(known) <= set(solutions):
         raise CertificateBuildError("final enumeration lost an initial-search solution")
-    return solutions, build(solutions)
+    if witness is None:
+        return solutions, build_direct_exclusion_certificate(instance, mode, p, k, t, solutions)
+    return solutions, build_magic_prime_certificate(
+        instance, mode, p, k, t, constraint, witness, solutions
+    )
 
 
 def solve(
@@ -384,57 +385,27 @@ def solve(
                 },
             )
         step = exclusion_step(instance, candidate)
-        if step.kind is ExclusionKind.DIRECT:
-            solutions, cert = _conclude(
-                instance,
-                candidate,
-                known,
-                lambda sols: build_direct_exclusion_certificate(
-                    instance, candidate.mode, candidate.p, candidate.k, candidate.t, sols
-                ),
+        witness = None
+        if step.kind is ExclusionKind.CONDITIONAL:
+            witness = magic_prime_search(instance, step.constraint, config, effort, on_event)
+            if witness is None:
+                push(candidate.mode, candidate.p, candidate.k // candidate.t, candidate.t + 1)
+                continue
+        solutions, cert = _conclude(instance, candidate, known, step.constraint, witness)
+        if on_event is not None:
+            payload = {"modulus": candidate.key}
+            if witness is not None:
+                payload["prime"] = witness.prime
+            on_event("succeeded", payload)
+        return finish(
+            SolveResult(
+                status=SolveStatus.SOLVED,
+                solutions=solutions,
+                classification=classification,
+                certificate=cert,
+                effort=effort,
             )
-            if on_event is not None:
-                on_event("succeeded", {"modulus": candidate.key})
-            return finish(
-                SolveResult(
-                    status=SolveStatus.SOLVED,
-                    solutions=solutions,
-                    classification=classification,
-                    certificate=cert,
-                    effort=effort,
-                )
-            )
-        constraint = step.constraint
-        assert constraint is not None
-        witness = magic_prime_search(instance, constraint, config, effort, on_event)
-        if witness is not None:
-            solutions, cert = _conclude(
-                instance,
-                candidate,
-                known,
-                lambda sols: build_magic_prime_certificate(
-                    instance,
-                    candidate.mode,
-                    candidate.p,
-                    candidate.k,
-                    candidate.t,
-                    constraint,
-                    witness,
-                    sols,
-                ),
-            )
-            if on_event is not None:
-                on_event("succeeded", {"modulus": candidate.key, "prime": witness.prime})
-            return finish(
-                SolveResult(
-                    status=SolveStatus.SOLVED,
-                    solutions=solutions,
-                    classification=classification,
-                    certificate=cert,
-                    effort=effort,
-                )
-            )
-        push(candidate.mode, candidate.p, candidate.k // candidate.t, candidate.t + 1)
+        )
 
     if on_event is not None:
         on_event("unresolved", {"pops": pops})

@@ -38,9 +38,9 @@ class TestIsPrime:
 
 class TestFactorize:
     def test_examples(self):
-        assert arith.factorize(91).factors == ((7, 1), (13, 1))
-        assert arith.factorize(256).factors == ((2, 8),)
-        assert arith.factorize(17496).factors == ((2, 3), (3, 7))
+        assert arith.factorize(91) == ((7, 1), (13, 1))
+        assert arith.factorize(256) == ((2, 8),)
+        assert arith.factorize(17496) == ((2, 3), (3, 7))
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
@@ -50,8 +50,8 @@ class TestFactorize:
     @settings(max_examples=200, deadline=None)
     def test_round_trip_and_primality(self, n):
         fact = arith.factorize(n)
-        assert fact.value == n
-        primes = fact.primes()
+        assert math.prod(p**e for p, e in fact) == n
+        primes = tuple(p for p, _ in fact)
         assert list(primes) == sorted(primes)
         assert len(set(primes)) == len(primes)
         for p, e in fact:

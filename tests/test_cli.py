@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from oracle import brute_force_solutions
 
 from expodio import parse_certificate, verify_certificate
 from expodio.cli import ScanRecord, main, read_records
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args: list[str], capsys) -> tuple[int, str, str]:
@@ -102,10 +106,13 @@ class TestSolveCommand:
         assert "-- Succeeded." in out
 
     def test_module_entry_point(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "expodio", "solve", "5", "3", "2"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "(1,3) (3,7)" in proc.stdout

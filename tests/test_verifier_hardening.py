@@ -16,6 +16,7 @@ import json
 import pytest
 
 from expodio.certificate import (
+    ClaimKind,
     MalformedCertificateError,
     certificate_to_dict,
     parse_certificate,
@@ -105,3 +106,16 @@ def test_every_field_is_load_bearing(shape, triple, golden_certificates):
 
     # each shape exposes a meaningful number of attack points
     assert checked > 20, (shape, checked)
+
+
+@pytest.mark.parametrize("shape,triple", sorted(_REPRESENTATIVES.items()))
+def test_a_wrong_claim_kind_is_rejected_at_that_claim(shape, triple, golden_certificates):
+    doc = certificate_to_dict(golden_certificates[triple])
+    for index, claim in enumerate(doc["claims"]):
+        for kind in ClaimKind:
+            if kind.value == claim["kind"]:
+                continue
+            mutated = _with_mutation(doc, ("claims", index, "kind"), kind.value)
+            verdict = verify_certificate(parse_certificate(json.dumps(mutated)))
+            assert not verdict.accepted, (index, kind)
+            assert verdict.claim_index == index, (index, kind, verdict.reason)
