@@ -21,7 +21,6 @@ from .instance import EquationInstance
 class ClassTag(str, Enum):
     TYPE_I_I = "TypeI_i"
     TYPE_I_II = "TypeI_ii"
-    TYPE_I_III_NO_SOLUTION = "TypeI_iii_NoSolution"
     TYPE_I_III_BOUNDED = "TypeI_iii_Bounded"
     CLASS_II = "ClassII"
 

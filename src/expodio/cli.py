@@ -51,7 +51,10 @@ _CONFIG_FLAGS = (
     ("--max-pops", "max_queue_pops", int, "queue pops before giving up"),
     ("--time-limit", "wall_limit", float, "wall-clock limit per instance (seconds)"),
 )
-_CONFIG_KEYS = tuple(dest for _, dest, _, _ in _CONFIG_FLAGS)
+_CONFIG_KINDS = {dest: kind for _, dest, kind, _ in _CONFIG_FLAGS}
+# The JSON values a config file may give a flag of each type: a bool is
+# no integer, and null leaves the wall-clock limit off.
+_FILE_TYPES = {int: ((int,), "an integer"), float: ((int, float, type(None)), "a number or null")}
 
 
 class CliError(Exception):
@@ -140,11 +143,15 @@ def build_config(args: argparse.Namespace) -> SolverConfig:
             raise CliError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise CliError(f"config file {args.config} must hold a JSON object")
-        unknown = set(doc).difference(_CONFIG_KEYS)
+        unknown = set(doc).difference(_CONFIG_KINDS)
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for name, value in doc.items():
+            types, expected = _FILE_TYPES[_CONFIG_KINDS[name]]
+            if type(value) not in types:
+                raise CliError(f"config key {name} must be {expected}, got {json.dumps(value)}")
         values.update(doc)
-    for name in _CONFIG_KEYS:
+    for name in _CONFIG_KINDS:
         value = getattr(args, name, None)
         if value is not None:
             values[name] = value

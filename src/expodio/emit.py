@@ -4,7 +4,9 @@ Each script states the instance hypotheses (h1: x >= 1, h2: y >= 1,
 h3: the equation), splits on the excluded bound where one exists, and
 discharges every computational fact through the trusted `Claim` axiom,
 naming the revalidator that can re-check it.  A shared prelude file
-declares the `VerifiedFact` structure and the `Claim` axiom.
+declares the `VerifiedFact` structure and the `Claim` axiom.  Direct and
+magic-prime proofs share one template, prose and Lean alike: the magic
+prime only adds its three claims about the prime P.
 
 Rendering is deterministic: the same certificate always produces the
 same bytes.  Only certificates accepted by the independent verifier are
@@ -131,17 +133,15 @@ def _narrative(cert: Certificate, equation: str) -> list[str]:
     t = cert.bound_threshold
     modulus = cert.witness_prime**cert.modulus_exponent
     bound_base, bound_var, con_base, con_var = _sides(cert.instance, cert.mode)
-
+    observe = cert.claims[1].params
+    lines.append(
+        f"if {bound_var} >= {t}, {con_base} ^ {con_var} = {observe['target']} (mod {modulus})."
+    )
     if cert.shape is CertShape.DIRECT_MODULAR_EXCLUSION:
-        target = cert.claims[1].params["target"]
-        lines.append(f"if {bound_var} >= {t}, {con_base} ^ {con_var} = {target} (mod {modulus}).")
         lines.append("However, this is impossible.")
     else:
-        observe, utilize, compute = (claim.params for claim in cert.claims[1:4])
+        utilize, compute = cert.claims[2].params, cert.claims[3].params
         residue, period, prime = observe["residue"], observe["period"], utilize["prime"]
-        lines.append(
-            f"if {bound_var} >= {t}, {con_base} ^ {con_var} = {observe['target']} (mod {modulus})."
-        )
         # Power values mod P only depend on the exponent mod ord_P(base);
         # report the residues modulo that order when it differs from K.
         order = arith.multiplicative_order(con_base % prime, prime)
@@ -172,8 +172,12 @@ def _narrative(cert: Certificate, equation: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # Lean script assembly
 
-_TRIVIAL = {"x": "h4", "y": "h5"}
-_POSITIVE = {"x": "h1", "y": "h2"}
+# The premises each claim about an exponent starts from, with the
+# hypotheses of the prologue that prove them.
+_EXPONENT = {
+    "x": (("x % 1 = 0", "h4"), ("x >= 1", "h1")),
+    "y": (("y % 1 = 0", "h5"), ("y >= 1", "h2")),
+}
 
 
 def _goal(cert: Certificate) -> str:
@@ -225,10 +229,8 @@ def _prologue(script: _Script, cert: Certificate, equation: str) -> None:
 
 def _enumeration_premises(equation: str, bound_prop: str) -> list[tuple[str, str]]:
     return [
-        ("x % 1 = 0", "h4"),
-        ("x >= 1", "h1"),
-        ("y % 1 = 0", "h5"),
-        ("y >= 1", "h2"),
+        *_EXPONENT["x"],
+        *_EXPONENT["y"],
         (equation, "h3"),
         (bound_prop, "h7"),
     ]
@@ -244,10 +246,7 @@ def _script_divisibility(cert: Certificate, equation: str) -> _Script:
     script.claim(
         "h6",
         f"{zero_base} ^ {zero_var} % {p} = 0",
-        [
-            (f"{zero_var} % 1 = 0", _TRIVIAL[zero_var]),
-            (f"{zero_var} >= 1", _POSITIVE[zero_var]),
-        ],
+        _EXPONENT[zero_var],
         "pow_mod_eq_zero",
     )
     congruence = f"{other_base} ^ {other_var} % {p} = {target}"
@@ -255,11 +254,7 @@ def _script_divisibility(cert: Certificate, equation: str) -> _Script:
     script.claim(
         "h8",
         "False",
-        [
-            (f"{other_var} % 1 = 0", _TRIVIAL[other_var]),
-            (f"{other_var} >= 1", _POSITIVE[other_var]),
-            (congruence, "h7"),
-        ],
+        [*_EXPONENT[other_var], (congruence, "h7")],
         "observe_mod_cycle",
     )
     script.add("  exact h8")
@@ -293,106 +288,47 @@ def _script_common_factor(cert: Certificate, equation: str) -> _Script:
     return script
 
 
-def _script_direct(cert: Certificate, equation: str) -> _Script:
+def _script_exclusion(cert: Certificate, equation: str) -> _Script:
+    """Direct and magic-prime proofs share one template.
+
+    A magic prime adds claims 2-4 (utilize, compute, exhaust), and claim 1
+    then states the residue congruence instead of False.
+    """
     t = cert.bound_threshold
     modulus = cert.witness_prime**cert.modulus_exponent
     bound_base, bound_var, con_base, con_var = _sides(cert.instance, cert.mode)
-    target = cert.claims[1].params["target"]
+    observe = cert.claims[1].params
     script = _Script()
     _prologue(script, cert, equation)
     script.add(f"  by_cases h6 : {bound_var} >= {t}")
     script.claim(
         "h7",
         f"{bound_base} ^ {bound_var} % {modulus} = 0",
-        [
-            (f"{bound_var} % 1 = 0", _TRIVIAL[bound_var]),
-            (f"{bound_var} >= {t}", "h6"),
-        ],
-        "pow_mod_eq_zero",
-    )
-    congruence = f"{con_base} ^ {con_var} % {modulus} = {target}"
-    script.add(f"  have h8 : {congruence} := by omega")
-    script.claim(
-        "h9",
-        "False",
-        [
-            (f"{con_var} % 1 = 0", _TRIVIAL[con_var]),
-            (f"{con_var} >= 1", _POSITIVE[con_var]),
-            (congruence, "h8"),
-        ],
-        "observe_mod_cycle",
-    )
-    script.add("  apply False.elim h9")
-    bound_prop = f"{bound_var} <= {t - 1}"
-    script.add(f"  have h7 : {bound_prop} := by omega")
-    script.claim("h8", _goal(cert), _enumeration_premises(equation, bound_prop), "diophantine1_enumeration")
-    script.add("  exact h8")
-    return script
-
-
-def _script_magic(cert: Certificate, equation: str) -> _Script:
-    t = cert.bound_threshold
-    modulus = cert.witness_prime**cert.modulus_exponent
-    bound_base, bound_var, con_base, con_var = _sides(cert.instance, cert.mode)
-    observe, utilize, compute = (claim.params for claim in cert.claims[1:4])
-    prime = utilize["prime"]
-    script = _Script()
-    _prologue(script, cert, equation)
-    script.add(f"  by_cases h6 : {bound_var} >= {t}")
-    script.claim(
-        "h7",
-        f"{bound_base} ^ {bound_var} % {modulus} = 0",
-        [
-            (f"{bound_var} % 1 = 0", _TRIVIAL[bound_var]),
-            (f"{bound_var} >= {t}", "h6"),
-        ],
+        [_EXPONENT[bound_var][0], (f"{bound_var} >= {t}", "h6")],
         "pow_mod_eq_zero",
     )
     congruence = f"{con_base} ^ {con_var} % {modulus} = {observe['target']}"
     script.add(f"  have h8 : {congruence} := by omega")
-    residue_prop = f"{con_var} % {observe['period']} = {observe['residue']}"
-    script.claim(
-        "h9",
-        residue_prop,
-        [
-            (f"{con_var} % 1 = 0", _TRIVIAL[con_var]),
-            (f"{con_var} >= 1", _POSITIVE[con_var]),
-            (congruence, "h8"),
-        ],
-        "observe_mod_cycle",
-    )
-    values_prop = f"List.Mem ({con_base} ^ {con_var} % {prime}) [{_int_list(utilize['values'])}]"
-    script.claim(
-        "h10",
-        values_prop,
-        [
-            (f"{con_var} % 1 = 0", _TRIVIAL[con_var]),
-            (f"{con_var} >= 1", _POSITIVE[con_var]),
-            (residue_prop, "h9"),
-        ],
-        "utilize_mod_cycle",
-    )
-    shifted_prop = (
-        f"List.Mem ({bound_base} ^ {bound_var} % {prime}) [{_int_list(compute['output_values'])}]"
-    )
-    shift_kind = "compute_mod_add" if cert.mode is Mode.FORWARD else "compute_mod_sub"
-    script.claim(
-        "h11",
-        shifted_prop,
-        [(values_prop, "h10"), (equation, "h3")],
-        shift_kind,
-    )
-    script.claim(
-        "h12",
-        "False",
-        [
-            (f"{bound_var} % 1 = 0", _TRIVIAL[bound_var]),
-            (f"{bound_var} >= 1", _POSITIVE[bound_var]),
-            (shifted_prop, "h11"),
-        ],
-        "exhaust_mod_cycle",
-    )
-    script.add("  apply False.elim h12")
+    statement, magic_claims = "False", []
+    if cert.shape is CertShape.MAGIC_PRIME_EXCLUSION:
+        utilize, compute = cert.claims[2].params, cert.claims[3].params
+        prime = utilize["prime"]
+        statement = f"{con_var} % {observe['period']} = {observe['residue']}"
+        values = f"List.Mem ({con_base} ^ {con_var} % {prime}) [{_int_list(utilize['values'])}]"
+        shifted = (
+            f"List.Mem ({bound_base} ^ {bound_var} % {prime}) "
+            f"[{_int_list(compute['output_values'])}]"
+        )
+        shift_kind = "compute_mod_add" if cert.mode is Mode.FORWARD else "compute_mod_sub"
+        magic_claims = [
+            ("h10", values, [*_EXPONENT[con_var], (statement, "h9")], "utilize_mod_cycle"),
+            ("h11", shifted, [(values, "h10"), (equation, "h3")], shift_kind),
+            ("h12", "False", [*_EXPONENT[bound_var], (shifted, "h11")], "exhaust_mod_cycle"),
+        ]
+    script.claim("h9", statement, [*_EXPONENT[con_var], (congruence, "h8")], "observe_mod_cycle")
+    for claim in magic_claims:
+        script.claim(*claim)
+    script.add(f"  apply False.elim h{9 + len(magic_claims)}")
     bound_prop = f"{bound_var} <= {t - 1}"
     script.add(f"  have h7 : {bound_prop} := by omega")
     script.claim("h8", _goal(cert), _enumeration_premises(equation, bound_prop), "diophantine1_enumeration")
@@ -403,8 +339,8 @@ def _script_magic(cert: Certificate, equation: str) -> _Script:
 _SCRIPT_BUILDERS = {
     CertShape.DIVISIBILITY_NO_SOLUTION: _script_divisibility,
     CertShape.COMMON_FACTOR_BOUND: _script_common_factor,
-    CertShape.DIRECT_MODULAR_EXCLUSION: _script_direct,
-    CertShape.MAGIC_PRIME_EXCLUSION: _script_magic,
+    CertShape.DIRECT_MODULAR_EXCLUSION: _script_exclusion,
+    CertShape.MAGIC_PRIME_EXCLUSION: _script_exclusion,
 }
 
 

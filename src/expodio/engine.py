@@ -32,6 +32,8 @@ from .certificate import (
     Constraint,
     MagicPrimeWitness,
     Mode,
+    _expected_target,
+    _sides,
     build_common_factor_certificate,
     build_direct_exclusion_certificate,
     build_divisibility_certificate,
@@ -105,7 +107,7 @@ class ModulusCandidate:
 
 def make_candidate(instance: EquationInstance, mode: Mode, p: int, t: int) -> ModulusCandidate:
     """Candidate with k = t * v_p(base), so base^var = 0 (mod p^k) iff var >= t."""
-    base = instance.c if mode is Mode.FORWARD else instance.a
+    base = _sides(instance, mode)[0]
     v = arith.p_adic_valuation(base, p)
     if v < 1:
         raise ValueError(f"{p} does not divide {base}")
@@ -167,12 +169,8 @@ def exclusion_step(instance: EquationInstance, candidate: ModulusCandidate) -> E
     outright; otherwise the unique discrete log becomes a constraint.
     """
     modulus = candidate.key
-    if candidate.mode is Mode.FORWARD:
-        base, variable = instance.a, "x"
-        target = (-instance.b) % modulus
-    else:
-        base, variable = instance.c, "y"
-        target = instance.b % modulus
+    _, _, base, variable = _sides(instance, candidate.mode)
+    target = _expected_target(instance, candidate.mode, modulus)
     residue = arith.cycle_discrete_log(base % modulus, target, modulus)
     if residue is None:
         return ExclusionStep(kind=ExclusionKind.DIRECT)
@@ -264,8 +262,8 @@ def magic_prime_search(
 
 
 def _solve_class_one(
-    instance: EquationInstance, classification: Classification, effort: Effort
-) -> SolveResult:
+    instance: EquationInstance, classification: Classification
+) -> tuple[tuple[tuple[int, int], ...], Certificate]:
     tag = classification.tag
     p = classification.witness_prime
     assert p is not None
@@ -280,13 +278,7 @@ def _solve_class_one(
         k = classification.modulus_exponent
         assert k is not None
         cert = build_common_factor_certificate(instance, p, k, solutions)
-    return SolveResult(
-        status=SolveStatus.SOLVED,
-        solutions=solutions,
-        classification=classification,
-        certificate=cert,
-        effort=effort,
-    )
+    return solutions, cert
 
 
 def _conclude(
@@ -298,13 +290,10 @@ def _conclude(
 ) -> tuple[tuple[tuple[int, int], ...], Certificate]:
     """Run the closing enumeration and build the certificate: magic-prime given a witness."""
     mode, p, k, t = candidate.mode, candidate.p, candidate.k, candidate.t
-    variable, idx = ("y", 1) if mode is Mode.FORWARD else ("x", 0)
-    for sol in known:
-        if sol[idx] >= t:
-            raise CertificateBuildError(
-                f"exclusion at {variable} >= {t} contradicts known solution {sol}"
-            )
+    _, variable, _, _ = _sides(instance, mode)
     solutions = final_enumeration(instance, variable, t)
+    # a known solution with variable >= t, which the exclusion would
+    # contradict, is missing from the enumeration and fails this check
     if not set(known) <= set(solutions):
         raise CertificateBuildError("final enumeration lost an initial-search solution")
     if witness is None:
@@ -329,14 +318,15 @@ def solve(
     """
     start = time.perf_counter()
     effort = Effort()
-
-    def finish(result: SolveResult) -> SolveResult:
-        effort.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return result
-
     classification = classify(instance)
+
+    def finish(solutions: tuple[tuple[int, int], ...], cert: Certificate | None) -> SolveResult:
+        effort.elapsed_ms = (time.perf_counter() - start) * 1000.0
+        status = SolveStatus.UNRESOLVED if cert is None else SolveStatus.SOLVED
+        return SolveResult(status, solutions, classification, cert, effort)
+
     if classification.tag is not ClassTag.CLASS_II:
-        return finish(_solve_class_one(instance, classification, effort))
+        return finish(*_solve_class_one(instance, classification))
 
     known = tuple(sorted(initial_search(instance, max(config.ceiling, instance.c))))
     x_max = max((x for x, _ in known), default=0)
@@ -371,8 +361,7 @@ def solve(
         pops += 1
         effort.moduli_tried += 1
         if on_event is not None:
-            base = instance.c if candidate.mode is Mode.FORWARD else instance.a
-            variable = "y" if candidate.mode is Mode.FORWARD else "x"
+            base, variable, _, _ = _sides(instance, candidate.mode)
             on_event(
                 "attempt",
                 {
@@ -397,33 +386,20 @@ def solve(
             if witness is not None:
                 payload["prime"] = witness.prime
             on_event("succeeded", payload)
-        return finish(
-            SolveResult(
-                status=SolveStatus.SOLVED,
-                solutions=solutions,
-                classification=classification,
-                certificate=cert,
-                effort=effort,
-            )
-        )
+        return finish(solutions, cert)
 
     if on_event is not None:
         on_event("unresolved", {"pops": pops})
-    return finish(
-        SolveResult(
-            status=SolveStatus.UNRESOLVED,
-            solutions=known,
-            classification=classification,
-            certificate=None,
-            effort=effort,
-        )
-    )
+    return finish(known, None)
 
 
-def enlarged(config: SolverConfig, factor: int = 4) -> SolverConfig:
-    """A copy of `config` with search budgets scaled up for retries."""
+_RETRY_FACTOR = 4
+
+
+def enlarged(config: SolverConfig) -> SolverConfig:
+    """A copy of `config` with search budgets scaled up fourfold for retries."""
     return replace(
         config,
-        prime_budget_count=config.prime_budget_count * factor,
-        max_queue_pops=config.max_queue_pops * factor,
+        prime_budget_count=config.prime_budget_count * _RETRY_FACTOR,
+        max_queue_pops=config.max_queue_pops * _RETRY_FACTOR,
     )

@@ -1,8 +1,22 @@
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from expodio import EquationInstance, SolveStatus, solve
+from expodio import (
+    EquationInstance,
+    SolveStatus,
+    emit_lean,
+    emit_text,
+    serialize_certificate,
+    solve,
+)
+from expodio.cli import iter_cube
+
+# One sha256 over the 12-cube's output bytes; see `cube_output_digest`.
+CUBE12_DIGEST = Path(__file__).parent / "golden" / "cube12.sha256"
 
 # The golden instance suite with its exact solution sets.
 GOLDEN_SUITE: dict[tuple[int, int, int], list[tuple[int, int]]] = {
@@ -36,6 +50,21 @@ TWO_SOLUTION_TABLE: dict[tuple[int, int, int], list[tuple[int, int]]] = {
     (5, 3, 2): [(1, 3), (3, 7)],
     (6, 9, 15): [(1, 1), (3, 2)],
 }
+
+
+def cube_output_digest(n: int) -> str:
+    """sha256 over every n-cube instance's certificate, .lean and .txt bytes, in cube order.
+
+    The 12-cube reaches every certificate shape in both modes and every
+    wrap rule of the emitters, so its digest pins the output bytes far
+    past the golden suite.
+    """
+    digest = hashlib.sha256()
+    for triple in iter_cube(n, n, n):
+        cert = solve(EquationInstance(*triple)).certificate
+        for text in (serialize_certificate(cert), emit_lean(cert).text, emit_text(cert)):
+            digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="session")

@@ -5,17 +5,21 @@ Run from the repository root after an intentional format change:
     python tests/regen_golden.py
 
 The frozen .cert.json / .lean / .txt files pin byte-level stability of
-the certificate serialization and the emitters across sessions.
+the certificate serialization and the emitters across sessions, and
+cube12.sha256 pins the same bytes for every instance of the 12-cube.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
-from conftest import GOLDEN_SUITE
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from expodio import EquationInstance, serialize_certificate, solve
-from expodio.emit import emit_lean, emit_text, theorem_name
+from conftest import CUBE12_DIGEST, GOLDEN_SUITE, cube_output_digest  # noqa: E402
+
+from expodio import EquationInstance, serialize_certificate, solve  # noqa: E402
+from expodio.emit import emit_lean, emit_text, theorem_name  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -34,6 +38,8 @@ def main() -> None:
         )
         (GOLDEN_DIR / f"{name}.txt").write_text(emit_text(cert), encoding="utf-8", newline="\n")
         print(f"froze {name} ({cert.shape.value})")
+    CUBE12_DIGEST.write_text(cube_output_digest(12) + "\n", encoding="utf-8", newline="\n")
+    print(f"froze {CUBE12_DIGEST.name}")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from oracle import brute_force_solutions
 
 from expodio import parse_certificate, verify_certificate
@@ -62,6 +63,27 @@ class TestSolveCommand:
         code, _, err = run_cli(["solve", "5", "3", "2", "--config", str(config)], capsys)
         assert code == 1
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize(
+        "doc, code",
+        [
+            ({"prime_budget_count": 2.5}, 1),
+            ({"ceiling": 1e30}, 1),
+            ({"max_queue_pops": True}, 1),
+            ({"max_modulus": "1000"}, 1),
+            ({"wall_limit": True}, 1),
+            ({"wall_limit": "5"}, 1),
+            ({"wall_limit": None}, 0),
+            ({"wall_limit": 30, "ceiling": 10**30}, 0),
+        ],
+    )
+    def test_config_value_types(self, capsys, tmp_path, doc, code):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        got, _, err = run_cli(["solve", "5", "3", "2", "--config", str(config)], capsys)
+        assert got == code
+        if code:
+            assert f"config key {next(iter(doc))} must be" in err
 
     def test_flag_beats_config_file(self, capsys, tmp_path):
         config = tmp_path / "tiny.json"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import re
 
 import pytest
+from conftest import CUBE12_DIGEST, cube_output_digest
 
 from expodio import (
     EquationInstance,
@@ -174,6 +175,11 @@ class TestEmitLean:
             second = emit_lean(cert)
             assert first.text == second.text
             assert emit_text(cert) == emit_text(cert)
+
+
+def test_cube12_output_bytes_match_frozen_digest():
+    # every shape in both modes and every wrap rule; regen_golden.py writes the file
+    assert cube_output_digest(12) == CUBE12_DIGEST.read_text(encoding="utf-8").strip()
 
 
 class TestWriteProofFiles:

@@ -21,8 +21,10 @@ from expodio import (
     verify_certificate,
     witness_for_prime,
 )
+from expodio.certificate import CertificateBuildError
 from expodio.engine import (
     ExclusionKind,
+    _conclude,
     exclusion_step,
     make_candidate,
 )
@@ -182,6 +184,13 @@ class TestFinalEnumeration:
     def test_rejects_unknown_variable(self):
         with pytest.raises(ValueError):
             final_enumeration(EquationInstance(2, 5, 11), "z", 3)
+
+    def test_exclusion_contradicting_a_known_solution_is_refused(self):
+        # 2^x + 1 = 3^y has (3, 2), so y >= 2 must not be excluded
+        inst = EquationInstance(2, 1, 3)
+        cand = make_candidate(inst, Mode.FORWARD, 3, 2)
+        with pytest.raises(CertificateBuildError):
+            _conclude(inst, cand, ((1, 1), (3, 2)), None, None)
 
 
 class TestSolve:
