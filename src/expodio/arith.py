@@ -246,13 +246,11 @@ def cycle_discrete_log(base: int, target: int, m: int) -> int | None:
     return _dlog_pohlig_hellman(base, target, m, order)
 
 
-def primes_in_progression(k: int, start_index: int = 1):
-    """Yield the primes of the form n*k + 1 with n >= start_index, ascending."""
+def primes_in_progression(k: int):
+    """Yield the primes of the form n*k + 1 with n >= 1, ascending."""
     if k < 1:
         raise ValueError(f"progression step must be >= 1, got {k}")
-    if start_index < 1:
-        raise ValueError(f"start index must be >= 1, got {start_index}")
-    for n in count(start_index):
+    for n in count(1):
         p = n * k + 1
         if is_prime(p):
             yield p

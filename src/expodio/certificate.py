@@ -507,8 +507,12 @@ def _as_params(value: Any) -> Params:
     return params
 
 
-def _enum_member(enum: type[Enum], value: Any, what: str) -> Enum:
+def _member(table: dict[str, Enum], enum: type[Enum], value: Any, what: str) -> Enum:
     """The member of `enum` that `value` names; raises MalformedCertificateError if none."""
+    # a JSON string finds it in `table`; anything else is never hashed (a list would raise)
+    member = table.get(value) if type(value) is str else None
+    if member is not None:
+        return member
     if not isinstance(value, str):
         raise MalformedCertificateError(f"{what} must be a string")
     try:
@@ -517,8 +521,6 @@ def _enum_member(enum: type[Enum], value: Any, what: str) -> Enum:
         raise MalformedCertificateError(f"unknown {what} {value!r}") from exc
 
 
-# A JSON string finds its enum member in these tables.  Anything else goes
-# to _enum_member without being hashed: a list or a dict would raise TypeError.
 _SHAPES = {member.value: member for member in CertShape}
 _MODES = {member.value: member for member in Mode}
 _KINDS = {member.value: member for member in ClaimKind}
@@ -558,14 +560,8 @@ def certificate_from_dict(doc: Any) -> Certificate:
     except ValueError as exc:
         raise MalformedCertificateError(str(exc)) from exc
 
-    value = doc["shape"]
-    shape = _SHAPES.get(value) if type(value) is str else None
-    if shape is None:
-        shape = _enum_member(CertShape, value, "shape")
-    value = doc["mode"]
-    mode = _MODES.get(value) if type(value) is str else None
-    if mode is None and value is not None:
-        mode = _enum_member(Mode, value, "mode")
+    shape = _member(_SHAPES, CertShape, doc["shape"], "shape")
+    mode = None if doc["mode"] is None else _member(_MODES, Mode, doc["mode"], "mode")
 
     if not isinstance(doc["solutions"], list):
         raise MalformedCertificateError("solutions must be a list")
@@ -581,10 +577,7 @@ def certificate_from_dict(doc: Any) -> Certificate:
     for entry in doc["claims"]:
         if not isinstance(entry, dict) or entry.keys() != _CLAIM_KEYS:
             raise MalformedCertificateError("bad claim record")
-        value = entry["kind"]
-        kind = _KINDS.get(value) if type(value) is str else None
-        if kind is None:
-            kind = _enum_member(ClaimKind, value, "claim kind")
+        kind = _member(_KINDS, ClaimKind, entry["kind"], "claim kind")
         claims.append(
             ClaimRecord(
                 kind, _as_params(entry["params"]), _as_int_tuple(entry["premises"], "claim premises")

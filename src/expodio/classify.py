@@ -31,16 +31,14 @@ class Classification:
 
     tag selects the case.  For TypeI_i / TypeI_ii, witness_prime is the
     smallest prime dividing gcd(b, c) resp. gcd(a, b).  For the
-    common-factor case, common_divisor is gcd(a, c) > 1, witness_prime
-    the smallest prime dividing it, modulus_exponent k the smallest
-    power with p^k not dividing b, and bound = k - 1 bounds min(x, y).
+    common-factor case, witness_prime p is the smallest prime dividing
+    gcd(a, c) > 1 and modulus_exponent k the smallest power with p^k not
+    dividing b, so min(x, y) < k.
     """
 
     tag: ClassTag
     witness_prime: int | None = None
-    common_divisor: int | None = None
     modulus_exponent: int | None = None
-    bound: int | None = None
 
 
 def classify(instance: EquationInstance) -> Classification:
@@ -59,9 +57,7 @@ def classify(instance: EquationInstance) -> Classification:
         return Classification(
             tag=ClassTag.TYPE_I_III_BOUNDED,
             witness_prime=p,
-            common_divisor=d_ac,
             modulus_exponent=k,
-            bound=k - 1,
         )
     d_bc = math.gcd(b, c)
     if d_bc > 1:
@@ -106,7 +102,7 @@ def final_enumeration(
 def bounded_case_solutions(
     instance: EquationInstance, classification: Classification
 ) -> tuple[tuple[int, int], ...]:
-    """All solutions of a common-factor instance, by exhausting min(x, y) <= bound."""
+    """All solutions of a common-factor instance, by exhausting min(x, y) < k."""
     if classification.tag is not ClassTag.TYPE_I_III_BOUNDED:
         raise ValueError(f"expected a bounded common-factor classification, got {classification.tag}")
-    return final_enumeration(instance, "either", classification.bound + 1)
+    return final_enumeration(instance, "either", classification.modulus_exponent)

@@ -14,6 +14,7 @@ the output file are skipped.  Exit codes: 0 ok, 1 usage or I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import os
@@ -76,17 +77,8 @@ class ScanRecord:
     elapsed_ms: float
 
     def to_json(self) -> str:
-        doc = {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "status": self.status,
-            "class_tag": self.class_tag,
-            "solution_count": self.solution_count,
-            "solutions": [list(s) for s in self.solutions],
-            "certificate_digest": self.certificate_digest,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        # the fields in declaration order; json writes the solution pairs as arrays
+        doc = dict(vars(self), elapsed_ms=round(self.elapsed_ms, 3))
         return json.dumps(doc, separators=(",", ":"))
 
     @classmethod
@@ -239,24 +231,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # scan
 
-_WORKER_CONFIG: SolverConfig | None = None
-_WORKER_KEEP_CERTS = False
-
-
-def _scan_worker_init(config: SolverConfig, keep_certs: bool) -> None:
-    global _WORKER_CONFIG, _WORKER_KEEP_CERTS
-    _WORKER_CONFIG = config
-    _WORKER_KEEP_CERTS = keep_certs
-
-
-def _scan_worker(triple: tuple[int, int, int]) -> tuple[str, str, tuple[int, int, int], str | None]:
+def _scan_worker(
+    config: SolverConfig, keep_certs: bool, triple: tuple[int, int, int]
+) -> tuple[str, str, tuple[int, int, int], str | None]:
     """Solve one triple: its record line, its status, the triple, and the certificate if kept."""
-    a, b, c = triple
-    instance = EquationInstance(a, b, c)
-    result = solve(instance, _WORKER_CONFIG or SolverConfig())
+    instance = EquationInstance(*triple)
+    result = solve(instance, config)
     record = record_from_result(instance, result)
     cert_text = None
-    if _WORKER_KEEP_CERTS and result.certificate is not None:
+    if keep_certs and result.certificate is not None:
         cert_text = serialize_certificate(result.certificate)
     return record.to_json(), record.status, triple, cert_text
 
@@ -304,14 +287,8 @@ def iter_records(path: str | Path) -> Iterator[ScanRecord | None]:
 
 def read_records(path: str | Path) -> tuple[list[ScanRecord], int]:
     """All well-formed records of a results file, and the malformed line count."""
-    records: list[ScanRecord] = []
-    malformed = 0
-    for record in iter_records(path):
-        if record is None:
-            malformed += 1
-        else:
-            records.append(record)
-    return records, malformed
+    records = list(iter_records(path))
+    return [r for r in records if r is not None], records.count(None)
 
 
 def _run_pool(
@@ -350,16 +327,13 @@ def _run_pool(
                 file=sys.stderr,
             )
 
-    keep = keep_certs_dir is not None
+    worker = functools.partial(_scan_worker, config, keep_certs_dir is not None)
     if jobs == 1:
-        _scan_worker_init(config, keep)
         for triple in triples:
-            consume(_scan_worker(triple))
+            consume(worker(triple))
     else:
-        with multiprocessing.Pool(
-            processes=jobs, initializer=_scan_worker_init, initargs=(config, keep)
-        ) as pool:
-            for payload in pool.imap_unordered(_scan_worker, triples, chunksize=64):
+        with multiprocessing.Pool(processes=jobs) as pool:
+            for payload in pool.imap_unordered(worker, triples, chunksize=64):
                 consume(payload)
     return processed, solved, unresolved
 
@@ -375,18 +349,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
         keep_certs_dir.mkdir(parents=True, exist_ok=True)
 
     done: set[tuple[int, int, int]] = set()
-    existing: list[ScanRecord] = []
-    if args.resume and out_path.exists():
+    # retrying implies resuming: never duplicate solved records
+    if (args.resume or args.retry_unresolved) and out_path.exists():
         existing, _ = read_records(out_path)
         done = {(r.a, r.b, r.c) for r in existing}
-
-    if args.retry_unresolved and out_path.exists():
-        # retrying implies resuming: never duplicate solved records
-        if not existing:
-            existing, _ = read_records(out_path)
-        done = {(r.a, r.b, r.c) for r in existing}
+        # the rewrite below replaces each retried row, so `done` stays as it is
         retry = [(r.a, r.b, r.c) for r in existing if r.status == SolveStatus.UNRESOLVED.value]
-        if retry:
+        if args.retry_unresolved and retry:
             retry_config = enlarged(config)
             kept = [r for r in existing if r.status != SolveStatus.UNRESOLVED.value]
             tmp_path = out_path.with_suffix(out_path.suffix + ".tmp")
@@ -398,8 +367,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 os.replace(tmp_path, out_path)
             except OSError as exc:
                 raise CliError(f"cannot rewrite {out_path}: {exc}") from exc
-            existing, _ = read_records(out_path)
-            done = {(r.a, r.b, r.c) for r in existing}
 
     todo = (t for t in iter_cube(args.a_max, args.b_max, args.c_max) if t not in done)
     start = time.perf_counter()
@@ -449,17 +416,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # stats
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    records, malformed = read_records(args.results)
+    """Summarize a results file in one pass, holding only the rows it prints."""
     histogram: dict[int, int] = {}
     tags: dict[str, int] = {}
     unresolved: list[ScanRecord] = []
-    for record in records:
-        histogram[record.solution_count] = histogram.get(record.solution_count, 0) + 1
+    top: list[ScanRecord] = []  # the rows at the largest solution count so far
+    malformed = 0
+    for record in iter_records(args.results):
+        if record is None:
+            malformed += 1
+            continue
+        count = record.solution_count
+        histogram[count] = histogram.get(count, 0) + 1
         tags[record.class_tag] = tags.get(record.class_tag, 0) + 1
         if record.status == SolveStatus.UNRESOLVED.value:
             unresolved.append(record)
+        if not top or count > top[0].solution_count:
+            top = [record]
+        elif count == top[0].solution_count:
+            top.append(record)
 
-    print(f"records: {len(records)} ({malformed} malformed lines)")
+    print(f"records: {sum(histogram.values())} ({malformed} malformed lines)")
     print("solution count histogram:")
     for k in sorted(histogram):
         print(f"  {k}: {histogram[k]}")
@@ -467,10 +444,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"max solution count: {max_count}")
     if histogram:
         print("instances attaining the maximum:")
-        for record in sorted(
-            (r for r in records if r.solution_count == max_count),
-            key=lambda r: (r.a, r.b, r.c),
-        ):
+        for record in sorted(top, key=lambda r: (r.a, r.b, r.c)):
             inst = EquationInstance(record.a, record.b, record.c)
             sols = " ".join(f"({x},{y})" for x, y in record.solutions) or "-"
             print(f"  {inst.equation_text()}: {sols}")

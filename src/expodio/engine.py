@@ -62,9 +62,11 @@ class SolverConfig:
 
     ceiling bounds the initial search (all solutions with c^y <= ceiling
     are collected up front).  Each congruence constraint may try at most
-    prime_budget_count magic-prime candidates, none larger than
-    prime_budget_cap.  The queue refuses moduli above max_modulus and
-    the whole run stops after max_queue_pops pops or wall_limit seconds.
+    prime_budget_count magic-prime candidates P = nK + 1, taken in
+    ascending order, none larger than prime_budget_cap.  The queue
+    refuses moduli above max_modulus and the whole run stops after
+    max_queue_pops pops or wall_limit seconds (None: no limit; NaN is
+    rejected, like any limit that is not positive).
     """
 
     ceiling: int = 1 << 64
@@ -73,7 +75,6 @@ class SolverConfig:
     max_modulus: int = arith.MODULUS_CAP
     max_queue_pops: int = 10_000
     wall_limit: float | None = None
-    pinned_magic_primes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.ceiling < 2:
@@ -84,7 +85,7 @@ class SolverConfig:
             raise ValueError(f"max modulus must lie in [2, 2^62], got {self.max_modulus}")
         if self.max_queue_pops < 1:
             raise ValueError("max queue pops must be >= 1")
-        if self.wall_limit is not None and self.wall_limit <= 0:
+        if self.wall_limit is not None and not self.wall_limit > 0:
             raise ValueError("wall limit must be positive")
 
 
@@ -197,12 +198,12 @@ def witness_for_prime(
     tests disjointness from the other side's power cycle (membership in
     the unique subgroup of that order).  Returns the witness or None.
     """
-    if any(v % prime == 0 for v in (instance.a, instance.b, instance.c)):
+    if instance.a % prime == 0 or instance.b % prime == 0 or instance.c % prime == 0:
         return None
-    if constraint.variable == "x":
-        base, other, forward = instance.a, instance.c, True
-    else:
-        base, other, forward = instance.c, instance.a, False
+    # Forward mode constrains x, Backward mode constrains y
+    mode = Mode.FORWARD if constraint.variable == "x" else Mode.BACKWARD
+    other, _, base, _ = _sides(instance, mode)
+    target = _expected_target(instance, mode, prime)
     base_order = arith.multiplicative_order(base % prime, prime)
     lifted_period = math.lcm(constraint.period, base_order)
     lifted = tuple(
@@ -210,8 +211,7 @@ def witness_for_prime(
         for j in range(lifted_period // constraint.period)
     )
     values = tuple(pow(base, r, prime) for r in lifted)
-    shift = instance.b if forward else -instance.b
-    shifted = tuple((v + shift) % prime for v in values)
+    shifted = tuple((v - target) % prime for v in values)
     other_order = arith.multiplicative_order(other % prime, prime)
     for s in shifted:
         if s != 0 and pow(s, other_order, prime) == 1:
@@ -234,16 +234,8 @@ def magic_prime_search(
     on_event: EventCallback | None = None,
 ) -> MagicPrimeWitness | None:
     """First magic prime P = nK + 1 within budget, or None when exhausted."""
-    if config.pinned_magic_primes is not None:
-        candidates = iter(
-            p
-            for p in config.pinned_magic_primes
-            if arith.is_prime(p) and p % constraint.period == 1 % constraint.period
-        )
-    else:
-        candidates = arith.primes_in_progression(constraint.period, 1)
     tried = 0
-    for prime in candidates:
+    for prime in arith.primes_in_progression(constraint.period):
         if prime > config.prime_budget_cap:
             break
         if instance.a % prime == 0 or instance.b % prime == 0 or instance.c % prime == 0:

@@ -19,7 +19,6 @@ from oracle import brute_force_solutions, sieve_primes
 from expodio import (
     Constraint,
     EquationInstance,
-    SolverConfig,
     SolveStatus,
     arith,
     emit_lean,
@@ -167,41 +166,34 @@ def test_criterion_5_arithmetic_properties():
 
 def test_criterion_6_magic_prime_fidelity(golden_results):
     with criterion(6, "witnesses at P=257 and P=17497 reproduce the published value sets"):
+        # the default search picks the published primes
         result = golden_results[(5, 3, 2)]
         utilize, compute = (c.params for c in result.certificate.claims[2:4])
-        if utilize["prime"] == 257:
-            assert compute["output_values"] == (17, 227, 246, 36)
+        assert utilize["prime"] == 257
+        assert compute["output_values"] == (17, 227, 246, 36)
         assert verify_certificate(result.certificate).accepted
 
         result = golden_results[(3, 10, 13)]
         utilize = result.certificate.claims[2].params
-        if utilize["prime"] == 17497:
-            assert utilize["values"] == (11616, 6486, 5881, 11011)
+        assert utilize["prime"] == 17497
+        assert utilize["values"] == (11616, 6486, 5881, 11011)
         assert verify_certificate(result.certificate).accepted
 
-        # pinned-prime checks, independent of what the default budget picked
+        # each published prime checked directly
         con = Constraint(variable="x", residue=35, period=64, source_modulus=256, source_target=253)
-        pinned = witness_for_prime(EquationInstance(5, 3, 2), con, 257)
-        assert pinned is not None
-        assert pinned.lifted_residues == (35, 99, 163, 227)
-        assert pinned.power_values == (14, 224, 243, 33)
-        assert pinned.shifted_values == (17, 227, 246, 36)
+        witness = witness_for_prime(EquationInstance(5, 3, 2), con, 257)
+        assert witness is not None
+        assert witness.lifted_residues == (35, 99, 163, 227)
+        assert witness.power_values == (14, 224, 243, 33)
+        assert witness.shifted_values == (17, 227, 246, 36)
 
         con = Constraint(
             variable="y", residue=1461, period=2187, source_modulus=6561, source_target=10
         )
-        pinned = witness_for_prime(EquationInstance(3, 10, 13), con, 17497)
-        assert pinned is not None
-        assert pinned.lifted_residues == (1461, 3648, 5835, 8022)
-        assert pinned.power_values == (11616, 6486, 5881, 11011)
-
-        # forcing the published primes through the solver configuration
-        config = SolverConfig(pinned_magic_primes=(257, 17497))
-        result = solve(EquationInstance(5, 3, 2), config)
-        assert result.status is SolveStatus.SOLVED
-        utilize, compute = (c.params for c in result.certificate.claims[2:4])
-        assert utilize["prime"] == 257
-        assert compute["output_values"] == (17, 227, 246, 36)
+        witness = witness_for_prime(EquationInstance(3, 10, 13), con, 17497)
+        assert witness is not None
+        assert witness.lifted_residues == (1461, 3648, 5835, 8022)
+        assert witness.power_values == (11616, 6486, 5881, 11011)
 
 
 def test_criterion_7_emitter_determinism(golden_certificates):

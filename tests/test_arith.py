@@ -150,9 +150,6 @@ class TestPrimesInProgression:
         assert list(islice(arith.primes_in_progression(147), 3)) == [883, 1471, 2647]
         assert list(islice(arith.primes_in_progression(1), 4)) == [2, 3, 5, 7]
 
-    def test_start_index_skips(self):
-        assert list(islice(arith.primes_in_progression(18, start_index=2), 2)) == [37, 73]
-
     def test_yields_only_matching_primes(self):
         for k in (4, 18, 64, 147):
             for p in islice(arith.primes_in_progression(k), 10):

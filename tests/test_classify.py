@@ -24,20 +24,16 @@ class TestClassifyExamples:
     def test_shared_factor_of_a_and_c(self):
         result = classify(EquationInstance(2, 4, 6))
         assert result.tag is ClassTag.TYPE_I_III_BOUNDED
-        assert result.common_divisor == 2
         assert result.witness_prime == 2
         assert result.modulus_exponent == 3
-        assert result.bound == 2
 
     def test_shared_factor_not_dividing_b(self):
         # gcd(a, c) = 3 does not divide b = 1: the same prime-power bound
         # applies with k = 1, forcing min(x, y) < 1, i.e. no solutions.
         result = classify(EquationInstance(3, 1, 9))
         assert result.tag is ClassTag.TYPE_I_III_BOUNDED
-        assert result.common_divisor == 3
         assert result.witness_prime == 3
         assert result.modulus_exponent == 1
-        assert result.bound == 0
 
     def test_pairwise_coprime(self):
         result = classify(EquationInstance(5, 3, 2))
@@ -48,7 +44,7 @@ class TestClassifyExamples:
         # every pair shares a factor here; gcd(a, c) wins
         result = classify(EquationInstance(6, 9, 15))
         assert result.tag is ClassTag.TYPE_I_III_BOUNDED
-        assert result.common_divisor == 3
+        assert result.witness_prime == 3
         assert result.modulus_exponent == 3
 
 
@@ -70,10 +66,11 @@ class TestClassifyProperties:
                         assert a % p == 0 and b % p == 0 and c % p != 0
                     elif result.tag is ClassTag.TYPE_I_III_BOUNDED:
                         p, k = result.witness_prime, result.modulus_exponent
-                        assert math.gcd(a, c) == result.common_divisor > 1
-                        assert a % p == 0 and c % p == 0
-                        assert b % p**k != 0
-                        assert result.bound == k - 1
+                        # p is the smallest prime factor of gcd(a, c) > 1
+                        assert math.gcd(a, c) % p == 0
+                        assert all(math.gcd(a, c) % q for q in range(2, p))
+                        # k is the smallest exponent with p^k not dividing b
+                        assert b % p ** (k - 1) == 0 and b % p**k != 0
 
     def test_bound_soundness(self):
         for a in range(2, 31):

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
 from oracle import brute_force_solutions
 
 from expodio import parse_certificate, verify_certificate
-from expodio.cli import ScanRecord, main, read_records
+from expodio.cli import ScanRecord, iter_cube, main, read_records
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -75,6 +79,7 @@ class TestSolveCommand:
             ({"wall_limit": "5"}, 1),
             ({"wall_limit": None}, 0),
             ({"wall_limit": 30, "ceiling": 10**30}, 0),
+            ({"wall_limit": float("nan")}, 1),
         ],
     )
     def test_config_value_types(self, capsys, tmp_path, doc, code):
@@ -83,7 +88,17 @@ class TestSolveCommand:
         got, _, err = run_cli(["solve", "5", "3", "2", "--config", str(config)], capsys)
         assert got == code
         if code:
-            assert f"config key {next(iter(doc))} must be" in err
+            name, value = next(iter(doc.items()))
+            if isinstance(value, float) and math.isnan(value):
+                # json writes NaN, a float of the right type that SolverConfig refuses
+                assert "invalid solver configuration: wall limit must be positive" in err
+            else:
+                assert f"config key {name} must be" in err
+
+    def test_nan_time_limit_rejected(self, capsys):
+        code, _, err = run_cli(["solve", "5", "3", "2", "--time-limit", "nan"], capsys)
+        assert code == 1
+        assert "wall limit must be positive" in err
 
     def test_flag_beats_config_file(self, capsys, tmp_path):
         config = tmp_path / "tiny.json"
@@ -138,6 +153,28 @@ class TestSolveCommand:
         )
         assert proc.returncode == 0
         assert "(1,3) (3,7)" in proc.stdout
+
+
+class TestScanRecord:
+    @pytest.mark.parametrize(
+        "solutions, digest, text",
+        [
+            (((1, 1), (3, 2)), "ab" * 32,
+             '{"a":2,"b":1,"c":3,"status":"Solved","class_tag":"ClassII","solution_count":2,'
+             '"solutions":[[1,1],[3,2]],"certificate_digest":"' + "ab" * 32 + '",'
+             '"elapsed_ms":1.235}'),
+            ((), None,
+             '{"a":2,"b":1,"c":3,"status":"Solved","class_tag":"ClassII","solution_count":0,'
+             '"solutions":[],"certificate_digest":null,"elapsed_ms":1.235}'),
+        ],
+    )
+    def test_row_bytes_and_round_trip(self, solutions, digest, text):
+        record = ScanRecord(
+            a=2, b=1, c=3, status="Solved", class_tag="ClassII", solution_count=len(solutions),
+            solutions=solutions, certificate_digest=digest, elapsed_ms=1.23456,
+        )
+        assert record.to_json() == text
+        assert ScanRecord.from_json(text) == dataclasses.replace(record, elapsed_ms=1.235)
 
 
 class TestScanCommand:
@@ -339,3 +376,35 @@ class TestStatsCommand:
         code, out, _ = run_cli(["stats", str(results)], capsys)
         assert code == 0
         assert "records: 1 (1 malformed lines)" in out
+
+    def test_streams_the_file(self, capsys, tmp_path):
+        # 20,000 rows in cube order: (2, 1, 3), the second row, has two
+        # solutions and two rows are unresolved; every other row has none
+        results = tmp_path / "results.jsonl"
+        lines = []
+        for a, b, c in islice(iter_cube(30, 30, 30), 20_000):
+            solutions = ((1, 1), (3, 2)) if (a, b, c) == (2, 1, 3) else ()
+            status = "Unresolved" if (a, b, c) in ((5, 7, 3), (9, 2, 11)) else "Solved"
+            record = ScanRecord(
+                a=a, b=b, c=c, status=status, class_tag="ClassII",
+                solution_count=len(solutions), solutions=solutions,
+                certificate_digest="ab" * 32, elapsed_ms=0.5,
+            )
+            lines.append(record.to_json() + "\n")
+        results.write_text("".join(lines))
+        del lines
+
+        tracemalloc.start()
+        try:
+            code = main(["stats", str(results)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "records: 20000 (0 malformed lines)" in out
+        assert "  0: 19999\n  2: 1\nmax solution count: 2\n" in out
+        assert "instances attaining the maximum:\n  2 ^ x + 1 = 3 ^ y: (1,1) (3,2)\n" in out
+        assert "unresolved (2):\n  (5, 7, 3)\n  (9, 2, 11)\n" in out
+        # holding every row took about 8 MB
+        assert peak < 2_000_000, peak

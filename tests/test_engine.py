@@ -144,20 +144,34 @@ class TestMagicPrimeSearch:
     def test_pinned_primes(self):
         inst = EquationInstance(5, 3, 2)
         con = Constraint(variable="x", residue=35, period=64, source_modulus=256, source_target=253)
-        config = SolverConfig(pinned_magic_primes=(257,))
-        witness = magic_prime_search(inst, con, config)
+        witness = witness_for_prime(inst, con, 257)
         assert witness is not None and witness.prime == 257
-        # a pinned prime that is no witness yields nothing
-        config = SolverConfig(pinned_magic_primes=(193,))
-        assert magic_prime_search(inst, con, config) is None
+        # a prime that is no witness yields nothing
+        assert witness_for_prime(inst, con, 193) is None
+
+    def test_prime_cap_stops_the_search(self):
+        inst = EquationInstance(5, 3, 2)
+        con = Constraint(variable="x", residue=35, period=64, source_modulus=256, source_target=253)
+        # 193 fails and 257 is the first witness
+        tried = []
+        config = SolverConfig(prime_budget_cap=256)
+        on_event = lambda _, payload: tried.append(payload["prime"])
+        assert magic_prime_search(inst, con, config, on_event=on_event) is None
+        assert tried == [193]
+        witness = magic_prime_search(inst, con, SolverConfig(prime_budget_cap=257))
+        assert witness is not None and witness.prime == 257
 
     def test_candidates_dividing_parameters_are_skipped(self):
         inst = EquationInstance(2, 19, 3)
         con = Constraint(variable="x", residue=3, period=18, source_modulus=27, source_target=8)
         # 19 divides b, so it cannot serve as a magic prime here
         assert witness_for_prime(inst, con, 19) is None
-        config = SolverConfig(pinned_magic_primes=(19,))
-        assert magic_prime_search(inst, con, config) is None
+        # the search skips it without spending budget on it: 37 is its one try
+        tried = []
+        config = SolverConfig(prime_budget_count=1)
+        on_event = lambda _, payload: tried.append(payload["prime"])
+        magic_prime_search(inst, con, config, on_event=on_event)
+        assert tried == [37]
 
     def test_witness_soundness_by_brute_force(self):
         inst = EquationInstance(3, 7, 2)
@@ -259,6 +273,12 @@ class TestSolve:
         config = SolverConfig(max_modulus=4, prime_budget_count=2)
         result = solve(EquationInstance(2, 5, 11), config)
         assert result.status is SolveStatus.UNRESOLVED
+
+    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+    def test_wall_limit_must_be_positive(self, limit):
+        # a NaN limit compares false both ways, and would mean "no limit"
+        with pytest.raises(ValueError, match="wall limit must be positive"):
+            SolverConfig(wall_limit=limit)
 
     def test_unresolved_on_expired_wall_clock(self):
         config = SolverConfig(wall_limit=1e-9)
