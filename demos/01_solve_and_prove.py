@@ -31,4 +31,4 @@ print(emit_text(cert))
 
 # the same argument as a Lean proof script, one Claim per step
 print("--- Lean script " + "-" * 50)
-print(emit_lean(cert).text)
+print(emit_lean(cert))

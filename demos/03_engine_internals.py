@@ -10,15 +10,15 @@ proof, and y < 8 leaves a seven-case enumeration.
 """
 
 from expodio import EquationInstance, Mode, final_enumeration, initial_search, magic_prime_search
-from expodio.engine import exclusion_step, make_candidate
+from expodio.engine import ModulusCandidate, exclusion_step
 
 instance = EquationInstance(5, 3, 2)
 
 found = initial_search(instance, ceiling=1 << 64)
 print(f"initial search below 2^64: {found}")
 
-# attack y >= 8 with the prime factor 2 of c = 2
-candidate = make_candidate(instance, Mode.FORWARD, p=2, t=8)
+# attack y >= 8 with the prime factor 2 of c = 2; v_2(c) = 1, so k = 8 * 1
+candidate = ModulusCandidate(Mode.FORWARD, p=2, t=8, k=8)
 print(f"queue entry: modulus {candidate.p}^{candidate.k} = {candidate.key}")
 
 step = exclusion_step(instance, candidate)

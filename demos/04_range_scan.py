@@ -10,14 +10,15 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from expodio.cli import main, read_records
+from expodio.cli import iter_records, main
 
 with tempfile.TemporaryDirectory() as scratch:
     out = Path(scratch) / "scan20.jsonl"
 
     main(["scan", "--a-max", "20", "--b-max", "20", "--c-max", "20", "--out", str(out)])
 
-    records, _ = read_records(out)
+    # iter_records yields None for a malformed line
+    records = [r for r in iter_records(out) if r is not None]
     histogram = Counter(r.solution_count for r in records)
     print(f"\nsolution-count histogram over {len(records)} instances:")
     for count in sorted(histogram):

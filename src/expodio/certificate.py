@@ -507,18 +507,15 @@ def _as_params(value: Any) -> Params:
     return params
 
 
-def _member(table: dict[str, Enum], enum: type[Enum], value: Any, what: str) -> Enum:
-    """The member of `enum` that `value` names; raises MalformedCertificateError if none."""
-    # a JSON string finds it in `table`; anything else is never hashed (a list would raise)
-    member = table.get(value) if type(value) is str else None
-    if member is not None:
-        return member
-    if not isinstance(value, str):
+def _member(table: dict[str, Enum], value: Any, what: str) -> Enum:
+    """The member that `value` names in `table`; raises MalformedCertificateError if none."""
+    # only a JSON string is looked up; anything else is never hashed (a list would raise)
+    if type(value) is not str:
         raise MalformedCertificateError(f"{what} must be a string")
-    try:
-        return enum(value)
-    except ValueError as exc:
-        raise MalformedCertificateError(f"unknown {what} {value!r}") from exc
+    member = table.get(value)
+    if member is None:
+        raise MalformedCertificateError(f"unknown {what} {value!r}")
+    return member
 
 
 _SHAPES = {member.value: member for member in CertShape}
@@ -560,8 +557,8 @@ def certificate_from_dict(doc: Any) -> Certificate:
     except ValueError as exc:
         raise MalformedCertificateError(str(exc)) from exc
 
-    shape = _member(_SHAPES, CertShape, doc["shape"], "shape")
-    mode = None if doc["mode"] is None else _member(_MODES, Mode, doc["mode"], "mode")
+    shape = _member(_SHAPES, doc["shape"], "shape")
+    mode = None if doc["mode"] is None else _member(_MODES, doc["mode"], "mode")
 
     if not isinstance(doc["solutions"], list):
         raise MalformedCertificateError("solutions must be a list")
@@ -577,7 +574,7 @@ def certificate_from_dict(doc: Any) -> Certificate:
     for entry in doc["claims"]:
         if not isinstance(entry, dict) or entry.keys() != _CLAIM_KEYS:
             raise MalformedCertificateError("bad claim record")
-        kind = _member(_KINDS, ClaimKind, entry["kind"], "claim kind")
+        kind = _member(_KINDS, entry["kind"], "claim kind")
         claims.append(
             ClaimRecord(
                 kind, _as_params(entry["params"]), _as_int_tuple(entry["premises"], "claim premises")

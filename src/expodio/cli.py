@@ -83,12 +83,14 @@ class ScanRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ScanRecord":
+        """One row; raises ValueError unless a, b, c are an instance as written (3.5 is not 3)."""
         doc = json.loads(line)
         solutions = tuple((int(x), int(y)) for x, y in doc["solutions"])
+        instance = EquationInstance(doc["a"], doc["b"], doc["c"])
         return cls(
-            a=int(doc["a"]),
-            b=int(doc["b"]),
-            c=int(doc["c"]),
+            a=instance.a,
+            b=instance.b,
+            c=instance.c,
             status=str(doc["status"]),
             class_tag=str(doc["class_tag"]),
             solution_count=int(doc["solution_count"]),
@@ -111,7 +113,7 @@ def record_from_result(instance: EquationInstance, result: SolveResult) -> ScanR
         solution_count=len(result.solutions),
         solutions=result.solutions,
         certificate_digest=digest,
-        elapsed_ms=result.effort.elapsed_ms,
+        elapsed_ms=result.elapsed_ms,
     )
 
 
@@ -285,12 +287,6 @@ def iter_records(path: str | Path) -> Iterator[ScanRecord | None]:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def read_records(path: str | Path) -> tuple[list[ScanRecord], int]:
-    """All well-formed records of a results file, and the malformed line count."""
-    records = list(iter_records(path))
-    return [r for r in records if r is not None], records.count(None)
-
-
 def _run_pool(
     triples: Iterable[tuple[int, int, int]],
     config: SolverConfig,
@@ -348,27 +344,35 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if keep_certs_dir is not None:
         keep_certs_dir.mkdir(parents=True, exist_ok=True)
 
-    done: set[tuple[int, int, int]] = set()
+    # one byte per cube position, in iter_cube order: set once the file holds that triple
+    done = bytearray((args.a_max - 1) * args.b_max * (args.c_max - 1))
     # retrying implies resuming: never duplicate solved records
     if (args.resume or args.retry_unresolved) and out_path.exists():
-        existing, _ = read_records(out_path)
-        done = {(r.a, r.b, r.c) for r in existing}
+        retry = []
+        for record in iter_records(out_path):
+            if record is None:
+                continue
+            a, b, c = record.a, record.b, record.c
+            # a row of a larger cube marks nothing
+            if a <= args.a_max and b <= args.b_max and c <= args.c_max:
+                done[((a - 2) * args.b_max + b - 1) * (args.c_max - 1) + c - 2] = 1
+            if record.status == SolveStatus.UNRESOLVED.value:
+                retry.append((a, b, c))
         # the rewrite below replaces each retried row, so `done` stays as it is
-        retry = [(r.a, r.b, r.c) for r in existing if r.status == SolveStatus.UNRESOLVED.value]
         if args.retry_unresolved and retry:
-            retry_config = enlarged(config)
-            kept = [r for r in existing if r.status != SolveStatus.UNRESOLVED.value]
             tmp_path = out_path.with_suffix(out_path.suffix + ".tmp")
             try:
                 with open(tmp_path, "w", encoding="utf-8", buffering=1) as handle:
-                    for record in kept:
-                        handle.write(record.to_json() + "\n")
-                    _run_pool(retry, retry_config, jobs, keep_certs_dir, handle)
+                    for record in iter_records(out_path):
+                        if record is not None and record.status != SolveStatus.UNRESOLVED.value:
+                            handle.write(record.to_json() + "\n")
+                    _run_pool(retry, enlarged(config), jobs, keep_certs_dir, handle)
                 os.replace(tmp_path, out_path)
             except OSError as exc:
                 raise CliError(f"cannot rewrite {out_path}: {exc}") from exc
 
-    todo = (t for t in iter_cube(args.a_max, args.b_max, args.c_max) if t not in done)
+    cube = iter_cube(args.a_max, args.b_max, args.c_max)
+    todo = (t for t, skip in zip(cube, done) if not skip)
     start = time.perf_counter()
     try:
         _terminate_partial_line(out_path)

@@ -19,7 +19,6 @@ rendering, or rendering both outputs, verifies once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import arith
@@ -52,18 +51,6 @@ axiom Claim (prop_to_claim : Prop)
 
 class EmitRefusedError(Exception):
     """Raised when asked to render a certificate the verifier rejects."""
-
-
-@dataclass(frozen=True)
-class RenderedProof:
-    comment_block: str
-    theorem_name: str
-    script_body: str
-    claim_count: int
-
-    @property
-    def text(self) -> str:
-        return self.comment_block + "\n" + self.script_body
 
 
 def theorem_name(cert: Certificate) -> str:
@@ -350,18 +337,12 @@ def emit_text(cert: Certificate) -> str:
     return "\n".join(_narrative(cert, cert.instance.equation_text())) + "\n"
 
 
-def emit_lean(cert: Certificate) -> RenderedProof:
-    """Deterministic Lean proof script for a verified certificate."""
+def emit_lean(cert: Certificate) -> str:
+    """Deterministic Lean proof script for a verified certificate, led by the prose as a comment."""
     _require_verified(cert)
     equation = cert.instance.equation_text()
     comment = "/-\n" + "\n".join(_narrative(cert, equation)) + "\n-/"
-    body = _SCRIPT_BUILDERS[cert.shape](cert, equation).text()
-    return RenderedProof(
-        comment_block=comment,
-        theorem_name=theorem_name(cert),
-        script_body=body,
-        claim_count=len(cert.claims),
-    )
+    return comment + "\n" + _SCRIPT_BUILDERS[cert.shape](cert, equation).text()
 
 
 def write_proof_files(
@@ -378,9 +359,8 @@ def write_proof_files(
     if lean:
         prelude_path = directory / PRELUDE_FILENAME
         prelude_path.write_text(PRELUDE, encoding="utf-8", newline="\n")
-        rendered = emit_lean(cert)
         path = directory / f"{name}.lean"
-        path.write_text(rendered.text, encoding="utf-8", newline="\n")
+        path.write_text(emit_lean(cert), encoding="utf-8", newline="\n")
         written.extend([prelude_path, path])
     if text:
         path = directory / f"{name}.txt"

@@ -94,7 +94,7 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass(frozen=True, order=True)
 class ModulusCandidate:
-    """One queue entry: disprove `variable of mode` >= t working modulo p^k."""
+    """One queue entry: disprove `variable of mode` >= t modulo p^k, where k = t * v_p(base)."""
 
     mode: Mode
     p: int
@@ -106,29 +106,13 @@ class ModulusCandidate:
         return self.p**self.k
 
 
-def make_candidate(instance: EquationInstance, mode: Mode, p: int, t: int) -> ModulusCandidate:
-    """Candidate with k = t * v_p(base), so base^var = 0 (mod p^k) iff var >= t."""
-    base = _sides(instance, mode)[0]
-    v = arith.p_adic_valuation(base, p)
-    if v < 1:
-        raise ValueError(f"{p} does not divide {base}")
-    return ModulusCandidate(mode=mode, p=p, t=t, k=t * v)
-
-
-@dataclass
-class Effort:
-    moduli_tried: int = 0
-    primes_tried: int = 0
-    elapsed_ms: float = 0.0
-
-
 @dataclass(frozen=True)
 class SolveResult:
     status: SolveStatus
     solutions: tuple[tuple[int, int], ...]
     classification: Classification
     certificate: Certificate | None
-    effort: Effort
+    elapsed_ms: float
 
 
 class ExclusionKind(str, Enum):
@@ -230,7 +214,6 @@ def magic_prime_search(
     instance: EquationInstance,
     constraint: Constraint,
     config: SolverConfig = DEFAULT_CONFIG,
-    effort: Effort | None = None,
     on_event: EventCallback | None = None,
 ) -> MagicPrimeWitness | None:
     """First magic prime P = nK + 1 within budget, or None when exhausted."""
@@ -241,8 +224,6 @@ def magic_prime_search(
         if instance.a % prime == 0 or instance.b % prime == 0 or instance.c % prime == 0:
             continue
         tried += 1
-        if effort is not None:
-            effort.primes_tried += 1
         if on_event is not None:
             on_event("try_prime", {"prime": prime})
         witness = witness_for_prime(instance, constraint, prime)
@@ -309,13 +290,12 @@ def solve(
     All budget exhaustion folds into status Unresolved.
     """
     start = time.perf_counter()
-    effort = Effort()
     classification = classify(instance)
 
     def finish(solutions: tuple[tuple[int, int], ...], cert: Certificate | None) -> SolveResult:
-        effort.elapsed_ms = (time.perf_counter() - start) * 1000.0
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
         status = SolveStatus.UNRESOLVED if cert is None else SolveStatus.SOLVED
-        return SolveResult(status, solutions, classification, cert, effort)
+        return SolveResult(status, solutions, classification, cert, elapsed_ms)
 
     if classification.tag is not ClassTag.CLASS_II:
         return finish(*_solve_class_one(instance, classification))
@@ -351,7 +331,6 @@ def solve(
             break
         _, _, _, candidate = heapq.heappop(heap)
         pops += 1
-        effort.moduli_tried += 1
         if on_event is not None:
             base, variable, _, _ = _sides(instance, candidate.mode)
             on_event(
@@ -368,20 +347,15 @@ def solve(
         step = exclusion_step(instance, candidate)
         witness = None
         if step.kind is ExclusionKind.CONDITIONAL:
-            witness = magic_prime_search(instance, step.constraint, config, effort, on_event)
+            witness = magic_prime_search(instance, step.constraint, config, on_event)
             if witness is None:
                 push(candidate.mode, candidate.p, candidate.k // candidate.t, candidate.t + 1)
                 continue
         solutions, cert = _conclude(instance, candidate, known, step.constraint, witness)
         if on_event is not None:
-            payload = {"modulus": candidate.key}
-            if witness is not None:
-                payload["prime"] = witness.prime
-            on_event("succeeded", payload)
+            on_event("succeeded", {})
         return finish(solutions, cert)
 
-    if on_event is not None:
-        on_event("unresolved", {"pops": pops})
     return finish(known, None)
 
 

@@ -13,7 +13,7 @@ from expodio import (
     serialize_certificate,
     solve,
 )
-from expodio.cli import iter_cube
+from expodio.cli import iter_cube, iter_records
 
 # One sha256 over the 12-cube's output bytes; see `cube_output_digest`.
 CUBE12_DIGEST = Path(__file__).parent / "golden" / "cube12.sha256"
@@ -62,9 +62,15 @@ def cube_output_digest(n: int) -> str:
     digest = hashlib.sha256()
     for triple in iter_cube(n, n, n):
         cert = solve(EquationInstance(*triple)).certificate
-        for text in (serialize_certificate(cert), emit_lean(cert).text, emit_text(cert)):
+        for text in (serialize_certificate(cert), emit_lean(cert), emit_text(cert)):
             digest.update(text.encode("utf-8"))
     return digest.hexdigest()
+
+
+def read_rows(path) -> tuple[list, int]:
+    """The well-formed rows of a results file, and its malformed line count."""
+    rows = list(iter_records(path))
+    return [r for r in rows if r is not None], rows.count(None)
 
 
 @pytest.fixture(scope="session")

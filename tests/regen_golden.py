@@ -34,7 +34,7 @@ def main() -> None:
             serialize_certificate(cert), encoding="utf-8", newline="\n"
         )
         (GOLDEN_DIR / f"{name}.lean").write_text(
-            emit_lean(cert).text, encoding="utf-8", newline="\n"
+            emit_lean(cert), encoding="utf-8", newline="\n"
         )
         (GOLDEN_DIR / f"{name}.txt").write_text(emit_text(cert), encoding="utf-8", newline="\n")
         print(f"froze {name} ({cert.shape.value})")

@@ -35,8 +35,10 @@ from expodio.certificate import (
     MalformedCertificateError,
     build_direct_exclusion_certificate,
     build_divisibility_certificate,
+    build_magic_prime_certificate,
     certificate_to_dict,
 )
+from expodio.engine import ModulusCandidate, exclusion_step, witness_for_prime
 
 _EXPECTED_KINDS = {
     CertShape.DIVISIBILITY_NO_SOLUTION: ["pow_mod_eq_zero", "observe_mod_cycle"],
@@ -160,6 +162,28 @@ class TestVerifyCertificate:
         doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
         observe = doc["claims"][1]["params"]
         observe["residue"] = observe["residue"] + observe["period"] if shift == "period" else -1
+        verdict = verify_certificate(parse_certificate(json.dumps(doc)))
+        assert not verdict.accepted
+        assert verdict.claim_index == 1
+
+    def test_rejects_residue_equal_to_the_period(self):
+        # backward (2, 1, 3) at x >= 4 constrains y = 0 (mod 4), magic prime 5;
+        # residue 4 = period states zero exponent classes, so the claims would
+        # exclude nothing, yet pow(3, 4, 16) still meets the target 1
+        inst = EquationInstance(2, 1, 3)
+        con = exclusion_step(inst, ModulusCandidate(Mode.BACKWARD, 2, 4, 4)).constraint
+        assert (con.residue, con.period) == (0, 4)
+        witness = witness_for_prime(inst, con, 5)
+        cert = build_magic_prime_certificate(
+            inst, Mode.BACKWARD, 2, 4, 4, con, witness, [(1, 1), (3, 2)]
+        )
+        assert verify_certificate(cert).accepted
+        doc = certificate_to_dict(cert)
+        for index in (1, 2):
+            doc["claims"][index]["params"]["residue"] = 4
+        doc["claims"][2]["params"]["lifted_residues"] = []
+        doc["claims"][2]["params"]["values"] = []
+        doc["claims"][3]["params"]["output_values"] = []
         verdict = verify_certificate(parse_certificate(json.dumps(doc)))
         assert not verdict.accepted
         assert verdict.claim_index == 1
@@ -404,7 +428,7 @@ def test_round_trip_is_the_identity_on_sampled_triples():
         parsed = parse_certificate(text)
         assert serialize_certificate(parsed) == text, triple
         assert verify_certificate(parsed).accepted, triple
-        assert emit_lean(parsed).text == emit_lean(result.certificate).text, triple
+        assert emit_lean(parsed) == emit_lean(result.certificate), triple
         assert emit_text(parsed) == emit_text(result.certificate), triple
 
 

@@ -11,10 +11,11 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from conftest import read_rows
 from oracle import brute_force_solutions
 
 from expodio import parse_certificate, verify_certificate
-from expodio.cli import ScanRecord, iter_cube, main, read_records
+from expodio.cli import ScanRecord, iter_cube, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -186,7 +187,7 @@ class TestScanCommand:
             capsys,
         )
         assert code == 0
-        records, malformed = read_records(out_file)
+        records, malformed = read_rows(out_file)
         assert malformed == 0
         assert len(records) == 5 * 6 * 5
         assert all(r.status == "Solved" for r in records)
@@ -210,7 +211,7 @@ class TestScanCommand:
             capsys,
         )
         assert code == 0
-        records, _ = read_records(out_file)
+        records, _ = read_rows(out_file)
         assert len(records) == 11 * 12 * 11
         assert max(r.solution_count for r in records) == 2
         attained = {(r.a, r.b, r.c) for r in records if r.solution_count == 2}
@@ -232,7 +233,7 @@ class TestScanCommand:
         assert run_cli(args + ["--jobs", "2", "--out", str(parallel)], capsys)[0] == 0
 
         def canonical(path):
-            records, _ = read_records(path)
+            records, _ = read_rows(path)
             return sorted(
                 (r.a, r.b, r.c, r.status, r.class_tag, r.solutions, r.certificate_digest)
                 for r in records
@@ -245,7 +246,7 @@ class TestScanCommand:
         args = ["scan", "--a-max", "5", "--b-max", "5", "--c-max", "5", "--jobs", "1",
                 "--out", str(out_file)]
         assert run_cli(args, capsys)[0] == 0
-        full_records, _ = read_records(out_file)
+        full_records, _ = read_rows(out_file)
 
         lines = out_file.read_text().splitlines(keepends=True)
         keep = len(lines) // 2
@@ -253,12 +254,68 @@ class TestScanCommand:
         out_file.write_text("".join(lines[:keep]) + lines[keep][: len(lines[keep]) // 2])
 
         assert run_cli(args + ["--resume"], capsys)[0] == 0
-        resumed, malformed = read_records(out_file)
+        resumed, malformed = read_rows(out_file)
         keys = [(r.a, r.b, r.c) for r in resumed]
         assert len(keys) == len(set(keys)) == len(full_records)
         assert {(r.a, r.b, r.c, r.solutions) for r in resumed} == {
             (r.a, r.b, r.c, r.solutions) for r in full_records
         }
+
+    def test_resume_skips_foreign_and_broken_rows(self, capsys, tmp_path):
+        # rows of a larger cube and a row that is no instance mark nothing,
+        # and a truncated last line is not a row: every triple of the smaller
+        # cube ends up in the file exactly once
+        out_file = tmp_path / "scan.jsonl"
+        args = ["scan", "--a-max", "4", "--b-max", "3", "--c-max", "4", "--jobs", "1",
+                "--out", str(out_file)]
+
+        def row(a, b, c):
+            return ScanRecord(
+                a=a, b=b, c=c, status="Solved", class_tag="ClassII", solution_count=0,
+                solutions=(), certificate_digest=None, elapsed_ms=1.0,
+            ).to_json()
+
+        # unchecked, (2, 4, 2) and (2, 1, 5) would mark the positions of
+        # (3, 1, 2) and (2, 2, 2), (5, 1, 2) would index past the end,
+        # (1, 3, 4) would mark the last position, (4, 3, 4), from the end,
+        # and a = 3.5 read as 3 would mark (3, 2, 2)
+        foreign = [row(2, 4, 2), row(2, 1, 5), row(5, 1, 2), row(1, 3, 4), row(3.5, 2, 2)]
+        out_file.write_text("\n".join([*foreign, row(2, 1, 2), row(3, 2, 3)[:20]]))
+        assert run_cli(args + ["--resume"], capsys)[0] == 0
+        rows, malformed = read_rows(out_file)
+        assert malformed == 3  # the a = 1 and a = 3.5 rows and the truncated line
+        cube = list(iter_cube(4, 3, 4))
+        keys = [(r.a, r.b, r.c) for r in rows if (r.a, r.b, r.c) in cube]
+        assert sorted(keys) == sorted(cube)
+
+    def test_resume_holds_no_rows(self, capsys, tmp_path):
+        # the 17-cube, fully recorded: resuming solves nothing, and holds one
+        # byte per cube position rather than the 4,352 rows
+        out_file = tmp_path / "scan.jsonl"
+        lines = [
+            ScanRecord(
+                a=a, b=b, c=c, status="Solved", class_tag="ClassII", solution_count=0,
+                solutions=(), certificate_digest="ab" * 32, elapsed_ms=0.5,
+            ).to_json() + "\n"
+            for a, b, c in iter_cube(17, 17, 17)
+        ]
+        assert len(lines) == 4352
+        out_file.write_text("".join(lines))
+        del lines
+
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--a-max", "17", "--b-max", "17", "--c-max", "17",
+                         "--jobs", "1", "--out", str(out_file), "--resume"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "scanned 0 instances" in out
+        assert "file now holds 4352 records, 0 unresolved" in out
+        # parsing every row into a set of triples peaked at about 2.4 MB
+        assert peak < 1_000_000, peak
 
     def test_keep_certs(self, capsys, tmp_path):
         out_file = tmp_path / "scan.jsonl"
@@ -270,7 +327,7 @@ class TestScanCommand:
         )
         assert code == 0
         cert_files = sorted(certs_dir.glob("cert_*.json"))
-        records, _ = read_records(out_file)
+        records, _ = read_rows(out_file)
         assert len(cert_files) == sum(1 for r in records if r.certificate_digest)
         sample = parse_certificate((certs_dir / "cert_2_1_3.json").read_text())
         assert verify_certificate(sample).accepted
@@ -282,11 +339,11 @@ class TestScanCommand:
                 "--out", str(out_file)]
         # exit code 2 reports that unresolved records remain
         assert run_cli(args + tiny, capsys)[0] == 2
-        records, _ = read_records(out_file)
+        records, _ = read_rows(out_file)
         assert any(r.status == "Unresolved" for r in records)
 
         assert run_cli(args + ["--resume", "--retry-unresolved"], capsys)[0] == 0
-        retried, _ = read_records(out_file)
+        retried, _ = read_rows(out_file)
         assert all(r.status == "Solved" for r in retried)
         keys = [(r.a, r.b, r.c) for r in retried]
         assert len(keys) == len(set(keys)) == len(records)
@@ -376,6 +433,21 @@ class TestStatsCommand:
         code, out, _ = run_cli(["stats", str(results)], capsys)
         assert code == 0
         assert "records: 1 (1 malformed lines)" in out
+
+    def test_row_that_is_no_instance_is_malformed(self, capsys, tmp_path):
+        # a = 1 is outside the parameter domain; such a row on top must not
+        # reach the instance the maximum is printed with
+        results = tmp_path / "results.jsonl"
+        record = ScanRecord(
+            a=2, b=1, c=3, status="Solved", class_tag="ClassII", solution_count=2,
+            solutions=((1, 1), (3, 2)), certificate_digest="ab" * 32, elapsed_ms=1.0,
+        )
+        bad = dataclasses.replace(record, a=1, solution_count=3)
+        results.write_text(bad.to_json() + "\n" + record.to_json() + "\n")
+        code, out, _ = run_cli(["stats", str(results)], capsys)
+        assert code == 0
+        assert "records: 1 (1 malformed lines)" in out
+        assert "max solution count: 2" in out
 
     def test_streams_the_file(self, capsys, tmp_path):
         # 20,000 rows in cube order: (2, 1, 3), the second row, has two

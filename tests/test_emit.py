@@ -19,8 +19,14 @@ from expodio.certificate import (
     build_direct_exclusion_certificate,
     build_magic_prime_certificate,
 )
-from expodio.emit import PRELUDE, PRELUDE_FILENAME, EmitRefusedError, write_proof_files
-from expodio.engine import exclusion_step, magic_prime_search, make_candidate
+from expodio.emit import (
+    PRELUDE,
+    PRELUDE_FILENAME,
+    EmitRefusedError,
+    theorem_name,
+    write_proof_files,
+)
+from expodio.engine import ModulusCandidate, exclusion_step, magic_prime_search
 
 _KIND_SEQUENCES = {
     CertShape.DIVISIBILITY_NO_SOLUTION: ["pow_mod_eq_zero", "observe_mod_cycle"],
@@ -54,7 +60,7 @@ def _direct_cert_7_3_10():
 def _magic_cert_2_1_3():
     # the textbook route: forward mode, magic prime 19 on x = 9 (mod 18)
     inst = EquationInstance(2, 1, 3)
-    cand = make_candidate(inst, Mode.FORWARD, 3, 3)
+    cand = ModulusCandidate(Mode.FORWARD, 3, 3, 3)
     step = exclusion_step(inst, cand)
     witness = magic_prime_search(inst, step.constraint)
     assert witness.prime == 19
@@ -119,38 +125,37 @@ class TestEmitText:
 
 class TestEmitLean:
     def test_theorem_naming(self, golden_certificates):
-        rendered = emit_lean(golden_certificates[(2, 89, 91)])
-        assert rendered.theorem_name == "diophantine1_2_89_91"
-        assert "theorem diophantine1_2_89_91 (x : Nat) (y : Nat)" in rendered.script_body
+        cert = golden_certificates[(2, 89, 91)]
+        assert theorem_name(cert) == "diophantine1_2_89_91"
+        assert "theorem diophantine1_2_89_91 (x : Nat) (y : Nat)" in emit_lean(cert)
 
     def test_goal_is_false_iff_no_solutions(self, golden_certificates):
         for triple, cert in golden_certificates.items():
-            rendered = emit_lean(cert)
+            # the theorem statement: what follows the prose comment, up to the proof
+            statement = emit_lean(cert).partition("\n-/\n")[2].split(":= by")[0]
             if cert.solutions:
-                assert "  False\n" not in rendered.script_body.split(":= by")[0]
-                assert f"List.Mem (x, y)" in rendered.script_body
+                assert "  False\n" not in statement
+                assert f"List.Mem (x, y)" in statement
             else:
-                assert "\n  False\n  := by" in rendered.script_body
+                assert statement.endswith("\n  False\n  ")
 
     def test_membership_goal_format(self, golden_certificates):
-        rendered = emit_lean(golden_certificates[(2, 4, 6)])
-        assert "List.Mem (x, y) [(1, 1), (5, 2)]" in rendered.script_body
+        assert "List.Mem (x, y) [(1, 1), (5, 2)]" in emit_lean(golden_certificates[(2, 4, 6)])
 
     def test_claim_kinds_follow_templates(self, golden_certificates):
         extra = {"direct": _direct_cert_7_3_10(), "magic": _magic_cert_2_1_3()}
         for cert in list(golden_certificates.values()) + list(extra.values()):
-            rendered = emit_lean(cert)
-            quoted = re.findall(r'\] "([a-z0-9_]+)"', rendered.script_body)
+            quoted = re.findall(r'\] "([a-z0-9_]+)"', emit_lean(cert))
             expected = list(_KIND_SEQUENCES[cert.shape])
             if cert.shape is CertShape.MAGIC_PRIME_EXCLUSION:
                 expected[3] = (
                     "compute_mod_add" if cert.mode is Mode.FORWARD else "compute_mod_sub"
                 )
             assert quoted == expected, cert.instance
-            assert rendered.claim_count == len(expected) == len(cert.claims)
+            assert len(cert.claims) == len(expected)
 
     def test_revalidator_strings_verbatim(self):
-        rendered = emit_lean(_magic_cert_2_1_3())
+        lean = emit_lean(_magic_cert_2_1_3())
         for kind in (
             "pow_mod_eq_zero",
             "observe_mod_cycle",
@@ -159,11 +164,10 @@ class TestEmitLean:
             "exhaust_mod_cycle",
             "diophantine1_enumeration",
         ):
-            assert f'"{kind}"' in rendered.script_body
+            assert f'"{kind}"' in lean
 
     def test_hypotheses_and_case_split(self):
-        rendered = emit_lean(_magic_cert_2_1_3())
-        body = rendered.script_body
+        body = emit_lean(_magic_cert_2_1_3())
         assert "(h1 : x >= 1) (h2 : y >= 1)" in body
         assert "(h3 : 2 ^ x + 1 = 3 ^ y) :" in body
         assert "by_cases h6 : y >= 3" in body
@@ -171,9 +175,7 @@ class TestEmitLean:
 
     def test_deterministic_output(self, golden_certificates):
         for cert in golden_certificates.values():
-            first = emit_lean(cert)
-            second = emit_lean(cert)
-            assert first.text == second.text
+            assert emit_lean(cert) == emit_lean(cert)
             assert emit_text(cert) == emit_text(cert)
 
 

@@ -24,9 +24,9 @@ from expodio import (
 from expodio.certificate import CertificateBuildError
 from expodio.engine import (
     ExclusionKind,
+    ModulusCandidate,
     _conclude,
     exclusion_step,
-    make_candidate,
 )
 
 
@@ -48,14 +48,14 @@ class TestInitialSearch:
 class TestExclusionStep:
     def test_direct_exclusion(self):
         inst = EquationInstance(7, 3, 10)
-        cand = make_candidate(inst, Mode.FORWARD, 2, 3)
+        cand = ModulusCandidate(Mode.FORWARD, 2, 3, 3)
         assert cand.key == 8
         step = exclusion_step(inst, cand)
         assert step.kind is ExclusionKind.DIRECT
 
     def test_conditional_forward(self):
         inst = EquationInstance(5, 3, 2)
-        cand = make_candidate(inst, Mode.FORWARD, 2, 8)
+        cand = ModulusCandidate(Mode.FORWARD, 2, 8, 8)
         assert cand.key == 256
         step = exclusion_step(inst, cand)
         assert step.kind is ExclusionKind.CONDITIONAL
@@ -65,7 +65,7 @@ class TestExclusionStep:
 
     def test_conditional_backward(self):
         inst = EquationInstance(3, 7, 2)
-        cand = make_candidate(inst, Mode.BACKWARD, 3, 3)
+        cand = ModulusCandidate(Mode.BACKWARD, 3, 3, 3)
         step = exclusion_step(inst, cand)
         assert step.kind is ExclusionKind.CONDITIONAL
         assert step.constraint == Constraint(
@@ -73,10 +73,17 @@ class TestExclusionStep:
         )
 
     def test_exponent_scales_with_valuation(self):
-        # v_2(20) = 2, so attacking y >= 3 works modulo 2^6
-        inst = EquationInstance(17, 3, 20)
-        cand = make_candidate(inst, Mode.FORWARD, 2, 3)
-        assert cand.k == 6 and cand.key == 64
+        # (1, 1) is known, so the first attempt attacks y >= 2; v_2(20) = 2,
+        # so it works modulo 2^(2*2)
+        attempts = []
+
+        def on_event(kind, payload):
+            if kind == "attempt":
+                attempts.append(payload)
+
+        solve(EquationInstance(17, 3, 20), on_event=on_event)
+        first = attempts[0]
+        assert (first["p"], first["t"], first["modulus"]) == (2, 2, 16)
 
     def test_constraint_soundness_small_moduli(self):
         # every conditional constraint pins the target to exactly one
@@ -89,7 +96,8 @@ class TestExclusionStep:
             (EquationInstance(3, 10, 13), Mode.BACKWARD, 3, 8),
         ]
         for inst, mode, p, t in cases:
-            step = exclusion_step(inst, make_candidate(inst, mode, p, t))
+            # each base is p itself, so k = t
+            step = exclusion_step(inst, ModulusCandidate(mode, p, t, t))
             con = step.constraint
             assert con is not None
             base = inst.a if con.variable == "x" else inst.c
@@ -202,7 +210,7 @@ class TestFinalEnumeration:
     def test_exclusion_contradicting_a_known_solution_is_refused(self):
         # 2^x + 1 = 3^y has (3, 2), so y >= 2 must not be excluded
         inst = EquationInstance(2, 1, 3)
-        cand = make_candidate(inst, Mode.FORWARD, 3, 2)
+        cand = ModulusCandidate(Mode.FORWARD, 3, 2, 2)
         with pytest.raises(CertificateBuildError):
             _conclude(inst, cand, ((1, 1), (3, 2)), None, None)
 
@@ -287,15 +295,17 @@ class TestSolve:
         assert list(result.solutions) == [(1, 3), (3, 7)]
 
     def test_effort_counters(self):
-        result = solve(EquationInstance(2, 89, 91))
-        # one modulus popped (7^3), three primes tried (883, 1471, 2647)
-        assert result.effort.moduli_tried == 1
-        assert result.effort.primes_tried == 3
-        assert result.effort.elapsed_ms > 0
+        def effort(triple):
+            kinds = []
+            result = solve(EquationInstance(*triple), on_event=lambda kind, _: kinds.append(kind))
+            return (kinds.count("attempt"), kinds.count("try_prime")), result.elapsed_ms
 
-        result = solve(EquationInstance(5, 3, 2))
-        assert result.effort.moduli_tried == 1
-        assert result.effort.primes_tried == 2  # 193 fails, 257 succeeds
+        # one modulus popped (7^3), three primes tried (883, 1471, 2647)
+        counts, elapsed_ms = effort((2, 89, 91))
+        assert counts == (1, 3)
+        assert elapsed_ms > 0
+        # 193 fails, 257 succeeds
+        assert effort((5, 3, 2))[0] == (1, 2)
 
     def test_oracle_equivalence_cube(self):
         for a in range(2, 13):
