@@ -10,6 +10,7 @@ proof, and y < 8 leaves a seven-case enumeration.
 """
 
 from expodio import EquationInstance, Mode, final_enumeration, initial_search, magic_prime_search
+from expodio.arith import multiplicative_order
 from expodio.engine import ModulusCandidate, exclusion_step
 
 instance = EquationInstance(5, 3, 2)
@@ -24,7 +25,7 @@ print(f"queue entry: modulus {candidate.p}^{candidate.k} = {candidate.key}")
 step = exclusion_step(instance, candidate)
 con = step.constraint
 print(f"exclusion step: {step.kind.value}")
-print(f"  forced congruence: 5^x = {con.source_target} (mod {con.source_modulus})")
+print(f"  forced congruence: 5^x = {con.source_target} (mod {candidate.key})")
 print(f"  hence {con.variable} = {con.residue} (mod {con.period})")
 
 witness = magic_prime_search(instance, con)
@@ -32,7 +33,7 @@ print(f"magic prime found: {witness.prime}")
 print(f"  exponent classes lift to {witness.lifted_residues} (mod {witness.lifted_period})")
 print(f"  5^x mod {witness.prime} is one of   {witness.power_values}")
 print(f"  so 2^y mod {witness.prime} would be {witness.shifted_values}")
-print(f"  powers of 2 mod {witness.prime} form a cycle of length {witness.other_side_order},")
+print(f"  powers of 2 mod {witness.prime} form a cycle of length {multiplicative_order(2, witness.prime)},")
 print("  and none of those values are in it")
 
 # the contradiction proves y < 8; enumerate the rest exactly

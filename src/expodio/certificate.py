@@ -22,9 +22,11 @@ params are a read-only mapping whose integer lists are tuples.
 
 verify_certificate works from the (a, b, c) triple alone.  It re-derives
 the facts the claims rest on with the arithmetic kernel, sharing nothing
-with the solver's search, then checks each claim against the builders'
-claim for those facts (one claims function per shape states its layout)
-and re-runs the bounded enumeration at the enumeration claim.  It
+with the solver's search: a stated residue is checked with one pow, and
+a value outside a power cycle by a cycle walk or subgroup test of its
+own, never a discrete-log search.  It checks each claim against the
+builders' claim for those facts (one claims function per shape states its
+layout) and re-runs the bounded enumeration at the enumeration claim.  It
 remembers, by identity, each certificate it has accepted; was_accepted
 lets a renderer reuse that acceptance instead of verifying it again.
 """
@@ -89,7 +91,6 @@ class Constraint:
     variable: str  # "x" or "y"
     residue: int
     period: int
-    source_modulus: int
     source_target: int
 
 
@@ -102,7 +103,6 @@ class MagicPrimeWitness:
     lifted_residues: tuple[int, ...]
     power_values: tuple[int, ...]
     shifted_values: tuple[int, ...]
-    other_side_order: int
 
 
 class Params(dict):
@@ -613,22 +613,33 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-def _cycle_membership_disjoint(base: int, prime: int, targets) -> bool:
-    """True when no target lies in {base^j mod prime : j >= 1}.
+def _outside_cycle(base: int, p: int, k: int, targets) -> bool:
+    """True when no target lies in {base^j mod p^k : j >= 1}.
 
-    The caller has proved `prime` prime, so the powers are purely periodic
-    and a walk from base returns to its start.
+    The caller has proved p prime, and base a unit mod p^k unless k = 1,
+    so the powers are purely periodic and a walk from base returns to
+    its start.  A non-unit start (0 mod p) is only ever walked.
     """
+    modulus = p**k
     wanted = set(targets)
-    start = base % prime
-    if start and prime > _EXHAUST_LIMIT:
-        order = arith.multiplicative_order(start, prime)
+    start = base % modulus
+    if start % p and modulus > _EXHAUST_LIMIT:
+        order = arith.multiplicative_order(start, modulus)
         if order > _EXHAUST_LIMIT:
-            # In (Z/PZ)* the subgroup of order d is unique, so membership is t^d = 1.
-            return all(t == 0 or pow(t, order, prime) != 1 for t in wanted)
+            if p == 2 and k >= 3:
+                # (Z/2^k)* is not cyclic, but {1 mod 4} is.  It holds <b> if
+                # b = 1 (mod 4); if b = 3, it holds <b^2>, of half the order,
+                # and <b> is <b^2> with b<b^2>: test t or t/b, whichever is 1 mod 4
+                if start % 4 == 3:
+                    inverse, order = pow(start, -1, modulus), order // 2
+                    wanted = {t if t % 4 == 1 else t * inverse % modulus for t in wanted}
+                return all(t % 4 != 1 or pow(t, order, modulus) != 1 for t in wanted)
+            # (Z/p^k)* is cyclic, so <b> is its one subgroup of that order,
+            # and t is in it exactly when t^order = 1
+            return all(pow(t, order, modulus) != 1 for t in wanted)
     v = start
     while v not in wanted:
-        v = v * base % prime
+        v = v * base % modulus
         if v == start:
             return True
     return False
@@ -733,7 +744,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     target = _expected_target(instance, mode, modulus)
 
     if cert.shape is CertShape.DIRECT_MODULAR_EXCLUSION:
-        if arith.cycle_discrete_log(con_base % modulus, target, modulus) is not None:
+        if not _outside_cycle(con_base, p, k, [target]):
             return _reject("target actually lies in the power cycle", claim_index=1)
         return _check_claims(cert, _direct_exclusion_claims(instance, mode, modulus, t))
 
@@ -761,7 +772,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     values = tuple(pow(con_base, r, P) for r in lifted)
     shift = instance.b if mode is Mode.FORWARD else -instance.b
     shifted = tuple((v + shift) % P for v in values)
-    if not _cycle_membership_disjoint(zero_base, P, shifted):
+    if not _outside_cycle(zero_base, P, 1, shifted):
         return _reject("shifted values intersect the other power cycle", claim_index=4)
     return _check_claims(
         cert,
@@ -838,7 +849,7 @@ def _verify_divisibility(cert: Certificate) -> Verdict:
     error = _zero_power_error(zero_base, 1, p, 1)
     if error:
         return _reject(error, claim_index=0)
-    if not _cycle_membership_disjoint(other_base, p, [_expected_target(instance, mode, p)]):
+    if not _outside_cycle(other_base, p, 1, [_expected_target(instance, mode, p)]):
         return _reject("target actually lies in the power cycle", claim_index=1)
     return _check_claims(cert, _direct_exclusion_claims(instance, mode, p, 1)[:2])
 

@@ -166,7 +166,6 @@ def exclusion_step(instance: EquationInstance, candidate: ModulusCandidate) -> E
             variable=variable,
             residue=residue,
             period=period,
-            source_modulus=modulus,
             source_target=target,
         ),
     )
@@ -206,7 +205,6 @@ def witness_for_prime(
         lifted_residues=lifted,
         power_values=values,
         shifted_values=shifted,
-        other_side_order=other_order,
     )
 
 

@@ -179,7 +179,7 @@ def test_criterion_6_magic_prime_fidelity(golden_results):
         assert verify_certificate(result.certificate).accepted
 
         # each published prime checked directly
-        con = Constraint(variable="x", residue=35, period=64, source_modulus=256, source_target=253)
+        con = Constraint(variable="x", residue=35, period=64, source_target=253)
         witness = witness_for_prime(EquationInstance(5, 3, 2), con, 257)
         assert witness is not None
         assert witness.lifted_residues == (35, 99, 163, 227)
@@ -187,7 +187,7 @@ def test_criterion_6_magic_prime_fidelity(golden_results):
         assert witness.shifted_values == (17, 227, 246, 36)
 
         con = Constraint(
-            variable="y", residue=1461, period=2187, source_modulus=6561, source_target=10
+            variable="y", residue=1461, period=2187, source_target=10
         )
         witness = witness_for_prime(EquationInstance(3, 10, 13), con, 17497)
         assert witness is not None

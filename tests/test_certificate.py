@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from independence import certificate_import_violations
+from independence import certificate_import_violations, trusted_base
 from mutation import mutated_certificate_is_rejected
+from oracle import brute_force_cycle, sieve_primes
 
 from expodio import (
     CertShape,
@@ -433,20 +434,33 @@ def test_round_trip_is_the_identity_on_sampled_triples():
 
 
 def test_cycle_walk_agrees_with_the_order_test(monkeypatch):
-    # with a tiny walk limit every long cycle falls through to the
-    # subgroup-order test; both must decide membership identically
-    disjoint = certificate_module._cycle_membership_disjoint
-    rng = random.Random(7)
+    # every prime power M <= 128 with every unit base and every target,
+    # and random bases, multiples of p among them, modulo larger primes.
+    # With the walk limit at 0 every unit base falls through to the
+    # subgroup test, or to the 2^k split modulo 8 to 128.
     cases = []
+    for p in sieve_primes(128):
+        for k in range(1, 8):
+            m = p**k
+            if m > 128:
+                break
+            for base in range(1, m):
+                if base % p:
+                    cycle = set(brute_force_cycle(base, m))
+                    cases += [((base, p, k, [t]), t not in cycle) for t in range(m)]
+    rng = random.Random(7)
     for prime in (3, 5, 7, 11, 13, 73, 257, 2647):
         for _ in range(12):
             base = rng.randrange(1, 3 * prime)
             targets = [rng.randrange(prime) for _ in range(rng.randrange(1, 6))]
-            cases.append((base, prime, targets))
-    walked = [disjoint(*case) for case in cases]
-    monkeypatch.setattr(certificate_module, "_EXHAUST_LIMIT", 2)
-    assert [disjoint(*case) for case in cases] == walked
-    assert True in walked and False in walked
+            outside = not set(targets) & set(brute_force_cycle(base, prime))
+            cases.append(((base, prime, 1, targets), outside))
+    outside_cycle = certificate_module._outside_cycle
+    expected = [outside for _, outside in cases]
+    assert [outside_cycle(*args) for args, _ in cases] == expected
+    monkeypatch.setattr(certificate_module, "_EXHAUST_LIMIT", 0)
+    assert [outside_cycle(*args) for args, _ in cases] == expected
+    assert True in expected and False in expected
 
 
 class TestVerifierIndependence:
@@ -455,6 +469,21 @@ class TestVerifierIndependence:
         # instance type); it must not import the engine, classifier,
         # emitter, or CLI
         assert certificate_import_violations() == []
+
+    def test_verifier_reaches_no_discrete_log_search(self):
+        # the code verify_certificate can reach, by call graph through
+        # certificate.py and arith.py; the line bound only ever goes down
+        reached = trusted_base()
+        assert sorted(name for name in reached if name.startswith("arith.")) == [
+            "arith._group_exponent_factors",
+            "arith._order",
+            "arith._pollard_rho",
+            "arith.exact_power_decompose",
+            "arith.factorize",
+            "arith.is_prime",
+            "arith.multiplicative_order",
+        ]
+        assert sum(reached.values()) <= 460
 
     def test_verify_does_not_touch_engine(self, golden_certificates, monkeypatch):
         import expodio.engine as engine_module

@@ -60,7 +60,7 @@ class TestExclusionStep:
         step = exclusion_step(inst, cand)
         assert step.kind is ExclusionKind.CONDITIONAL
         assert step.constraint == Constraint(
-            variable="x", residue=35, period=64, source_modulus=256, source_target=253
+            variable="x", residue=35, period=64, source_target=253
         )
 
     def test_conditional_backward(self):
@@ -69,7 +69,7 @@ class TestExclusionStep:
         step = exclusion_step(inst, cand)
         assert step.kind is ExclusionKind.CONDITIONAL
         assert step.constraint == Constraint(
-            variable="y", residue=16, period=18, source_modulus=27, source_target=7
+            variable="y", residue=16, period=18, source_target=7
         )
 
     def test_exponent_scales_with_valuation(self):
@@ -101,7 +101,7 @@ class TestExclusionStep:
             con = step.constraint
             assert con is not None
             base = inst.a if con.variable == "x" else inst.c
-            m = con.source_modulus
+            m = p**t
             cycle = brute_force_cycle(base, m)
             assert len(cycle) == con.period
             hits = [j + 1 for j, v in enumerate(cycle) if v == con.source_target]
@@ -112,7 +112,7 @@ class TestExclusionStep:
 class TestMagicPrimeSearch:
     def test_forward_small(self):
         inst = EquationInstance(2, 1, 3)
-        con = Constraint(variable="x", residue=9, period=18, source_modulus=27, source_target=26)
+        con = Constraint(variable="x", residue=9, period=18, source_target=26)
         witness = magic_prime_search(inst, con)
         assert witness is not None
         assert witness.prime == 19
@@ -121,7 +121,7 @@ class TestMagicPrimeSearch:
 
     def test_forward_with_lift_expansion(self):
         inst = EquationInstance(5, 3, 2)
-        con = Constraint(variable="x", residue=35, period=64, source_modulus=256, source_target=253)
+        con = Constraint(variable="x", residue=35, period=64, source_target=253)
         witness = magic_prime_search(inst, con)
         assert witness is not None
         assert witness.prime == 257
@@ -133,7 +133,7 @@ class TestMagicPrimeSearch:
     def test_backward_large(self):
         inst = EquationInstance(3, 10, 13)
         con = Constraint(
-            variable="y", residue=1461, period=2187, source_modulus=6561, source_target=10
+            variable="y", residue=1461, period=2187, source_target=10
         )
         witness = magic_prime_search(inst, con)
         assert witness is not None
@@ -145,13 +145,13 @@ class TestMagicPrimeSearch:
 
     def test_budget_exhaustion_returns_none(self):
         inst = EquationInstance(7, 3, 10)
-        con = Constraint(variable="x", residue=0, period=2, source_modulus=4, source_target=1)
+        con = Constraint(variable="x", residue=0, period=2, source_target=1)
         config = SolverConfig(prime_budget_count=3)
         assert magic_prime_search(inst, con, config) is None
 
     def test_pinned_primes(self):
         inst = EquationInstance(5, 3, 2)
-        con = Constraint(variable="x", residue=35, period=64, source_modulus=256, source_target=253)
+        con = Constraint(variable="x", residue=35, period=64, source_target=253)
         witness = witness_for_prime(inst, con, 257)
         assert witness is not None and witness.prime == 257
         # a prime that is no witness yields nothing
@@ -159,7 +159,7 @@ class TestMagicPrimeSearch:
 
     def test_prime_cap_stops_the_search(self):
         inst = EquationInstance(5, 3, 2)
-        con = Constraint(variable="x", residue=35, period=64, source_modulus=256, source_target=253)
+        con = Constraint(variable="x", residue=35, period=64, source_target=253)
         # 193 fails and 257 is the first witness
         tried = []
         config = SolverConfig(prime_budget_cap=256)
@@ -171,7 +171,7 @@ class TestMagicPrimeSearch:
 
     def test_candidates_dividing_parameters_are_skipped(self):
         inst = EquationInstance(2, 19, 3)
-        con = Constraint(variable="x", residue=3, period=18, source_modulus=27, source_target=8)
+        con = Constraint(variable="x", residue=3, period=18, source_target=8)
         # 19 divides b, so it cannot serve as a magic prime here
         assert witness_for_prime(inst, con, 19) is None
         # the search skips it without spending budget on it: 37 is its one try
@@ -183,7 +183,7 @@ class TestMagicPrimeSearch:
 
     def test_witness_soundness_by_brute_force(self):
         inst = EquationInstance(3, 7, 2)
-        con = Constraint(variable="y", residue=16, period=18, source_modulus=27, source_target=7)
+        con = Constraint(variable="y", residue=16, period=18, source_target=7)
         witness = magic_prime_search(inst, con)
         assert witness is not None and witness.prime == 73
         P = witness.prime

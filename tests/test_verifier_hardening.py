@@ -16,17 +16,18 @@ import json
 
 import pytest
 
-from expodio import EquationInstance, solve
+from expodio import EquationInstance, final_enumeration, solve
 from expodio.certificate import (
     Certificate,
     CertShape,
     ClaimKind,
-    ClaimRecord,
     Constraint,
     MagicPrimeWitness,
     MalformedCertificateError,
     Mode,
     Params,
+    build_common_factor_certificate,
+    build_direct_exclusion_certificate,
     build_magic_prime_certificate,
     certificate_to_dict,
     parse_certificate,
@@ -136,24 +137,59 @@ def _hand_built(triple, shape, mode, p, k, t, solutions=()):
     return Certificate(EquationInstance(*triple), shape, mode, p, k, t, solutions, ())
 
 
-def _magic_prime_5_for_2_1_5():
-    """The (2, 1, 5) certificate with claim 2 naming 5, which divides c, as its magic prime."""
-    cert = solve(EquationInstance(2, 1, 5)).certificate
-    claims = list(cert.claims)
-    claims[2] = ClaimRecord(claims[2].kind, Params(claims[2].params, prime=5), claims[2].premises)
-    return dataclasses.replace(cert, claims=tuple(claims))
-
-
 def _magic_prime_193_for_5_3_2():
     """(5, 3, 2) built from a witness at P = 193, where a shifted value lies in <2>."""
     lifted = (35, 99, 163)  # x = 35 (mod 64), lifted to lcm(64, ord_193(5)) = 192
     values = tuple(pow(5, r, 193) for r in lifted)
     shifted = tuple((v + 3) % 193 for v in values)
-    witness = MagicPrimeWitness(193, 192, lifted, values, shifted, 96)
-    constraint = Constraint("x", 35, 64, 256, 253)
+    witness = MagicPrimeWitness(193, 192, lifted, values, shifted)
+    constraint = Constraint("x", 35, 64, 253)
     return build_magic_prime_certificate(
         EquationInstance(5, 3, 2), Mode.FORWARD, 2, 8, 8, constraint, witness, ((1, 3), (3, 7))
     )
+
+
+def _magic_prime_11_for_10_5_3():
+    """(10, 5, 3) built from a witness at P = 11, where the shifted value 4 lies in <3>.
+
+    3^5 = 1 (mod 121), so 4 is outside <3> modulo 121: the check must work mod P.
+    """
+    witness = MagicPrimeWitness(11, 2, (0, 1), (1, 10), (6, 4))
+    return build_magic_prime_certificate(
+        EquationInstance(10, 5, 3), Mode.FORWARD, 3, 1, 1, Constraint("x", 0, 1, 1), witness, ()
+    )
+
+
+def _residue_minus_one_for_2_7_3():
+    """(2, 7, 3) with y = 1 (mod 2) stated as y = -1: the same class, lifted from -1."""
+    lifted = tuple(range(-1, 12, 2))
+    values = tuple(pow(3, r, 73) for r in lifted)
+    shifted = tuple((v - 7) % 73 for v in values)
+    witness = MagicPrimeWitness(73, 12, lifted, values, shifted)
+    return build_magic_prime_certificate(
+        EquationInstance(2, 7, 3), Mode.BACKWARD, 2, 2, 2, Constraint("y", -1, 2, 3), witness,
+        ((1, 2),),
+    )
+
+
+def _edited(triple, index, drop=(), **changes):
+    """The solved certificate of `triple` with claim `index` changed.
+
+    `changes` sets the claim's kind or premises, or its params; `drop` names
+    params to remove.
+    """
+    cert = solve(EquationInstance(*triple)).certificate
+    claim = cert.claims[index]
+    fields = {key: changes.pop(key) for key in ("kind", "premises") if key in changes}
+    params = {k: v for k, v in {**claim.params, **changes}.items() if k not in drop}
+    claims = list(cert.claims)
+    claims[index] = dataclasses.replace(claim, params=Params(params), **fields)
+    return dataclasses.replace(cert, claims=tuple(claims))
+
+
+def _truncated(triple, count):
+    cert = solve(EquationInstance(*triple)).certificate
+    return dataclasses.replace(cert, claims=cert.claims[:count])
 
 
 _DIRECT, _DIVISIBILITY = CertShape.DIRECT_MODULAR_EXCLUSION, CertShape.DIVISIBILITY_NO_SOLUTION
@@ -170,7 +206,7 @@ _REJECTIONS = [
      "constrained base shares a factor with the modulus", None),
     ("zero power", lambda: _hand_built((3, 1, 2), _DIRECT, _FORWARD, 3, 0, 1),
      "pow_mod_eq_zero needs threshold >= 1 and modulus >= 2", 0),
-    ("magic prime divides c", _magic_prime_5_for_2_1_5,
+    ("magic prime divides c", lambda: _edited((2, 1, 5), 2, prime=5),
      "magic prime divides one of the parameters", 2),
     ("magic prime 193", _magic_prime_193_for_5_3_2,
      "shifted values intersect the other power cycle", 4),
@@ -189,6 +225,43 @@ _REJECTIONS = [
      "missing instance", None),
     ("unknown shape", lambda: _hand_built((2, 1, 3), "Bogus", _FORWARD, 3, 1, 1),
      "unknown certificate shape 'Bogus'", None),
+    # a sound proof whose exponent is not t * v_p(c): 2^y = 0 (mod 16) for y >= 5
+    ("exponent below t*v", lambda: build_direct_exclusion_certificate(
+        EquationInstance(17, 3, 2), _FORWARD, 2, 4, 5, ()),
+     "modulus exponent does not match the attacked bound", None),
+    ("zero bound", lambda: _hand_built((3, 1, 2), _DIRECT, _FORWARD, 2, 0, 0),
+     "modulus exponent does not match the attacked bound", None),
+    ("common factor zero exponent", lambda: _hand_built((2, 1, 4), _COMMON, None, 2, 0, 0),
+     "bound threshold must equal the modulus exponent", None),
+    ("divisibility zero power", lambda: _hand_built((2, 6, 9), _DIVISIBILITY, _FORWARD, 2, 1, 1),
+     "2 does not divide 9^1", 0),
+    # 2 is in <8> modulo 3, but not modulo 9, where <8> = {8, 1}; and 8 + 1 = 3^2
+    ("divisibility target in cycle mod p",
+     lambda: _hand_built((8, 1, 3), _DIVISIBILITY, _FORWARD, 3, 1, 1),
+     "target actually lies in the power cycle", 1),
+    ("magic prime 11", _magic_prime_11_for_10_5_3,
+     "shifted values intersect the other power cycle", 4),
+    ("residue -1", _residue_minus_one_for_2_7_3,
+     "congruence is not the discrete log of the target", 1),
+    ("no claim 1", lambda: _truncated((5, 3, 2), 1), "claim 1 states no residue", 1),
+    ("no claim 2", lambda: _truncated((5, 3, 2), 2), "claim 2 states no prime", 2),
+    ("no residue", lambda: _edited((5, 3, 2), 1, drop=("residue",)),
+     "claim 1 states no residue", 1),
+    ("wrong residue", lambda: _edited((5, 3, 2), 1, residue=34),
+     "congruence is not the discrete log of the target", 1),
+    # the residue is read from claim 1 and the prime from claim 2; a later copy is compared
+    ("claim 2 residue", lambda: _edited((5, 3, 2), 2, residue=34),
+     "utilize_mod_cycle param 'residue' does not match the re-derived facts", 2),
+    ("claim 3 prime", lambda: _edited((5, 3, 2), 3, prime=449),
+     "compute_mod_add param 'prime' does not match the re-derived facts", 3),
+    ("composite magic prime", lambda: _edited((5, 3, 2), 2, prime=255),
+     "magic prime 255 is not prime", 2),
+    ("magic prime off the progression", lambda: _edited((5, 3, 2), 2, prime=131),
+     "magic prime is not 1 mod the constraint period", 2),
+    ("wrong claim kind", lambda: _edited((5, 3, 2), 0, kind=ClaimKind.OBSERVE_MOD_CYCLE),
+     "the shape needs pow_mod_eq_zero here", 0),
+    ("wrong premises", lambda: _edited((5, 3, 2), 1, premises=(2,)),
+     "observe_mod_cycle premises break the dependency chain", 1),
 ]
 
 
@@ -202,3 +275,37 @@ def test_each_rejection_fires(build, reason, claim_index):
     assert verdict.accepted is False
     assert verdict.reason == reason
     assert verdict.claim_index == claim_index
+
+
+def test_common_factor_exponent_bound():
+    # p^(k-1) divides b for an honest k, so k <= bit_length(b); the verifier
+    # allows one more, a sound proof with a wasted step, and no further
+    instance = EquationInstance(2, 1, 4)
+    assert verify_certificate(build_common_factor_certificate(instance, 2, 2, ())).accepted
+    verdict = verify_certificate(build_common_factor_certificate(instance, 2, 3, ()))
+    assert verdict.reason == "bound exponent is too large to stem from b"
+
+
+# Direct exclusions modulo 2^62, the largest supported modulus.  The order
+# of 17 is 2^58 and that of 3 is 2^60, so the 2^k subgroup test decides,
+# once for a base 1 (mod 4) and once for a base 3 (mod 4); one exponent
+# more crosses the cap.
+_AT_THE_CAP = [
+    ((17, 3, 2), None),  # -3 = 13 (mod 16), and <17> = {1 mod 16}
+    ((3, 1, 2), None),  # -1 = 7 (mod 8), and <3> = {1, 3 mod 8}
+    ((17, 15, 2), "target actually lies in the power cycle"),
+    ((3, 5, 2), "target actually lies in the power cycle"),
+]
+
+
+@pytest.mark.parametrize("triple, reason", _AT_THE_CAP, ids=[str(c[0]) for c in _AT_THE_CAP])
+def test_direct_exclusion_at_the_modulus_cap(triple, reason):
+    instance = EquationInstance(*triple)
+    for k, want, index in ((62, reason, 1), (63, "modulus exceeds the supported cap", None)):
+        cert = build_direct_exclusion_certificate(
+            instance, Mode.FORWARD, 2, k, k, final_enumeration(instance, "y", k)
+        )
+        verdict = verify_certificate(cert)
+        assert verdict.accepted is (want is None), (k, verdict)
+        assert verdict.reason == want, k
+        assert verdict.claim_index == (index if want else None), k
