@@ -23,12 +23,12 @@ params are a read-only mapping whose integer lists are tuples.
 verify_certificate works from the (a, b, c) triple alone.  It re-derives
 the facts the claims rest on with the arithmetic kernel, sharing nothing
 with the solver's search: a stated residue is checked with one pow, and
-a value outside a power cycle by a cycle walk or subgroup test of its
-own, never a discrete-log search.  It checks each claim against the
-builders' claim for those facts (one claims function per shape states its
-layout) and re-runs the bounded enumeration at the enumeration claim.  It
-remembers, by identity, each certificate it has accepted; was_accepted
-lets a renderer reuse that acceptance instead of verifying it again.
+a value outside a power cycle by a subgroup test of its own, never a
+discrete-log search.  It checks each claim against the builders' claim
+for those facts (one claims function per shape states its layout) and
+re-runs the bounded enumeration at the enumeration claim.  It remembers,
+by identity, each certificate it has accepted; was_accepted lets a
+renderer reuse that acceptance instead of verifying it again.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ FORMAT_TAG = "diophantine1-certificate/2"
 
 # json.dumps(doc, separators=(",", ":")) without building an encoder per call
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-# Cycles up to this order are walked element by element; beyond it the
-# verifier decides membership by the subgroup-order test, which answers
-# the same question.
-_EXHAUST_LIMIT = 1 << 21
-
 
 class Mode(str, Enum):
     """Which side of the equation the modulus attacks.
@@ -614,35 +608,33 @@ def _valuation(n: int, p: int) -> int:
 
 
 def _outside_cycle(base: int, p: int, k: int, targets) -> bool:
-    """True when no target lies in {base^j mod p^k : j >= 1}.
+    """True when no target lies in {base^j mod p^k : j >= 1}; p is proved prime.
 
-    The caller has proved p prime, and base a unit mod p^k unless k = 1,
-    so the powers are purely periodic and a walk from base returns to
-    its start.  A non-unit start (0 mod p) is only ever walked.
+    For a unit base the test is one pow per target against the order K
+    that multiplicative_order reports, once base^K = 1 shows K to be a
+    multiple of the true order.  A wrong K can then only put more targets
+    in the cycle, so it may reject an honest certificate but never
+    accepts a false exclusion.
     """
     modulus = p**k
-    wanted = set(targets)
     start = base % modulus
-    if start % p and modulus > _EXHAUST_LIMIT:
-        order = arith.multiplicative_order(start, modulus)
-        if order > _EXHAUST_LIMIT:
-            if p == 2 and k >= 3:
-                # (Z/2^k)* is not cyclic, but {1 mod 4} is.  It holds <b> if
-                # b = 1 (mod 4); if b = 3, it holds <b^2>, of half the order,
-                # and <b> is <b^2> with b<b^2>: test t or t/b, whichever is 1 mod 4
-                if start % 4 == 3:
-                    inverse, order = pow(start, -1, modulus), order // 2
-                    wanted = {t if t % 4 == 1 else t * inverse % modulus for t in wanted}
-                return all(t % 4 != 1 or pow(t, order, modulus) != 1 for t in wanted)
-            # (Z/p^k)* is cyclic, so <b> is its one subgroup of that order,
-            # and t is in it exactly when t^order = 1
-            return all(pow(t, order, modulus) != 1 for t in wanted)
-    v = start
-    while v not in wanted:
-        v = v * base % modulus
-        if v == start:
-            return True
-    return False
+    if start % p == 0:
+        # base^j has valuation >= j, so the powers from base^k on are all 0
+        return set(targets).isdisjoint(pow(start, j, modulus) for j in range(1, k + 1))
+    order = arith.multiplicative_order(start, modulus)
+    if pow(start, order, modulus) != 1:
+        return False
+    if p == 2 and k >= 3:
+        # (Z/2^k)* is not cyclic, but {1 mod 4} is.  It holds <b> if
+        # b = 1 (mod 4); if b = 3, it holds <b^2>, of half the order,
+        # and <b> is <b^2> with b<b^2>: test t or t/b, whichever is 1 mod 4
+        if start % 4 == 3:
+            inverse, order = pow(start, -1, modulus), order // 2
+            targets = [t if t % 4 == 1 else t * inverse % modulus for t in targets]
+        return all(t % 4 != 1 or pow(t, order, modulus) != 1 for t in targets)
+    # (Z/p^k)* is cyclic, so <b> is its one subgroup of that order,
+    # and t is in it exactly when t^order = 1
+    return all(pow(t, order, modulus) != 1 for t in targets)
 
 
 def _enumerate_solutions(

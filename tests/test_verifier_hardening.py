@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from expodio import EquationInstance, final_enumeration, solve
+from expodio import EquationInstance, arith, final_enumeration, solve
 from expodio.certificate import (
     Certificate,
     CertShape,
@@ -309,3 +309,22 @@ def test_direct_exclusion_at_the_modulus_cap(triple, reason):
         assert verdict.accepted is (want is None), (k, verdict)
         assert verdict.reason == want, k
         assert verdict.claim_index == (index if want else None), k
+
+
+# Direct exclusions whose target does lie in the cycle: -15 in <17> modulo
+# 2^62, and -1 = 2^3 modulo 9.  Were the verifier to trust an order of 5,
+# each target t would have t^5 != 1 and look outside; base^5 != 1 exposes
+# the wrong order first.
+@pytest.mark.parametrize(
+    "triple, p, k", [((17, 15, 2), 2, 62), ((2, 1, 3), 3, 2)], ids=["mod 2^62", "mod 9"]
+)
+def test_a_wrong_order_cannot_hide_a_cycle_member(monkeypatch, triple, p, k):
+    instance = EquationInstance(*triple)
+    cert = build_direct_exclusion_certificate(
+        instance, Mode.FORWARD, p, k, k, final_enumeration(instance, "y", k)
+    )
+    monkeypatch.setattr(arith, "multiplicative_order", lambda base, m: 5)
+    verdict = verify_certificate(cert)
+    assert not verdict.accepted
+    assert verdict.reason == "target actually lies in the power cycle"
+    assert verdict.claim_index == 1
