@@ -22,8 +22,9 @@ MODULUS_CAP = 1 << 62
 # composite orders) above it.
 _DLOG_ENUM_LIMIT = 1 << 16
 
-# Deterministic Miller-Rabin witness set for n < 3.3 * 10^24, which
-# comfortably covers every 64-bit input this package produces.
+# The first 12 primes are a deterministic Miller-Rabin witness set for
+# n < 318,665,857,834,031,151,167,461 (about 3.19 * 10^24; OEIS A014233),
+# which covers every 64-bit input this package produces.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

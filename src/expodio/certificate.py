@@ -26,14 +26,17 @@ with the solver's search: a stated residue is checked with one pow, and
 a value outside a power cycle by a subgroup test of its own, never a
 discrete-log search.  It checks each claim against the builders' claim
 for those facts (one claims function per shape states its layout) and
-re-runs the bounded enumeration at the enumeration claim.  It remembers,
-by identity, each certificate it has accepted; was_accepted lets a
-renderer reuse that acceptance instead of verifying it again.
+re-runs the bounded enumeration at the enumeration claim.  The work is
+bounded by the certificate: a modulus or magic prime above 2^62 is
+rejected before any order is computed, and the magic-prime lift is
+rejected unless it has as many residues as the certificate lists, before
+any list of them is built.  It remembers, by identity, each certificate
+it has accepted; was_accepted lets a renderer reuse that acceptance
+instead of verifying it again.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import weakref
@@ -46,8 +49,9 @@ from .instance import EquationInstance
 
 FORMAT_TAG = "diophantine1-certificate/2"
 
-# json.dumps(doc, separators=(",", ":")) without building an encoder per call
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# json.dumps(doc, separators=(",", ":")) without building an encoder per call;
+# _document builds a fresh tree each time, so no reference cycle can occur
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 class Mode(str, Enum):
     """Which side of the equation the modulus attacks.
@@ -462,6 +466,8 @@ def serialize_certificate(cert: Certificate) -> str:
 
 
 def certificate_digest(cert: Certificate) -> str:
+    import hashlib  # here, so a process that never digests does not load OpenSSL
+
     return hashlib.sha256(serialize_certificate(cert).encode("utf-8")).hexdigest()
 
 
@@ -660,7 +666,7 @@ def _enumerate_solutions(
 
 def _zero_power_error(base: int, threshold: int, prime: int, exponent: int) -> str | None:
     """Why var >= threshold fails to make base^var = 0 (mod prime^exponent), or None."""
-    if threshold < 1 or exponent < 1:
+    if exponent < 1:
         return "pow_mod_eq_zero needs threshold >= 1 and modulus >= 2"
     # var >= t implies base^var = 0 (mod p^k) iff t * v_p(base) >= k
     if threshold * _valuation(base, prime) < exponent:
@@ -723,11 +729,9 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     zero_base, zero_var, con_base, con_var = _sides(instance, mode)
     if t < 1 or k != t * _valuation(zero_base, p):
         return _reject("modulus exponent does not match the attacked bound")
-    if k * (p.bit_length() - 1) > 62:
+    if k * (p.bit_length() - 1) > 62 or p**k > arith.MODULUS_CAP:
         return _reject("modulus exceeds the supported cap")
     modulus = p**k
-    if modulus > arith.MODULUS_CAP:
-        return _reject("modulus exceeds the supported cap")
     if math.gcd(con_base, modulus) != 1:
         return _reject("constrained base shares a factor with the modulus")
     error = _zero_power_error(zero_base, t, p, k)
@@ -753,17 +757,19 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     P, rejection = _stated(cert, 2, "prime")
     if rejection:
         return rejection
-    if not arith.is_prime(P):
-        return _reject(f"magic prime {P} is not prime", claim_index=2)
+    if P > arith.MODULUS_CAP or not arith.is_prime(P):
+        return _reject(f"magic prime {P} is not a prime below 2^62", claim_index=2)
     if P % period != 1 % period:
         return _reject("magic prime is not 1 mod the constraint period", claim_index=2)
     if any(v % P == 0 for v in (instance.a, instance.b, instance.c)):
         return _reject("magic prime divides one of the parameters", claim_index=2)
     L = math.lcm(period, arith.multiplicative_order(con_base % P, P))
+    if len(range(residue, L, period)) != len(cert.claims[2].params.get("lifted_residues", ())):
+        return _reject("lifted residues do not fill the lifted period", claim_index=2)
     lifted = tuple(range(residue, L, period))
     values = tuple(pow(con_base, r, P) for r in lifted)
-    shift = instance.b if mode is Mode.FORWARD else -instance.b
-    shifted = tuple((v + shift) % P for v in values)
+    target_mod_P = _expected_target(instance, mode, P)
+    shifted = tuple((v - target_mod_P) % P for v in values)
     if not _outside_cycle(zero_base, P, 1, shifted):
         return _reject("shifted values intersect the other power cycle", claim_index=4)
     return _check_claims(

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -328,6 +327,8 @@ def _run_pool(
         for triple in triples:
             consume(worker(triple))
     else:
+        import multiprocessing  # here, so a solve or verify process does not load the pool stack
+
         with multiprocessing.Pool(processes=jobs) as pool:
             for payload in pool.imap_unordered(worker, triples, chunksize=64):
                 consume(payload)

@@ -68,8 +68,9 @@ _ONE_MORE = (
     "with x = k has y < k and the y loop finds it)"
 )
 _CHEAP_POWER = (
-    "the pre-check only keeps p**k cheap for a huge stated k; the MODULUS_CAP check after "
-    "it gives the same verdict and reason, and a test telling them apart would compute p**k"
+    "the bit-length test only keeps p**k cheap for a huge stated k; the MODULUS_CAP test "
+    "beside it gives the same verdict and reason, and a test telling them apart would "
+    "compute p**k"
 )
 
 # Survivors that cannot change a verdict, keyed by their description.
@@ -87,13 +88,13 @@ EQUIVALENT: dict[str, str] = {
         "y = 0 leaves c^0 - b = 1 - b < 2, which the next test skips",
     "_enumerate_solutions: if rest >= 2:  ->  if rest >= 1:":
         "exact_power_decompose(1, a) is None: 1 is no power a^x with x >= 1",
-    "_zero_power_error: if threshold < 1 or exponent < 1:  ->  "
-    "if threshold < 0 or exponent < 1:":
-        "every caller passes threshold >= 1: t < 1 and k < 1 are rejected before it runs",
-    "_verify_class_two: if k * (p.bit_length() - 1) > 62:  ->  "
-    "if k * (p.bit_length() - 2) > 62:": _CHEAP_POWER,
-    "_verify_class_two: if k * (p.bit_length() - 1) > 62:  ->  "
-    "if k * (p.bit_length() - 1) > 63:": _CHEAP_POWER,
+    "_verify_class_two: if k * (p.bit_length() - 1) > 62 or p**k > arith.MODULUS_CAP:  ->  "
+    "if k * (p.bit_length() - 2) > 62 or p**k > arith.MODULUS_CAP:": _CHEAP_POWER,
+    "_verify_class_two: if k * (p.bit_length() - 1) > 62 or p**k > arith.MODULUS_CAP:  ->  "
+    "if k * (p.bit_length() - 1) > 63 or p**k > arith.MODULUS_CAP:": _CHEAP_POWER,
+    "_verify_class_two: if P > arith.MODULUS_CAP or not arith.is_prime(P):  ->  "
+    "if P >= arith.MODULUS_CAP or not arith.is_prime(P):":
+        "MODULUS_CAP is 2^62, which is not prime, so is_prime rejects it with the same reason",
 }
 
 

@@ -155,6 +155,21 @@ class TestSolveCommand:
         assert proc.returncode == 0
         assert "(1,3) (3,7)" in proc.stdout
 
+    def test_import_leaves_the_pool_and_the_hash_unloaded(self):
+        # what `expodio solve` and `expodio verify` load: a scan loads
+        # multiprocessing at its first pool and hashlib at its first digest
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, expodio, expodio.cli; "
+            "print(sorted({'multiprocessing', 'hashlib'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestScanRecord:
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -255,7 +256,22 @@ _REJECTIONS = [
     ("claim 3 prime", lambda: _edited((5, 3, 2), 3, prime=449),
      "compute_mod_add param 'prime' does not match the re-derived facts", 3),
     ("composite magic prime", lambda: _edited((5, 3, 2), 2, prime=255),
-     "magic prime 255 is not prime", 2),
+     "magic prime 255 is not a prime below 2^62", 2),
+    # 2^62 + 135 is prime, but the order modulo it would factorize 2^62 + 134,
+    # and factorize is defined only below 2^62
+    ("magic prime above 2^62", lambda: _edited((2, 1, 3), 2, prime=2**62 + 135),
+     "magic prime 4611686018427388039 is not a prime below 2^62", 2),
+    # claim 2 lists one lifted residue; at these primes the lift derived
+    # from y = 0 (mod 4) has about 2^24 and 2^30 of them, which the
+    # verifier must reject before it builds them
+    ("lift longer than listed", lambda: _edited((2, 1, 3), 2, prime=67_108_913),
+     "lifted residues do not fill the lifted period", 2),
+    ("lift past memory", lambda: _edited((2, 1, 3), 2, prime=4_294_967_357),
+     "lifted residues do not fill the lifted period", 2),
+    ("no lifted residues", lambda: _edited((2, 1, 3), 2, drop=("lifted_residues",)),
+     "lifted residues do not fill the lifted period", 2),
+    ("lifted residues not a list", lambda: _edited((2, 1, 3), 2, lifted_residues=7),
+     "malformed certificate: object of type 'int' has no len()", None),
     ("magic prime off the progression", lambda: _edited((5, 3, 2), 2, prime=131),
      "magic prime is not 1 mod the constraint period", 2),
     ("wrong claim kind", lambda: _edited((5, 3, 2), 0, kind=ClaimKind.OBSERVE_MOD_CYCLE),
@@ -271,7 +287,11 @@ _REJECTIONS = [
     ids=[case[0] for case in _REJECTIONS],
 )
 def test_each_rejection_fires(build, reason, claim_index):
-    verdict = verify_certificate(build())
+    cert = build()
+    start = time.process_time()
+    verdict = verify_certificate(cert)
+    # each is decided from the stated facts, none by building a long list
+    assert time.process_time() - start < 1.0
     assert verdict.accepted is False
     assert verdict.reason == reason
     assert verdict.claim_index == claim_index
