@@ -17,8 +17,8 @@ residues and power values in utilize_mod_cycle, the shifted values in
 compute_mod_*, the solution list at the top level of the document.
 The canonical text is that document as one line of compact JSON.
 
-Certificates are immutable: the dataclasses are frozen, and claim
-params are a read-only mapping whose integer lists are tuples.
+Certificates are immutable: a frozen dataclass whose claims are
+ClaimRecord tuples with read-only params, whose integer lists are tuples.
 
 verify_certificate works from the (a, b, c) triple alone.  It re-derives
 the facts the claims rest on with the arithmetic kernel, sharing nothing
@@ -40,9 +40,9 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import arith
 from .instance import EquationInstance
@@ -128,11 +128,10 @@ class Params(dict):
         return self
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(NamedTuple):
     kind: ClaimKind
-    params: Params = field(default_factory=Params)
-    premises: tuple[int, ...] = ()
+    params: Params
+    premises: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -202,27 +201,26 @@ def _check_bound(solutions, zero_var: str, t: int) -> None:
 
 
 # The claims functions below are the one statement of each shape's claim
-# layout.  The builders wrap their triples in ClaimRecords; the verifier
-# compares a certificate's claims with the triples they give for the
-# facts it has re-derived.  They return plain (kind, dict, premises)
-# tuples, since the verifier calls them on every certificate.
-
-Claim = tuple[ClaimKind, dict[str, Any], tuple[int, ...]]
+# layout.  The builders store the ClaimRecords they return; the verifier
+# compares a certificate's claims with the records they give for the
+# facts it has re-derived.
 
 
-def _pow_claim(base: int, variable: str, threshold: int, modulus: int) -> Claim:
-    return (
+def _pow_claim(base: int, variable: str, threshold: int, modulus: int) -> ClaimRecord:
+    return ClaimRecord(
         ClaimKind.POW_MOD_EQ_ZERO,
-        {"base": base, "variable": variable, "threshold": threshold, "modulus": modulus},
+        Params(base=base, variable=variable, threshold=threshold, modulus=modulus),
         (),
     )
 
 
-def _enumeration_claim(variable: str, bound: int, premises: tuple[int, ...]) -> Claim:
-    return (ClaimKind.DIOPHANTINE1_ENUMERATION, {"variable": variable, "bound": bound}, premises)
+def _enumeration_claim(variable: str, bound: int, premises: tuple[int, ...]) -> ClaimRecord:
+    return ClaimRecord(
+        ClaimKind.DIOPHANTINE1_ENUMERATION, Params(variable=variable, bound=bound), premises
+    )
 
 
-def _common_factor_claims(instance: EquationInstance, p: int, k: int) -> tuple[Claim, ...]:
+def _common_factor_claims(instance: EquationInstance, p: int, k: int) -> tuple[ClaimRecord, ...]:
     modulus = p**k
     return (
         _pow_claim(instance.a, "x", k, modulus),
@@ -233,20 +231,20 @@ def _common_factor_claims(instance: EquationInstance, p: int, k: int) -> tuple[C
 
 def _direct_exclusion_claims(
     instance: EquationInstance, mode: Mode, modulus: int, t: int
-) -> tuple[Claim, ...]:
+) -> tuple[ClaimRecord, ...]:
     """The direct-exclusion claims; a divisibility certificate is their first two at t = 1."""
     zero_base, zero_var, other_base, other_var = _sides(instance, mode)
     return (
         _pow_claim(zero_base, zero_var, t, modulus),
-        (
+        ClaimRecord(
             ClaimKind.OBSERVE_MOD_CYCLE,
-            {
-                "base": other_base,
-                "variable": other_var,
-                "target": _expected_target(instance, mode, modulus),
-                "modulus": modulus,
-                "outcome": "impossible",
-            },
+            Params(
+                base=other_base,
+                variable=other_var,
+                target=_expected_target(instance, mode, modulus),
+                modulus=modulus,
+                outcome="impossible",
+            ),
             (0,),
         ),
         _enumeration_claim(zero_var, t - 1, (1,)),
@@ -258,66 +256,59 @@ def _magic_prime_claims(
     mode: Mode,
     modulus: int,
     t: int,
-    target: int,
-    residue: int,
-    period: int,
-    prime: int,
-    lifted_period: int,
-    lifted_residues: tuple[int, ...],
-    values: tuple[int, ...],
-    shifted_values: tuple[int, ...],
-) -> tuple[Claim, ...]:
+    constraint: Constraint,
+    witness: MagicPrimeWitness,
+) -> tuple[ClaimRecord, ...]:
     zero_base, zero_var, con_base, con_var = _sides(instance, mode)
     shift_kind = ClaimKind.COMPUTE_MOD_ADD if mode is Mode.FORWARD else ClaimKind.COMPUTE_MOD_SUB
+    prime = witness.prime
     return (
         _pow_claim(zero_base, zero_var, t, modulus),
-        (
+        ClaimRecord(
             ClaimKind.OBSERVE_MOD_CYCLE,
-            {
-                "base": con_base,
-                "variable": con_var,
-                "target": target,
-                "modulus": modulus,
-                "outcome": "constrains",
-                "residue": residue,
-                "period": period,
-            },
+            Params(
+                base=con_base,
+                variable=con_var,
+                target=constraint.source_target,
+                modulus=modulus,
+                outcome="constrains",
+                residue=constraint.residue,
+                period=constraint.period,
+            ),
             (0,),
         ),
-        (
+        ClaimRecord(
             ClaimKind.UTILIZE_MOD_CYCLE,
-            {
-                "base": con_base,
-                "variable": con_var,
-                "residue": residue,
-                "period": period,
-                "prime": prime,
-                "lifted_period": lifted_period,
-                "lifted_residues": lifted_residues,
-                "values": values,
-            },
+            Params(
+                base=con_base,
+                variable=con_var,
+                residue=constraint.residue,
+                period=constraint.period,
+                prime=prime,
+                lifted_period=witness.lifted_period,
+                lifted_residues=witness.lifted_residues,
+                values=witness.power_values,
+            ),
             (1,),
         ),
-        (
+        ClaimRecord(
             shift_kind,
-            {
-                "prime": prime,
-                "input_base": con_base,
-                "input_variable": con_var,
-                "shift": instance.b,
-                "output_base": zero_base,
-                "output_variable": zero_var,
-                "output_values": shifted_values,
-            },
+            Params(
+                prime=prime,
+                input_base=con_base,
+                input_variable=con_var,
+                shift=instance.b,
+                output_base=zero_base,
+                output_variable=zero_var,
+                output_values=witness.shifted_values,
+            ),
             (2,),
         ),
-        (ClaimKind.EXHAUST_MOD_CYCLE, {"base": zero_base, "variable": zero_var, "prime": prime}, (3,)),
+        ClaimRecord(
+            ClaimKind.EXHAUST_MOD_CYCLE, Params(base=zero_base, variable=zero_var, prime=prime), (3,)
+        ),
         _enumeration_claim(zero_var, t - 1, (4,)),
     )
-
-
-def _records(claims: tuple[Claim, ...]) -> tuple[ClaimRecord, ...]:
-    return tuple([ClaimRecord(kind, Params(params), premises) for kind, params, premises in claims])
 
 
 def build_divisibility_certificate(instance: EquationInstance, mode: Mode, p: int) -> Certificate:
@@ -335,7 +326,7 @@ def build_divisibility_certificate(instance: EquationInstance, mode: Mode, p: in
         modulus_exponent=1,
         bound_threshold=1,
         solutions=(),
-        claims=_records(_direct_exclusion_claims(instance, mode, p, 1)[:2]),
+        claims=_direct_exclusion_claims(instance, mode, p, 1)[:2],
     )
 
 
@@ -360,7 +351,7 @@ def build_common_factor_certificate(
         modulus_exponent=k,
         bound_threshold=k,
         solutions=solutions,
-        claims=_records(_common_factor_claims(instance, p, k)),
+        claims=_common_factor_claims(instance, p, k),
     )
 
 
@@ -378,7 +369,7 @@ def build_direct_exclusion_certificate(
         modulus_exponent=k,
         bound_threshold=t,
         solutions=solutions,
-        claims=_records(_direct_exclusion_claims(instance, mode, p**k, t)),
+        claims=_direct_exclusion_claims(instance, mode, p**k, t),
     )
 
 
@@ -400,20 +391,6 @@ def build_magic_prime_certificate(
         )
     solutions = _check_solutions(instance, solutions)
     _check_bound(solutions, zero_var, t)
-    claims = _magic_prime_claims(
-        instance,
-        mode,
-        p**k,
-        t,
-        constraint.source_target,
-        constraint.residue,
-        constraint.period,
-        witness.prime,
-        witness.lifted_period,
-        witness.lifted_residues,
-        witness.power_values,
-        witness.shifted_values,
-    )
     return Certificate(
         instance=instance,
         shape=CertShape.MAGIC_PRIME_EXCLUSION,
@@ -422,7 +399,7 @@ def build_magic_prime_certificate(
         modulus_exponent=k,
         bound_threshold=t,
         solutions=solutions,
-        claims=_records(claims),
+        claims=_magic_prime_claims(instance, mode, p**k, t, constraint, witness),
     )
 
 
@@ -594,9 +571,10 @@ def certificate_from_dict(doc: Any) -> Certificate:
 
 
 def parse_certificate(text: str) -> Certificate:
+    # bad syntax and over-long integers raise ValueError, deep nesting RecursionError
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
     return certificate_from_dict(doc)
 
@@ -684,8 +662,9 @@ def _stated(cert: Certificate, index: int, key: str) -> tuple[Any, Verdict | Non
 _ABSENT = object()
 
 
-def _difference(claim: ClaimRecord, kind: ClaimKind, params: dict, premises) -> str:
+def _difference(claim: ClaimRecord, expected: ClaimRecord) -> str:
     """How a claim differs from the expected one; built only on rejection."""
+    kind, params, premises = expected
     if claim.kind != kind:
         return f"the shape needs {kind.value} here"
     if claim.premises != premises:
@@ -698,16 +677,17 @@ def _difference(claim: ClaimRecord, kind: ClaimKind, params: dict, premises) -> 
     return f"{kind.value} param {key!r} does not match the re-derived facts"
 
 
-def _check_claims(cert: Certificate, expected: tuple[Claim, ...]) -> Verdict:
+def _check_claims(cert: Certificate, expected: tuple[ClaimRecord, ...]) -> Verdict:
     """Accept when the claims are exactly `expected`, the layout of the re-derived facts.
 
     At the enumeration claim the solution list must equal a fresh
     enumeration up to that claim's bound.
     """
     claims = cert.claims
-    for i, ((kind, params, premises), claim) in enumerate(zip(expected, claims)):
+    for i, (want, claim) in enumerate(zip(expected, claims)):
+        kind, params, premises = want
         if claim.kind != kind or claim.params != params or claim.premises != premises:
-            return _reject(_difference(claim, kind, params, premises), claim_index=i)
+            return _reject(_difference(claim, want), claim_index=i)
         if kind is ClaimKind.DIOPHANTINE1_ENUMERATION and cert.solutions != _enumerate_solutions(
             cert.instance, params["variable"], params["bound"]
         ):
@@ -772,12 +752,9 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     shifted = tuple((v - target_mod_P) % P for v in values)
     if not _outside_cycle(zero_base, P, 1, shifted):
         return _reject("shifted values intersect the other power cycle", claim_index=4)
-    return _check_claims(
-        cert,
-        _magic_prime_claims(
-            instance, mode, modulus, t, target, residue, period, P, L, lifted, values, shifted
-        ),
-    )
+    constraint = Constraint(con_var, residue, period, target)
+    witness = MagicPrimeWitness(P, L, lifted, values, shifted)
+    return _check_claims(cert, _magic_prime_claims(instance, mode, modulus, t, constraint, witness))
 
 
 # The certificates verify_certificate has accepted, keyed by id(); an entry

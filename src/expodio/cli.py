@@ -132,7 +132,7 @@ def build_config(args: argparse.Namespace) -> SolverConfig:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CliError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise CliError(f"config file {args.config} must hold a JSON object")
@@ -279,7 +279,7 @@ def iter_records(path: str | Path) -> Iterator[ScanRecord | None]:
                     continue
                 try:
                     record = ScanRecord.from_json(line)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, ValueError, RecursionError):
                     record = None
                 yield record
     except OSError as exc:

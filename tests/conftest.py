@@ -15,6 +15,11 @@ from expodio import (
 )
 from expodio.cli import iter_cube, iter_records
 
+# Two short JSON texts json cannot load: nesting 1,000 deep raises
+# RecursionError, and an integer of 5,000 digits the int-string-limit ValueError.
+HOSTILE_DEEP = "[" * 1000 + "]" * 1000
+HOSTILE_DIGITS = "1" * 5000
+
 # One sha256 over the 12-cube's output bytes; see `cube_output_digest`.
 CUBE12_DIGEST = Path(__file__).parent / "golden" / "cube12.sha256"
 

@@ -11,8 +11,8 @@ verification section, everything below the "# verification" banner:
 A mutant is spliced into the source text, so every other line keeps its
 place.  Each one replaces certificate.py in a private copy of the package
 and runs the verifier's tests against it (test_certificate.py,
-test_verifier_hardening.py, test_emit.py and acceptance criteria 1, 4
-and 6).  A mutant is killed when a test fails, and hangs when the tests
+test_verifier_hardening.py, test_emit.py, acceptance criteria 1, 4 and
+6, and test_engine.py's large-range sample).  A mutant is killed when a test fails, and hangs when the tests
 outrun TIMEOUT; it survives when they pass.  A survivor listed in
 EQUIVALENT is reported with the reason it cannot change a verdict.
 
@@ -45,6 +45,7 @@ TESTS = [
     "tests/test_acceptance.py::test_criterion_1_golden_suite",
     "tests/test_acceptance.py::test_criterion_4_certificate_soundness",
     "tests/test_acceptance.py::test_criterion_6_magic_prime_fidelity",
+    "tests/test_engine.py::TestSolve::test_large_range_sample_matches_oracle",
 ]
 TIMEOUT = 120.0  # seconds per mutant
 

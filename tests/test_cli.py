@@ -11,7 +11,7 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from conftest import read_rows
+from conftest import HOSTILE_DEEP, HOSTILE_DIGITS, read_rows
 from oracle import brute_force_solutions
 
 from expodio import parse_certificate, verify_certificate
@@ -68,6 +68,18 @@ class TestSolveCommand:
         code, _, err = run_cli(["solve", "5", "3", "2", "--config", str(config)], capsys)
         assert code == 1
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"ceiling": ', HOSTILE_DEEP, '{"ceiling": %s}' % HOSTILE_DIGITS],
+        ids=["truncated", "deep", "digits"],
+    )
+    def test_unreadable_config_file(self, capsys, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, _, err = run_cli(["solve", "5", "3", "2", "--config", str(config)], capsys)
+        assert code == 1
+        assert "cannot read config file" in err
 
     @pytest.mark.parametrize(
         "doc, code",
@@ -295,10 +307,12 @@ class TestScanCommand:
         # (1, 3, 4) would mark the last position, (4, 3, 4), from the end,
         # and a = 3.5 read as 3 would mark (3, 2, 2)
         foreign = [row(2, 4, 2), row(2, 1, 5), row(5, 1, 2), row(1, 3, 4), row(3.5, 2, 2)]
-        out_file.write_text("\n".join([*foreign, row(2, 1, 2), row(3, 2, 3)[:20]]))
+        hostile = [HOSTILE_DEEP, row(2, 3, 2).replace('"b":3', '"b":' + HOSTILE_DIGITS)]
+        out_file.write_text("\n".join([*foreign, *hostile, row(2, 1, 2), row(3, 2, 3)[:20]]))
         assert run_cli(args + ["--resume"], capsys)[0] == 0
         rows, malformed = read_rows(out_file)
-        assert malformed == 3  # the a = 1 and a = 3.5 rows and the truncated line
+        # the a = 1 and a = 3.5 rows, the two hostile rows and the truncated line
+        assert malformed == 5
         cube = list(iter_cube(4, 3, 4))
         keys = [(r.a, r.b, r.c) for r in rows if (r.a, r.b, r.c) in cube]
         assert sorted(keys) == sorted(cube)
@@ -429,6 +443,16 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", str(tmp_path / "nope.json")], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text", [HOSTILE_DEEP, '{"format": %s}' % HOSTILE_DIGITS], ids=["deep", "digits"]
+    )
+    def test_hostile_json_is_malformed(self, capsys, tmp_path, text):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(text)
+        code, _, err = run_cli(["verify", str(cert_file)], capsys)
+        assert code == 1
+        assert "malformed certificate" in err
+
 
 class TestStatsCommand:
     def test_empty_file(self, capsys, tmp_path):
@@ -444,10 +468,11 @@ class TestStatsCommand:
             a=2, b=1, c=3, status="Solved", class_tag="ClassII", solution_count=2,
             solutions=((1, 1), (3, 2)), certificate_digest="ab" * 32, elapsed_ms=1.0,
         )
-        results.write_text(record.to_json() + "\n" + '{"truncated": \n')
+        hostile = [HOSTILE_DEEP, record.to_json().replace('"b":1', '"b":' + HOSTILE_DIGITS)]
+        results.write_text("\n".join([record.to_json(), *hostile, '{"truncated": \n']))
         code, out, _ = run_cli(["stats", str(results)], capsys)
         assert code == 0
-        assert "records: 1 (1 malformed lines)" in out
+        assert "records: 1 (3 malformed lines)" in out
 
     def test_row_that_is_no_instance_is_malformed(self, capsys, tmp_path):
         # a = 1 is outside the parameter domain; such a row on top must not

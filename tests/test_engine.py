@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,20 +17,55 @@ from expodio import (
     Mode,
     SolverConfig,
     SolveStatus,
+    emit_lean,
     final_enumeration,
     initial_search,
     magic_prime_search,
+    parse_certificate,
+    serialize_certificate,
     solve,
     verify_certificate,
     witness_for_prime,
 )
 from expodio.certificate import CertificateBuildError
+from expodio.classify import ClassTag
 from expodio.engine import (
     ExclusionKind,
     ModulusCandidate,
     _conclude,
     exclusion_step,
 )
+
+
+def _pairwise_coprime(a: int, b: int, c: int) -> bool:
+    return math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1
+
+
+def _large_range_sample(seed: int) -> list[tuple[int, int, int]]:
+    """About 300 seeded triples with a, c <= 10^6 and b <= 10^9.
+
+    100 share a factor, so the divisibility classes appear at scale; 150
+    are pairwise coprime; 50 more are pairwise coprime and built as
+    b = c^y - a^x, so that their solution lists are not empty.
+    """
+    rng = random.Random(seed)
+    shared: set[tuple[int, int, int]] = set()
+    coprime: set[tuple[int, int, int]] = set()
+    built: set[tuple[int, int, int]] = set()
+    while len(shared) < 100 or len(coprime) < 150:
+        triple = (rng.randint(2, 10**6), rng.randint(1, 10**9), rng.randint(2, 10**6))
+        if _pairwise_coprime(*triple):
+            if len(coprime) < 150:
+                coprime.add(triple)
+        elif len(shared) < 100:
+            shared.add(triple)
+    while len(built) < 50:
+        # log-uniform bases, so that squares and cubes fit under 10^9 too
+        a, c = (int(10 ** rng.uniform(0.31, 6)) for _ in range(2))
+        b = c ** rng.randint(1, 3) - a ** rng.randint(1, 3)
+        if 1 <= b <= 10**9 and _pairwise_coprime(a, b, c):
+            built.add((a, b, c))
+    return sorted(shared | coprime | built)
 
 
 class TestInitialSearch:
@@ -333,3 +371,21 @@ class TestSolve:
         mine = [s for s in result.solutions if c ** s[1] <= 10**12]
         assert mine == oracle
         assert verify_certificate(result.certificate).accepted
+
+    def test_large_range_sample_matches_oracle(self):
+        # parameters far past the benchmark's, through the whole pipeline:
+        # solve, serialize, parse, verify, emit.  No equation has more than
+        # two solutions (M. A. Bennett, Canad. J. Math. 53, 2001).
+        class_one = solvable = 0
+        for a, b, c in _large_range_sample(17):
+            result = solve(EquationInstance(a, b, c))
+            assert result.status is SolveStatus.SOLVED, (a, b, c)
+            oracle = brute_force_solutions(a, b, c, ceiling=2**100)
+            assert list(result.solutions) == oracle, (a, b, c)
+            assert len(result.solutions) <= 2, (a, b, c)
+            parsed = parse_certificate(serialize_certificate(result.certificate))
+            assert verify_certificate(parsed).accepted, (a, b, c)
+            assert emit_lean(parsed) == emit_lean(result.certificate), (a, b, c)
+            class_one += result.classification.tag is not ClassTag.CLASS_II
+            solvable += bool(result.solutions)
+        assert class_one >= 100 and solvable >= 50

@@ -184,7 +184,7 @@ def _edited(triple, index, drop=(), **changes):
     fields = {key: changes.pop(key) for key in ("kind", "premises") if key in changes}
     params = {k: v for k, v in {**claim.params, **changes}.items() if k not in drop}
     claims = list(cert.claims)
-    claims[index] = dataclasses.replace(claim, params=Params(params), **fields)
+    claims[index] = claim._replace(params=Params(params), **fields)
     return dataclasses.replace(cert, claims=tuple(claims))
 
 
