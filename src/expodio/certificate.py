@@ -804,7 +804,7 @@ def _verify(cert: Certificate) -> Verdict:
         if shape is CertShape.DIRECT_MODULAR_EXCLUSION or shape is CertShape.MAGIC_PRIME_EXCLUSION:
             return _verify_class_two(cert)
         return _reject(f"unknown certificate shape {shape!r}")
-    except (ValueError, OverflowError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (AttributeError, ValueError, OverflowError, KeyError, TypeError, ZeroDivisionError) as exc:
         return _reject(f"malformed certificate: {exc}")
 
 

@@ -292,26 +292,23 @@ def _run_pool(
     jobs: int,
     keep_certs_dir: Path | None,
     out_handle: TextIO,
-) -> tuple[int, int, int]:
+) -> tuple[int, int]:
     """Solve triples on a worker pool; stream records through one writer.
 
-    Work is distributed in small fixed chunks so results reach the
-    writer continuously even on multi-million-instance sweeps, and the
-    input iterable is consumed lazily.
+    Returns (records written, Unresolved among them).  Small fixed chunks
+    keep results reaching the writer on multi-million-instance sweeps,
+    and the input iterable is consumed lazily.
     """
-    processed = solved = unresolved = 0
+    processed = unresolved = 0
 
     start = time.perf_counter()
 
     def consume(payload: tuple[str, str, tuple[int, int, int], str | None]) -> None:
-        nonlocal processed, solved, unresolved
+        nonlocal processed, unresolved
         line, status, (a, b, c), cert_text = payload
         out_handle.write(line + "\n")
         processed += 1
-        if status == SolveStatus.SOLVED.value:
-            solved += 1
-        else:
-            unresolved += 1
+        unresolved += status != SolveStatus.SOLVED.value
         if cert_text is not None and keep_certs_dir is not None:
             name = f"cert_{a}_{b}_{c}.json"
             (keep_certs_dir / name).write_text(cert_text, encoding="utf-8")
@@ -332,7 +329,7 @@ def _run_pool(
         with multiprocessing.Pool(processes=jobs) as pool:
             for payload in pool.imap_unordered(worker, triples, chunksize=64):
                 consume(payload)
-    return processed, solved, unresolved
+    return processed, unresolved
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -343,34 +340,42 @@ def cmd_scan(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     keep_certs_dir = Path(args.keep_certs) if args.keep_certs else None
     if keep_certs_dir is not None:
-        keep_certs_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            keep_certs_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot create {keep_certs_dir}: {exc}") from exc
 
     # one byte per cube position, in iter_cube order: set once the file holds that triple
     done = bytearray((args.a_max - 1) * args.b_max * (args.c_max - 1))
     # retrying implies resuming: never duplicate solved records
-    if (args.resume or args.retry_unresolved) and out_path.exists():
-        retry = []
+    resume = args.resume or args.retry_unresolved
+    held = held_unresolved = 0  # the file's rows before this run, for the closing summary
+    retry = []
+    if os.path.isfile(out_path) and os.path.getsize(out_path):
         for record in iter_records(out_path):
             if record is None:
                 continue
+            held += 1
             a, b, c = record.a, record.b, record.c
             # a row of a larger cube marks nothing
-            if a <= args.a_max and b <= args.b_max and c <= args.c_max:
+            if resume and a <= args.a_max and b <= args.b_max and c <= args.c_max:
                 done[((a - 2) * args.b_max + b - 1) * (args.c_max - 1) + c - 2] = 1
             if record.status == SolveStatus.UNRESOLVED.value:
-                retry.append((a, b, c))
-        # the rewrite below replaces each retried row, so `done` stays as it is
-        if args.retry_unresolved and retry:
-            tmp_path = out_path.with_suffix(out_path.suffix + ".tmp")
-            try:
-                with open(tmp_path, "w", encoding="utf-8", buffering=1) as handle:
-                    for record in iter_records(out_path):
-                        if record is not None and record.status != SolveStatus.UNRESOLVED.value:
-                            handle.write(record.to_json() + "\n")
-                    _run_pool(retry, enlarged(config), jobs, keep_certs_dir, handle)
-                os.replace(tmp_path, out_path)
-            except OSError as exc:
-                raise CliError(f"cannot rewrite {out_path}: {exc}") from exc
+                held_unresolved += 1
+                if args.retry_unresolved:
+                    retry.append((a, b, c))
+    # the rewrite replaces each retried row, so `done` and `held` stay as they are
+    if retry:
+        tmp_path = out_path.with_suffix(out_path.suffix + ".tmp")
+        try:
+            with open(tmp_path, "w", encoding="utf-8", buffering=1) as handle:
+                for record in iter_records(out_path):
+                    if record is not None and record.status != SolveStatus.UNRESOLVED.value:
+                        handle.write(record.to_json() + "\n")
+                _, held_unresolved = _run_pool(retry, enlarged(config), jobs, keep_certs_dir, handle)
+            os.replace(tmp_path, out_path)
+        except OSError as exc:
+            raise CliError(f"cannot rewrite {out_path}: {exc}") from exc
 
     cube = iter_cube(args.a_max, args.b_max, args.c_max)
     todo = (t for t, skip in zip(cube, done) if not skip)
@@ -378,22 +383,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
     try:
         _terminate_partial_line(out_path)
         with open(out_path, "a", encoding="utf-8", buffering=1) as handle:
-            processed, solved, unresolved = _run_pool(todo, config, jobs, keep_certs_dir, handle)
+            processed, unresolved = _run_pool(todo, config, jobs, keep_certs_dir, handle)
     except OSError as exc:
         raise CliError(f"cannot write {out_path}: {exc}") from exc
     elapsed = time.perf_counter() - start
 
-    total_records = total_unresolved = 0
-    for record in iter_records(out_path):
-        if record is not None:
-            total_records += 1
-            total_unresolved += record.status == SolveStatus.UNRESOLVED.value
     print(
         f"scanned {processed} instances in {elapsed:.1f}s "
-        f"(jobs={jobs}, new solved={solved}, new unresolved={unresolved}); "
-        f"file now holds {total_records} records, {total_unresolved} unresolved"
+        f"(jobs={jobs}, new solved={processed - unresolved}, new unresolved={unresolved}); "
+        f"file now holds {held + processed} records, {held_unresolved + unresolved} unresolved"
     )
-    return EXIT_OK if total_unresolved == 0 else EXIT_UNRESOLVED
+    return EXIT_OK if held_unresolved + unresolved == 0 else EXIT_UNRESOLVED
 
 
 # ---------------------------------------------------------------------------

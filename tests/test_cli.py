@@ -14,6 +14,7 @@ import pytest
 from conftest import HOSTILE_DEEP, HOSTILE_DIGITS, read_rows
 from oracle import brute_force_solutions
 
+import expodio.cli as cli_module
 from expodio import parse_certificate, verify_certificate
 from expodio.cli import ScanRecord, iter_cube, main
 
@@ -24,6 +25,13 @@ def run_cli(args: list[str], capsys) -> tuple[int, str, str]:
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_summary_recounts(out: str, path) -> None:
+    """The closing summary's totals are those of a recount of the file."""
+    rows, _ = read_rows(path)
+    unresolved = sum(r.status == "Unresolved" for r in rows)
+    assert f"file now holds {len(rows)} records, {unresolved} unresolved" in out, out
 
 
 class TestSolveCommand:
@@ -280,7 +288,9 @@ class TestScanCommand:
         # truncate mid-line to model a crash during a write
         out_file.write_text("".join(lines[:keep]) + lines[keep][: len(lines[keep]) // 2])
 
-        assert run_cli(args + ["--resume"], capsys)[0] == 0
+        code, out, _ = run_cli(args + ["--resume"], capsys)
+        assert code == 0
+        assert_summary_recounts(out, out_file)
         resumed, malformed = read_rows(out_file)
         keys = [(r.a, r.b, r.c) for r in resumed]
         assert len(keys) == len(set(keys)) == len(full_records)
@@ -309,7 +319,9 @@ class TestScanCommand:
         foreign = [row(2, 4, 2), row(2, 1, 5), row(5, 1, 2), row(1, 3, 4), row(3.5, 2, 2)]
         hostile = [HOSTILE_DEEP, row(2, 3, 2).replace('"b":3', '"b":' + HOSTILE_DIGITS)]
         out_file.write_text("\n".join([*foreign, *hostile, row(2, 1, 2), row(3, 2, 3)[:20]]))
-        assert run_cli(args + ["--resume"], capsys)[0] == 0
+        code, out, _ = run_cli(args + ["--resume"], capsys)
+        assert code == 0
+        assert_summary_recounts(out, out_file)
         rows, malformed = read_rows(out_file)
         # the a = 1 and a = 3.5 rows, the two hostile rows and the truncated line
         assert malformed == 5
@@ -371,7 +383,9 @@ class TestScanCommand:
         records, _ = read_rows(out_file)
         assert any(r.status == "Unresolved" for r in records)
 
-        assert run_cli(args + ["--resume", "--retry-unresolved"], capsys)[0] == 0
+        code, out, _ = run_cli(args + ["--resume", "--retry-unresolved"], capsys)
+        assert code == 0
+        assert_summary_recounts(out, out_file)
         retried, _ = read_rows(out_file)
         assert all(r.status == "Solved" for r in retried)
         keys = [(r.a, r.b, r.c) for r in retried]
@@ -395,6 +409,33 @@ class TestScanCommand:
         assert "new solved=8, new unresolved=0" in out
         assert "file now holds 9 records, 1 unresolved" in out
 
+    def test_reads_the_file_once_per_pass_it_needs(self, capsys, tmp_path, monkeypatch):
+        # the summary is counted while scanning: a fresh scan parses no row,
+        # a resume reads the file once, and a retry once more to rewrite it
+        calls = []
+        real = cli_module.iter_records
+
+        def counted(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli_module, "iter_records", counted)
+        out_file = tmp_path / "scan.jsonl"
+        args = ["scan", "--a-max", "5", "--b-max", "3", "--c-max", "3", "--jobs", "1"]
+        tiny = ["--prime-count", "0", "--max-pops", "1"]
+        other = tmp_path / "other.jsonl"
+        other.write_text("")
+        for extra, out_path, code, reads in [
+            (tiny, out_file, 2, 0),  # a new file, left with Unresolved rows
+            ([], other, 0, 0),  # an empty file, then filled
+            (["--resume"], other, 0, 1),
+            (["--resume", "--retry-unresolved"], out_file, 0, 2),
+        ]:
+            calls.clear()
+            got, out, _ = run_cli(args + ["--out", str(out_path)] + extra, capsys)
+            assert (got, len(calls)) == (code, reads), extra
+            assert_summary_recounts(out, out_path)
+
     def test_env_var_jobs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EXPODIO_JOBS", "1")
         out_file = tmp_path / "scan.jsonl"
@@ -404,6 +445,22 @@ class TestScanCommand:
         )
         assert code == 0
         assert "jobs=1" in out
+
+    def test_keep_certs_dir_that_cannot_be_made(self, tmp_path):
+        # a directory under a regular file: an error line, not a traceback
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "expodio", "scan", "--a-max", "3", "--b-max", "2",
+             "--c-max", "3", "--jobs", "1", "--out", str(tmp_path / "scan.jsonl"),
+             "--keep-certs", str(blocker / "sub")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot create "), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unwritable_output(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -33,7 +33,9 @@ from expodio.certificate import (
     certificate_to_dict,
     parse_certificate,
     verify_certificate,
+    was_accepted,
 )
+from expodio.emit import EmitRefusedError, emit_lean
 
 _REPRESENTATIVES = {
     "DivisibilityNoSolution": (2, 6, 9),
@@ -132,6 +134,25 @@ def test_a_wrong_claim_kind_is_rejected_at_that_claim(shape, triple, golden_cert
             assert not verdict.accepted, (index, kind)
             assert verdict.claim_index == index, (index, kind, verdict.reason)
 
+
+
+# Claims the verifier cannot read, built by hand as plain tuples or dicts
+# with the same fields: each is a malformed certificate, not a crash.
+@pytest.mark.parametrize("as_plain", [tuple, lambda claim: claim._asdict()], ids=["tuple", "dict"])
+@pytest.mark.parametrize(
+    "triple",
+    [_REPRESENTATIVES["MagicPrimeExclusion"], _REPRESENTATIVES["DirectModularExclusion"]],
+    ids=["magic prime", "direct exclusion"],
+)
+def test_claims_it_cannot_read_are_rejected(triple, as_plain, golden_certificates):
+    cert = golden_certificates[triple]
+    plain = dataclasses.replace(cert, claims=tuple(as_plain(claim) for claim in cert.claims))
+    verdict = verify_certificate(plain)
+    assert not verdict.accepted
+    assert verdict.reason.startswith("malformed certificate"), verdict.reason
+    assert not was_accepted(plain)
+    with pytest.raises(EmitRefusedError):
+        emit_lean(plain)
 
 
 def _hand_built(triple, shape, mode, p, k, t, solutions=()):
