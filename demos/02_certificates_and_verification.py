@@ -1,9 +1,10 @@
 """Certificates are self-contained and survive an adversarial referee.
 
-A certificate is a plain JSON document.  The verifier recomputes every
-claim in it from the (a, b, c) parameters alone; it shares no code with
-the solver beyond basic integer arithmetic.  Tampering with any field
-of the proof gets caught.
+A certificate is a plain JSON document.  The verifier checks every
+claim in it from the (a, b, c) parameters alone, proving each order the
+certificate states with pow and the order's listed prime factors; it
+shares no code with the solver beyond a primality test and an
+exact-power test.  Tampering with any field of the proof gets caught.
 """
 
 import json

@@ -6,7 +6,7 @@ re-establish it by direct computation:
 
     pow_mod_eq_zero            var >= t  =>  base^var = 0 (mod M)
     observe_mod_cycle          base^var = R (mod M) is impossible, or
-                               forces var = r (mod K)
+                               forces var = r (mod K); K is base's order
     utilize_mod_cycle          var = r (mod K)  =>  base^var mod P is in a list
     compute_mod_add / _sub     shifts that list across the equation
     exhaust_mod_cycle          the shifted list misses the other power cycle
@@ -20,19 +20,19 @@ The canonical text is that document as one line of compact JSON.
 Certificates are immutable: a frozen dataclass whose claims are
 ClaimRecord tuples with read-only params, whose integer lists are tuples.
 
-verify_certificate works from the (a, b, c) triple alone.  It re-derives
-the facts the claims rest on with the arithmetic kernel, sharing nothing
-with the solver's search: a stated residue is checked with one pow, and
-a value outside a power cycle by a subgroup test of its own, never a
-discrete-log search.  It checks each claim against the builders' claim
-for those facts (one claims function per shape states its layout) and
-re-runs the bounded enumeration at the enumeration claim.  The work is
-bounded by the certificate: a modulus or magic prime above 2^62 is
-rejected before any order is computed, and the magic-prime lift is
-rejected unless it has as many residues as the certificate lists, before
-any list of them is built.  It remembers, by identity, each certificate
-it has accepted; was_accepted lets a renderer reuse that acceptance
-instead of verifying it again.
+verify_certificate works from the (a, b, c) triple alone and shares no
+code with the solver's search.  A stated residue is checked with one pow;
+each order a proof uses is stated with its prime factors and proved exact
+by Pratt's test (pow and is_prime); a value outside a power cycle is shown
+by a subgroup test at that order, never by a discrete-log search or an
+order computation.  It checks each claim against the builders' claim for
+those facts (one claims function per shape states its layout) and re-runs
+the bounded enumeration at the enumeration claim.  The work is bounded by
+the certificate: a modulus or magic prime above 2^62 is rejected before
+any pow, and a lift unless it has as many residues as the certificate
+lists, before any list of them is built.  It remembers, by identity, each
+certificate it has accepted; was_accepted lets a renderer reuse that
+acceptance instead of verifying it again.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Any, NamedTuple
 from . import arith
 from .instance import EquationInstance
 
-FORMAT_TAG = "diophantine1-certificate/2"
+FORMAT_TAG = "diophantine1-certificate/3"
 
 # json.dumps(doc, separators=(",", ":")) without building an encoder per call;
 # _document builds a fresh tree each time, so no reference cycle can occur
@@ -168,6 +168,10 @@ def _reject(reason: str, claim_index: int | None = None) -> Verdict:
     return Verdict(accepted=False, reason=reason, claim_index=claim_index)
 
 
+class _Rejected(Exception):
+    """A rejection raised from a helper with its reason and claim index; _verify returns it."""
+
+
 # ---------------------------------------------------------------------------
 # claim layout and builders
 
@@ -200,10 +204,17 @@ def _check_bound(solutions, zero_var: str, t: int) -> None:
             raise CertificateBuildError(f"solution {sol} contradicts {zero_var} < {t}")
 
 
+def _order_of(base: int, modulus: int) -> dict[str, Any]:
+    """The order params of a unit base mod modulus: its order and that order's primes."""
+    order = arith.multiplicative_order(base % modulus, modulus)
+    primes = tuple(q for q, _ in arith.factorize(order)) if order > 1 else ()
+    return {"order": order, "order_factors": primes}
+
+
 # The claims functions below are the one statement of each shape's claim
 # layout.  The builders store the ClaimRecords they return; the verifier
 # compares a certificate's claims with the records they give for the
-# facts it has re-derived.
+# facts it has re-derived or checked.
 
 
 def _pow_claim(base: int, variable: str, threshold: int, modulus: int) -> ClaimRecord:
@@ -230,7 +241,7 @@ def _common_factor_claims(instance: EquationInstance, p: int, k: int) -> tuple[C
 
 
 def _direct_exclusion_claims(
-    instance: EquationInstance, mode: Mode, modulus: int, t: int
+    instance: EquationInstance, mode: Mode, modulus: int, t: int, order: dict[str, Any]
 ) -> tuple[ClaimRecord, ...]:
     """The direct-exclusion claims; a divisibility certificate is their first two at t = 1."""
     zero_base, zero_var, other_base, other_var = _sides(instance, mode)
@@ -243,6 +254,7 @@ def _direct_exclusion_claims(
                 variable=other_var,
                 target=_expected_target(instance, mode, modulus),
                 modulus=modulus,
+                **order,
                 outcome="impossible",
             ),
             (0,),
@@ -258,6 +270,8 @@ def _magic_prime_claims(
     t: int,
     constraint: Constraint,
     witness: MagicPrimeWitness,
+    order: dict[str, Any],
+    zero_order: dict[str, Any],
 ) -> tuple[ClaimRecord, ...]:
     zero_base, zero_var, con_base, con_var = _sides(instance, mode)
     shift_kind = ClaimKind.COMPUTE_MOD_ADD if mode is Mode.FORWARD else ClaimKind.COMPUTE_MOD_SUB
@@ -271,6 +285,7 @@ def _magic_prime_claims(
                 variable=con_var,
                 target=constraint.source_target,
                 modulus=modulus,
+                **order,
                 outcome="constrains",
                 residue=constraint.residue,
                 period=constraint.period,
@@ -305,7 +320,9 @@ def _magic_prime_claims(
             (2,),
         ),
         ClaimRecord(
-            ClaimKind.EXHAUST_MOD_CYCLE, Params(base=zero_base, variable=zero_var, prime=prime), (3,)
+            ClaimKind.EXHAUST_MOD_CYCLE,
+            Params(base=zero_base, variable=zero_var, prime=prime, **zero_order),
+            (3,),
         ),
         _enumeration_claim(zero_var, t - 1, (4,)),
     )
@@ -326,7 +343,7 @@ def build_divisibility_certificate(instance: EquationInstance, mode: Mode, p: in
         modulus_exponent=1,
         bound_threshold=1,
         solutions=(),
-        claims=_direct_exclusion_claims(instance, mode, p, 1)[:2],
+        claims=_direct_exclusion_claims(instance, mode, p, 1, _order_of(other_base, p))[:2],
     )
 
 
@@ -359,8 +376,9 @@ def build_direct_exclusion_certificate(
     instance: EquationInstance, mode: Mode, p: int, k: int, t: int, solutions
 ) -> Certificate:
     """Type iv / vi certificate: the forced residue is outside the power cycle."""
+    _, zero_var, con_base, _ = _sides(instance, mode)
     solutions = _check_solutions(instance, solutions)
-    _check_bound(solutions, _sides(instance, mode)[1], t)
+    _check_bound(solutions, zero_var, t)
     return Certificate(
         instance=instance,
         shape=CertShape.DIRECT_MODULAR_EXCLUSION,
@@ -369,7 +387,7 @@ def build_direct_exclusion_certificate(
         modulus_exponent=k,
         bound_threshold=t,
         solutions=solutions,
-        claims=_direct_exclusion_claims(instance, mode, p**k, t),
+        claims=_direct_exclusion_claims(instance, mode, p**k, t, _order_of(con_base, p**k)),
     )
 
 
@@ -384,13 +402,15 @@ def build_magic_prime_certificate(
     solutions,
 ) -> Certificate:
     """Type v / vii certificate: a magic prime separates the two value sets."""
-    _, zero_var, _, con_var = _sides(instance, mode)
+    zero_base, zero_var, con_base, con_var = _sides(instance, mode)
     if constraint.variable != con_var:
         raise CertificateBuildError(
             f"constraint variable {constraint.variable} does not match mode {mode.value}"
         )
     solutions = _check_solutions(instance, solutions)
     _check_bound(solutions, zero_var, t)
+    modulus = p**k
+    orders = _order_of(con_base, modulus), _order_of(zero_base, witness.prime)
     return Certificate(
         instance=instance,
         shape=CertShape.MAGIC_PRIME_EXCLUSION,
@@ -399,7 +419,7 @@ def build_magic_prime_certificate(
         modulus_exponent=k,
         bound_threshold=t,
         solutions=solutions,
-        claims=_magic_prime_claims(instance, mode, p**k, t, constraint, witness),
+        claims=_magic_prime_claims(instance, mode, modulus, t, constraint, witness, *orders),
     )
 
 
@@ -591,29 +611,41 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-def _outside_cycle(base: int, p: int, k: int, targets) -> bool:
-    """True when no target lies in {base^j mod p^k : j >= 1}; p is proved prime.
+def _is_order(base: int, modulus: int, order: int, order_factors: tuple[int, ...]) -> bool:
+    """True when order is the order of base mod modulus and order_factors its primes.
 
-    For a unit base the test is one pow per target against the order K
-    that multiplicative_order reports, once base^K = 1 shows K to be a
-    multiple of the true order.  A wrong K can then only put more targets
-    in the cycle, so it may reject an honest certificate but never
-    accepts a false exclusion.
+    Pratt's test: base^order = 1 and base^(order/q) != 1 for each listed q;
+    the primes, ascending and distinct, divide order and leave nothing of it.
     """
-    modulus = p**k
-    start = base % modulus
-    if start % p == 0:
-        # base^j has valuation >= j, so the powers from base^k on are all 0
-        return set(targets).isdisjoint(pow(start, j, modulus) for j in range(1, k + 1))
-    order = arith.multiplicative_order(start, modulus)
-    if pow(start, order, modulus) != 1:
+    if order >= modulus or order_factors != tuple(sorted(set(order_factors))):
         return False
+    rest = order
+    for q in order_factors:
+        # q divides order, which is below the modulus, before is_prime sees it
+        if rest % q or not arith.is_prime(q) or pow(base, order // q, modulus) == 1:
+            return False
+        while rest % q == 0:
+            rest //= q
+    return rest == 1 and pow(base, order, modulus) == 1
+
+
+def _stated_order(cert: Certificate, index: int, base: int, modulus: int) -> dict[str, Any]:
+    """The order params claim `index` states for base mod modulus, once _is_order proves them."""
+    order = {key: _stated(cert, index, key) for key in ("order", "order_factors")}
+    if not _is_order(base, modulus, **order):
+        raise _Rejected("stated order is not the order of the base", index)
+    return order
+
+
+def _outside_cycle(base: int, p: int, k: int, order: int, targets) -> bool:
+    """True when no target lies in {base^j mod p^k : j >= 1}, for a proved prime p and order."""
+    modulus = p**k
     if p == 2 and k >= 3:
         # (Z/2^k)* is not cyclic, but {1 mod 4} is.  It holds <b> if
         # b = 1 (mod 4); if b = 3, it holds <b^2>, of half the order,
         # and <b> is <b^2> with b<b^2>: test t or t/b, whichever is 1 mod 4
-        if start % 4 == 3:
-            inverse, order = pow(start, -1, modulus), order // 2
+        if base % 4 == 3:
+            inverse, order = pow(base, -1, modulus), order // 2
             targets = [t if t % 4 == 1 else t * inverse % modulus for t in targets]
         return all(t % 4 != 1 or pow(t, order, modulus) != 1 for t in targets)
     # (Z/p^k)* is cyclic, so <b> is its one subgroup of that order,
@@ -642,21 +674,20 @@ def _enumerate_solutions(
     return tuple(sorted(found))
 
 
-def _zero_power_error(base: int, threshold: int, prime: int, exponent: int) -> str | None:
-    """Why var >= threshold fails to make base^var = 0 (mod prime^exponent), or None."""
+def _check_zero_power(base: int, threshold: int, prime: int, exponent: int, index: int) -> None:
+    """Reject at claim `index` unless var >= threshold makes base^var = 0 (mod prime^exponent)."""
     if exponent < 1:
-        return "pow_mod_eq_zero needs threshold >= 1 and modulus >= 2"
+        raise _Rejected("pow_mod_eq_zero needs threshold >= 1 and modulus >= 2", index)
     # var >= t implies base^var = 0 (mod p^k) iff t * v_p(base) >= k
     if threshold * _valuation(base, prime) < exponent:
-        return f"{prime**exponent} does not divide {base}^{threshold}"
-    return None
+        raise _Rejected(f"{prime**exponent} does not divide {base}^{threshold}", index)
 
 
-def _stated(cert: Certificate, index: int, key: str) -> tuple[Any, Verdict | None]:
-    """(value, None) for the value claim `index` chooses for `key`; (None, rejection) if none."""
+def _stated(cert: Certificate, index: int, key: str) -> Any:
+    """The value claim `index` gives `key`; raises _Rejected if it gives none."""
     if index < len(cert.claims) and key in cert.claims[index].params:
-        return cert.claims[index].params[key], None
-    return None, _reject(f"claim {index} states no {key}", claim_index=index)
+        return cert.claims[index].params[key]
+    raise _Rejected(f"claim {index} states no {key}", index)
 
 
 _ABSENT = object()
@@ -714,47 +745,48 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     modulus = p**k
     if math.gcd(con_base, modulus) != 1:
         return _reject("constrained base shares a factor with the modulus")
-    error = _zero_power_error(zero_base, t, p, k)
-    if error:
-        return _reject(error, claim_index=0)
+    _check_zero_power(zero_base, t, p, k, 0)
     target = _expected_target(instance, mode, modulus)
+    order = _stated_order(cert, 1, con_base, modulus)
+    period = order["order"]
 
     if cert.shape is CertShape.DIRECT_MODULAR_EXCLUSION:
-        if not _outside_cycle(con_base, p, k, [target]):
+        if not _outside_cycle(con_base, p, k, period, [target]):
             return _reject("target actually lies in the power cycle", claim_index=1)
-        return _check_claims(cert, _direct_exclusion_claims(instance, mode, modulus, t))
+        return _check_claims(cert, _direct_exclusion_claims(instance, mode, modulus, t, order))
 
     # magic prime shape
-    period = arith.multiplicative_order(con_base % modulus, modulus)
-    residue, rejection = _stated(cert, 1, "residue")
-    if rejection:
-        return rejection
+    residue = _stated(cert, 1, "residue")
     # period is the exact order, so a residue in [0, period) that maps to
     # the target is the unique discrete log
     if not 0 <= residue < period or pow(con_base, residue, modulus) != target:
         return _reject("congruence is not the discrete log of the target", claim_index=1)
 
-    P, rejection = _stated(cert, 2, "prime")
-    if rejection:
-        return rejection
+    P = _stated(cert, 2, "prime")
     if P > arith.MODULUS_CAP or not arith.is_prime(P):
         return _reject(f"magic prime {P} is not a prime below 2^62", claim_index=2)
     if P % period != 1 % period:
         return _reject("magic prime is not 1 mod the constraint period", claim_index=2)
     if any(v % P == 0 for v in (instance.a, instance.b, instance.c)):
         return _reject("magic prime divides one of the parameters", claim_index=2)
-    L = math.lcm(period, arith.multiplicative_order(con_base % P, P))
-    if len(range(residue, L, period)) != len(cert.claims[2].params.get("lifted_residues", ())):
+    # a lift L that the period divides and with con_base^L = 1 (mod P) covers
+    # every class of con_var mod the order mod P, in L / period listed residues
+    L = _stated(cert, 2, "lifted_period")
+    count = len(cert.claims[2].params.get("lifted_residues", ()))
+    if count < 1 or L != count * period or pow(con_base, L, P) != 1:
         return _reject("lifted residues do not fill the lifted period", claim_index=2)
     lifted = tuple(range(residue, L, period))
     values = tuple(pow(con_base, r, P) for r in lifted)
     target_mod_P = _expected_target(instance, mode, P)
     shifted = tuple((v - target_mod_P) % P for v in values)
-    if not _outside_cycle(zero_base, P, 1, shifted):
+    zero_order = _stated_order(cert, 4, zero_base, P)
+    if not _outside_cycle(zero_base, P, 1, zero_order["order"], shifted):
         return _reject("shifted values intersect the other power cycle", claim_index=4)
     constraint = Constraint(con_var, residue, period, target)
     witness = MagicPrimeWitness(P, L, lifted, values, shifted)
-    return _check_claims(cert, _magic_prime_claims(instance, mode, modulus, t, constraint, witness))
+    return _check_claims(
+        cert, _magic_prime_claims(instance, mode, modulus, t, constraint, witness, order, zero_order)
+    )
 
 
 # The certificates verify_certificate has accepted, keyed by id(); an entry
@@ -804,6 +836,8 @@ def _verify(cert: Certificate) -> Verdict:
         if shape is CertShape.DIRECT_MODULAR_EXCLUSION or shape is CertShape.MAGIC_PRIME_EXCLUSION:
             return _verify_class_two(cert)
         return _reject(f"unknown certificate shape {shape!r}")
+    except _Rejected as exc:
+        return _reject(*exc.args)
     except (AttributeError, ValueError, OverflowError, KeyError, TypeError, ZeroDivisionError) as exc:
         return _reject(f"malformed certificate: {exc}")
 
@@ -821,12 +855,11 @@ def _verify_divisibility(cert: Certificate) -> Verdict:
     if cert.solutions != ():
         return _reject("divisibility certificates prove there are no solutions")
     zero_base, _, other_base, _ = _sides(instance, mode)
-    error = _zero_power_error(zero_base, 1, p, 1)
-    if error:
-        return _reject(error, claim_index=0)
-    if not _outside_cycle(other_base, p, 1, [_expected_target(instance, mode, p)]):
+    _check_zero_power(zero_base, 1, p, 1, 0)
+    order = _stated_order(cert, 1, other_base, p)
+    if not _outside_cycle(other_base, p, 1, order["order"], [_expected_target(instance, mode, p)]):
         return _reject("target actually lies in the power cycle", claim_index=1)
-    return _check_claims(cert, _direct_exclusion_claims(instance, mode, p, 1)[:2])
+    return _check_claims(cert, _direct_exclusion_claims(instance, mode, p, 1, order)[:2])
 
 
 def _verify_common_factor(cert: Certificate) -> Verdict:
@@ -845,7 +878,5 @@ def _verify_common_factor(cert: Certificate) -> Verdict:
     if instance.b % modulus == 0:
         return _reject(f"{modulus} divides b, so no contradiction arises")
     for index, base in enumerate((instance.a, instance.c)):
-        error = _zero_power_error(base, k, p, k)
-        if error:
-            return _reject(error, claim_index=index)
+        _check_zero_power(base, k, p, k, index)
     return _check_claims(cert, _common_factor_claims(instance, p, k))

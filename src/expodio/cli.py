@@ -266,24 +266,25 @@ def iter_cube(a_max: int, b_max: int, c_max: int) -> Iterable[tuple[int, int, in
                 yield (a, b, c)
 
 
-def iter_records(path: str | Path) -> Iterator[ScanRecord | None]:
-    """Parse a JSONL results file line by line; a malformed line yields None.
-
-    Blank lines are skipped, so a truncated trailing line is one None.
-    """
+def _lines(path: str | Path) -> Iterator[str]:
+    """The non-blank lines of a results file, stripped."""
     try:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = ScanRecord.from_json(line)
-                except (KeyError, TypeError, ValueError, RecursionError):
-                    record = None
-                yield record
+                if line:
+                    yield line
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def iter_records(path: str | Path) -> Iterator[ScanRecord | None]:
+    """Parse each non-blank line of a JSONL results file; a malformed line yields None."""
+    for line in _lines(path):
+        try:
+            yield ScanRecord.from_json(line)
+        except (KeyError, TypeError, ValueError, RecursionError):
+            yield None
 
 
 def _run_pool(
@@ -351,9 +352,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     resume = args.resume or args.retry_unresolved
     held = held_unresolved = 0  # the file's rows before this run, for the closing summary
     retry = []
+    dropped = set()  # positions among the file's lines that a retry rewrite leaves out
     if os.path.isfile(out_path) and os.path.getsize(out_path):
-        for record in iter_records(out_path):
+        for position, record in enumerate(iter_records(out_path)):
             if record is None:
+                dropped.add(position)
                 continue
             held += 1
             a, b, c = record.a, record.b, record.c
@@ -364,14 +367,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 held_unresolved += 1
                 if args.retry_unresolved:
                     retry.append((a, b, c))
-    # the rewrite replaces each retried row, so `done` and `held` stay as they are
+                    dropped.add(position)
+    # the rewrite copies kept rows as lines and replaces retried ones: `done` and `held` stand
     if retry:
         tmp_path = out_path.with_suffix(out_path.suffix + ".tmp")
         try:
             with open(tmp_path, "w", encoding="utf-8", buffering=1) as handle:
-                for record in iter_records(out_path):
-                    if record is not None and record.status != SolveStatus.UNRESOLVED.value:
-                        handle.write(record.to_json() + "\n")
+                for position, line in enumerate(_lines(out_path)):
+                    if position not in dropped:
+                        handle.write(line + "\n")
                 _, held_unresolved = _run_pool(retry, enlarged(config), jobs, keep_certs_dir, handle)
             os.replace(tmp_path, out_path)
         except OSError as exc:

@@ -43,7 +43,12 @@ _STRING_POOLS = {
     ],
     "outcome": ["impossible", "constrains"],
     "kind": _KIND_POOL,
-    "format": ["diophantine1-certificate/0", "diophantine1-certificate/1", "garbage"],
+    "format": [
+        "diophantine1-certificate/0",
+        "diophantine1-certificate/1",
+        "diophantine1-certificate/2",
+        "garbage",
+    ],
 }
 
 

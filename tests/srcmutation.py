@@ -76,9 +76,10 @@ _CHEAP_POWER = (
 
 # Survivors that cannot change a verdict, keyed by their description.
 EQUIVALENT: dict[str, str] = {
-    "_outside_cycle: return set(targets).isdisjoint(pow(start, j, modulus) for j in "
-    "range(1, k + 1))  ->  return set(targets).isdisjoint(pow(start, j, modulus) for j in "
-    "range(1, k + 2))": "base^(k + 1) is 0, like base^k, which is listed already",
+    "_is_order: if order >= modulus or order_factors != tuple(sorted(set(order_factors))):  ->  "
+    "if order > modulus or order_factors != tuple(sorted(set(order_factors))):":
+        "an order Pratt's test proves divides the group exponent, which is below the modulus, "
+        "so an order equal to the modulus fails that test with the same reason",
     "_outside_cycle: if p == 2 and k >= 3:  ->  if p == 2 and k >= 2:":
         "the 2^k split is exact modulo 4 as well",
     "_enumerate_solutions: for x in range(1, bound + 1):  ->  "

@@ -15,7 +15,7 @@ import pytest
 from conftest import HOSTILE_DEEP, HOSTILE_DIGITS
 from independence import certificate_import_violations, trusted_base
 from mutation import mutated_certificate_is_rejected
-from oracle import brute_force_cycle, sieve_primes
+from oracle import brute_force_cycle, brute_force_order, sieve_primes
 
 from expodio import (
     CertShape,
@@ -31,6 +31,7 @@ from expodio import (
     solve,
     verify_certificate,
 )
+from expodio import arith
 from expodio import certificate as certificate_module
 from expodio.certificate import (
     CertificateBuildError,
@@ -312,10 +313,12 @@ class TestSerialization:
             parse_certificate(json.dumps(doc))
 
     def test_retired_format_is_malformed(self, golden_certificates):
+        # /2 stated no orders, which the verifier no longer computes
         doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
-        doc["format"] = "diophantine1-certificate/1"
-        with pytest.raises(MalformedCertificateError, match="unknown format"):
-            parse_certificate(json.dumps(doc))
+        for retired in ("diophantine1-certificate/1", "diophantine1-certificate/2"):
+            doc["format"] = retired
+            with pytest.raises(MalformedCertificateError, match="unknown format"):
+                parse_certificate(json.dumps(doc))
 
     def test_malformed_inputs(self):
         with pytest.raises(MalformedCertificateError):
@@ -440,9 +443,30 @@ def test_round_trip_is_the_identity_on_sampled_triples():
 def test_cycle_walk_agrees_with_the_order_test():
     # every prime power M <= 128 with every base, multiples of p among
     # them, and every target, against the powers base^1 .. base^M listed
-    # one by one; and random bases modulo larger primes.  Modulo 8 to 128
-    # the unit bases go through the 2^k split.
+    # one by one; and random bases modulo larger primes.  Of the orders
+    # 1 .. M, each stated with its prime factors, Pratt's test proves the
+    # walked order of a unit base and nothing else, and nothing for a
+    # multiple of p, which has no order.  At the proved order the subgroup
+    # test agrees with the listed powers; modulo 8 to 128 the unit bases
+    # go through the 2^k split.
+    top = 2647
+    primes_of = [()] * (top + 1)
+    for q in sieve_primes(top):
+        for n in range(q, top + 1, q):
+            primes_of[n] += (q,)
+    is_order = certificate_module._is_order
     cases = []
+
+    def add(base, p, k, checks):
+        """Prove the order of base mod p^k, then queue (targets, outside) checks at it."""
+        m = p**k
+        proved = [n for n in range(1, m + 1) if is_order(base, m, n, primes_of[n])]
+        if base % p == 0:
+            assert proved == [], (base, m)
+            return
+        assert proved == [brute_force_order(base, m)], (base, m)
+        cases.extend(((base, p, k, proved[0], targets), outside) for targets, outside in checks)
+
     for p in sieve_primes(128):
         for k in range(1, 8):
             m = p**k
@@ -450,14 +474,14 @@ def test_cycle_walk_agrees_with_the_order_test():
                 break
             for base in range(m):
                 powers = {pow(base, j, m) for j in range(1, m + 1)}
-                cases += [((base, p, k, [t]), t not in powers) for t in range(m)]
+                add(base, p, k, [([t], t not in powers) for t in range(m)])
     rng = random.Random(7)
-    for prime in (3, 5, 7, 11, 13, 73, 257, 2647):
+    for prime in (3, 5, 7, 11, 13, 73, 257, top):
         for _ in range(12):
             base = rng.randrange(1, 3 * prime)
             targets = [rng.randrange(prime) for _ in range(rng.randrange(1, 6))]
             outside = not set(targets) & set(brute_force_cycle(base, prime))
-            cases.append(((base, prime, 1, targets), outside))
+            add(base, prime, 1, [(targets, outside)])
     outside_cycle = certificate_module._outside_cycle
     expected = [outside for _, outside in cases]
     assert [outside_cycle(*args) for args, _ in cases] == expected
@@ -476,15 +500,25 @@ class TestVerifierIndependence:
         # certificate.py and arith.py; the line bound only ever goes down
         reached = trusted_base()
         assert sorted(name for name in reached if name.startswith("arith.")) == [
-            "arith._group_exponent_factors",
-            "arith._order",
-            "arith._pollard_rho",
             "arith.exact_power_decompose",
-            "arith.factorize",
             "arith.is_prime",
-            "arith.multiplicative_order",
         ]
-        assert sum(reached.values()) <= 456
+        assert sum(reached.values()) <= 391
+
+    def test_verify_computes_no_order(self, monkeypatch):
+        # a certificate states each order with its prime factors, and the
+        # verifier checks them with pow and is_prime: it runs with the
+        # kernel's order and factorization gone
+        def boom(*args, **kwargs):  # pragma: no cover - should never run
+            raise AssertionError("verifier computed an order or a factorization")
+
+        monkeypatch.setattr(arith, "multiplicative_order", boom)
+        monkeypatch.setattr(arith, "factorize", boom)
+        frozen = sorted((Path(__file__).parent / "golden").glob("*.cert.json"))
+        assert len(frozen) == 15
+        for path in frozen:
+            cert = parse_certificate(path.read_text(encoding="utf-8"))
+            assert verify_certificate(cert).accepted, path.name
 
     def test_verify_does_not_touch_engine(self, golden_certificates, monkeypatch):
         import expodio.engine as engine_module

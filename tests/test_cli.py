@@ -391,6 +391,34 @@ class TestScanCommand:
         keys = [(r.a, r.b, r.c) for r in retried]
         assert len(keys) == len(set(keys)) == len(records)
 
+    def test_retry_copies_kept_rows_as_written(self, capsys, tmp_path):
+        # the rewrite copies each kept row byte for byte, here one written
+        # with spaces after its separators, instead of encoding it again;
+        # the Unresolved row it retries and the malformed line are left out
+        out_file = tmp_path / "scan.jsonl"
+
+        def row(c, status):
+            return ScanRecord(
+                a=2, b=1, c=c, status=status, class_tag="ClassII", solution_count=0,
+                solutions=(), certificate_digest=None, elapsed_ms=1.0,
+            )
+
+        kept = json.dumps(vars(row(2, "Solved")))
+        assert ", " in kept and ": " in kept
+        out_file.write_text("\n".join([kept, row(3, "Unresolved").to_json(), '{"truncated": ']))
+        code, out, _ = run_cli(
+            ["scan", "--a-max", "2", "--b-max", "1", "--c-max", "3", "--jobs", "1",
+             "--out", str(out_file), "--retry-unresolved"],
+            capsys,
+        )
+        assert code == 0
+        assert_summary_recounts(out, out_file)
+        lines = out_file.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == kept
+        assert len(lines) == 2
+        retried = ScanRecord.from_json(lines[1])
+        assert (retried.a, retried.b, retried.c, retried.status) == (2, 1, 3, "Solved")
+
     def test_summary_counts_rows_already_in_the_file(self, capsys, tmp_path):
         # the closing summary covers the whole file: an Unresolved row from
         # an earlier run sets exit code 2, and a malformed line is not counted
@@ -411,7 +439,8 @@ class TestScanCommand:
 
     def test_reads_the_file_once_per_pass_it_needs(self, capsys, tmp_path, monkeypatch):
         # the summary is counted while scanning: a fresh scan parses no row,
-        # a resume reads the file once, and a retry once more to rewrite it
+        # and a resume or a retry parses the file once; a retry's rewrite
+        # copies the rows it keeps as lines
         calls = []
         real = cli_module.iter_records
 
@@ -429,7 +458,7 @@ class TestScanCommand:
             (tiny, out_file, 2, 0),  # a new file, left with Unresolved rows
             ([], other, 0, 0),  # an empty file, then filled
             (["--resume"], other, 0, 1),
-            (["--resume", "--retry-unresolved"], out_file, 0, 2),
+            (["--resume", "--retry-unresolved"], out_file, 0, 1),
         ]:
             calls.clear()
             got, out, _ = run_cli(args + ["--out", str(out_path)] + extra, capsys)

@@ -29,12 +29,14 @@ from expodio.certificate import (
     Params,
     build_common_factor_certificate,
     build_direct_exclusion_certificate,
+    build_divisibility_certificate,
     build_magic_prime_certificate,
     certificate_to_dict,
     parse_certificate,
     verify_certificate,
     was_accepted,
 )
+from expodio.cli import iter_cube
 from expodio.emit import EmitRefusedError, emit_lean
 
 _REPRESENTATIVES = {
@@ -159,6 +161,19 @@ def _hand_built(triple, shape, mode, p, k, t, solutions=()):
     return Certificate(EquationInstance(*triple), shape, mode, p, k, t, solutions, ())
 
 
+def _divisibility_by_hand(triple, p):
+    """A divisibility certificate for `triple` at a p that does not divide b.
+
+    Its claims are those built for the same a and c with b = p, which state
+    the order of a mod p, so the verifier reaches its target test.
+    """
+    a, _, c = triple
+    claims = build_divisibility_certificate(EquationInstance(a, p, c), Mode.FORWARD, p).claims
+    return dataclasses.replace(
+        _hand_built(triple, _DIVISIBILITY, Mode.FORWARD, p, 1, 1), claims=claims
+    )
+
+
 def _magic_prime_193_for_5_3_2():
     """(5, 3, 2) built from a witness at P = 193, where a shifted value lies in <2>."""
     lifted = (35, 99, 163)  # x = 35 (mod 64), lifted to lcm(64, ord_193(5)) = 192
@@ -209,6 +224,20 @@ def _edited(triple, index, drop=(), **changes):
     return dataclasses.replace(cert, claims=tuple(claims))
 
 
+def _lift_times(factor):
+    """(2, 1, 3) stating `factor` times its lift, which still returns 3 to 1 mod P."""
+    lift = solve(EquationInstance(2, 1, 3)).certificate.claims[2].params["lifted_period"]
+    return _edited((2, 1, 3), 2, lifted_period=lift * factor)
+
+
+def _empty_lift():
+    """(2, 1, 3) lifted to L = 0: no residue, so no value is left to miss <3>."""
+    cert = _edited((2, 1, 3), 2, lifted_period=0, lifted_residues=(), values=())
+    claims = list(cert.claims)
+    claims[3] = claims[3]._replace(params=Params({**claims[3].params, "output_values": ()}))
+    return dataclasses.replace(cert, claims=tuple(claims))
+
+
 def _truncated(triple, count):
     cert = solve(EquationInstance(*triple)).certificate
     return dataclasses.replace(cert, claims=cert.claims[:count])
@@ -235,8 +264,7 @@ _REJECTIONS = [
     ("divisibility with solutions",
      lambda: _hand_built((2, 6, 9), _DIVISIBILITY, _FORWARD, 3, 1, 1, ((1, 1),)),
      "divisibility certificates prove there are no solutions", None),
-    ("divisibility target in cycle",
-     lambda: _hand_built((2, 1, 3), _DIVISIBILITY, _FORWARD, 3, 1, 1),
+    ("divisibility target in cycle", lambda: _divisibility_by_hand((2, 1, 3), 3),
      "target actually lies in the power cycle", 1),
     ("common factor exponent", lambda: _hand_built((2, 1, 4), _COMMON, None, 2, 5, 5),
      "bound exponent is too large to stem from b", None),
@@ -258,14 +286,16 @@ _REJECTIONS = [
     ("divisibility zero power", lambda: _hand_built((2, 6, 9), _DIVISIBILITY, _FORWARD, 2, 1, 1),
      "2 does not divide 9^1", 0),
     # 2 is in <8> modulo 3, but not modulo 9, where <8> = {8, 1}; and 8 + 1 = 3^2
-    ("divisibility target in cycle mod p",
-     lambda: _hand_built((8, 1, 3), _DIVISIBILITY, _FORWARD, 3, 1, 1),
+    ("divisibility target in cycle mod p", lambda: _divisibility_by_hand((8, 1, 3), 3),
      "target actually lies in the power cycle", 1),
     ("magic prime 11", _magic_prime_11_for_10_5_3,
      "shifted values intersect the other power cycle", 4),
     ("residue -1", _residue_minus_one_for_2_7_3,
      "congruence is not the discrete log of the target", 1),
-    ("no claim 1", lambda: _truncated((5, 3, 2), 1), "claim 1 states no residue", 1),
+    ("no claim 1", lambda: _truncated((5, 3, 2), 1), "claim 1 states no order", 1),
+    ("no order factors", lambda: _edited((5, 3, 2), 1, drop=("order_factors",)),
+     "claim 1 states no order_factors", 1),
+    ("no claim 4", lambda: _truncated((5, 3, 2), 4), "claim 4 states no order", 4),
     ("no claim 2", lambda: _truncated((5, 3, 2), 2), "claim 2 states no prime", 2),
     ("no residue", lambda: _edited((5, 3, 2), 1, drop=("residue",)),
      "claim 1 states no residue", 1),
@@ -278,17 +308,22 @@ _REJECTIONS = [
      "compute_mod_add param 'prime' does not match the re-derived facts", 3),
     ("composite magic prime", lambda: _edited((5, 3, 2), 2, prime=255),
      "magic prime 255 is not a prime below 2^62", 2),
-    # 2^62 + 135 is prime, but the order modulo it would factorize 2^62 + 134,
-    # and factorize is defined only below 2^62
+    # 2^62 + 135 is prime, but above MODULUS_CAP, which bounds every modulus
+    # and magic prime
     ("magic prime above 2^62", lambda: _edited((2, 1, 3), 2, prime=2**62 + 135),
      "magic prime 4611686018427388039 is not a prime below 2^62", 2),
-    # claim 2 lists one lifted residue; at these primes the lift derived
-    # from y = 0 (mod 4) has about 2^24 and 2^30 of them, which the
-    # verifier must reject before it builds them
+    # claim 2 lists one lifted residue; at these primes a lift of y = 0
+    # (mod 4) would have about 2^24 and 2^30 of them, and the stated lift,
+    # whose length fits the list, does not return 3 to 1: none is built
     ("lift longer than listed", lambda: _edited((2, 1, 3), 2, prime=67_108_913),
      "lifted residues do not fill the lifted period", 2),
     ("lift past memory", lambda: _edited((2, 1, 3), 2, prime=4_294_967_357),
      "lifted residues do not fill the lifted period", 2),
+    # a stated lift 2^30 times too long still returns 3 to 1; it is
+    # rejected by its length before any residue is built
+    ("stated lift past memory", lambda: _lift_times(2**30),
+     "lifted residues do not fill the lifted period", 2),
+    ("empty lift", _empty_lift, "lifted residues do not fill the lifted period", 2),
     ("no lifted residues", lambda: _edited((2, 1, 3), 2, drop=("lifted_residues",)),
      "lifted residues do not fill the lifted period", 2),
     ("lifted residues not a list", lambda: _edited((2, 1, 3), 2, lifted_residues=7),
@@ -353,19 +388,90 @@ def test_direct_exclusion_at_the_modulus_cap(triple, reason):
 
 
 # Direct exclusions whose target does lie in the cycle: -15 in <17> modulo
-# 2^62, and -1 = 2^3 modulo 9.  Were the verifier to trust an order of 5,
-# each target t would have t^5 != 1 and look outside; base^5 != 1 exposes
-# the wrong order first.
+# 2^62, and -1 = 2^3 modulo 9.  A certificate stating order 5 would make
+# each target t look outside, as t^5 != 1; base^5 != 1 exposes the wrong
+# order first.
 @pytest.mark.parametrize(
     "triple, p, k", [((17, 15, 2), 2, 62), ((2, 1, 3), 3, 2)], ids=["mod 2^62", "mod 9"]
 )
-def test_a_wrong_order_cannot_hide_a_cycle_member(monkeypatch, triple, p, k):
+def test_a_wrong_order_cannot_hide_a_cycle_member(triple, p, k):
     instance = EquationInstance(*triple)
     cert = build_direct_exclusion_certificate(
         instance, Mode.FORWARD, p, k, k, final_enumeration(instance, "y", k)
     )
-    monkeypatch.setattr(arith, "multiplicative_order", lambda base, m: 5)
     verdict = verify_certificate(cert)
+    assert (verdict.reason, verdict.claim_index) == ("target actually lies in the power cycle", 1)
+    claims = list(cert.claims)
+    claims[1] = claims[1]._replace(
+        params=Params({**claims[1].params, "order": 5, "order_factors": (5,)})
+    )
+    verdict = verify_certificate(dataclasses.replace(cert, claims=tuple(claims)))
     assert not verdict.accepted
-    assert verdict.reason == "target actually lies in the power cycle"
+    assert verdict.reason == "stated order is not the order of the base"
     assert verdict.claim_index == 1
+
+
+# Ways to misstate an order K with prime factors ps (ascending, at least
+# two) modulo M, each as the (order, order_factors) a claim would state.
+_WRONG_ORDERS = {
+    "proper multiple": lambda K, ps, M: (K * ps[0], ps),
+    "proper divisor": lambda K, ps, M: (
+        K // ps[-1], tuple(q for q in ps if K // ps[-1] % q == 0)
+    ),
+    "missing prime": lambda K, ps, M: (K, ps[1:]),
+    "composite factor": lambda K, ps, M: (K, (ps[0] * ps[1], *ps[2:])),
+    # a prime above ps[-1] divides no K whose primes ps lists in full
+    "non-divisor": lambda K, ps, M: (K, (*ps, next(r for r in (5, 11) if r > ps[-1]))),
+    "unsorted": lambda K, ps, M: (K, ps[::-1]),
+    "duplicated": lambda K, ps, M: (K, (ps[0], *ps)),
+    "not below the modulus": lambda K, ps, M: (M, ps),
+}
+
+# (triple, claim index): orders 6 = 2 * 3 modulo 13 for a divisibility
+# and a direct exclusion, and the golden magic prime's 147 = 3 * 7 modulo
+# 7^3 in claim 1 and modulo P = 2647 in claim 4
+_STATED_ORDERS = {
+    "divisibility": ((4, 13, 13), 1),
+    "direct exclusion": ((13, 2, 17), 1),
+    "magic prime K": ((2, 89, 91), 1),
+    "magic prime D": ((2, 89, 91), 4),
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(_WRONG_ORDERS))
+@pytest.mark.parametrize("case", sorted(_STATED_ORDERS))
+def test_a_wrong_order_is_rejected_at_its_claim(case, wrong):
+    triple, index = _STATED_ORDERS[case]
+    params = solve(EquationInstance(*triple)).certificate.claims[index].params
+    K, ps = params["order"], params["order_factors"]
+    assert len(ps) >= 2
+    order, primes = _WRONG_ORDERS[wrong](K, ps, params.get("modulus", params.get("prime")))
+    assert (order, primes) != (K, ps)
+    verdict = verify_certificate(_edited(triple, index, order=order, order_factors=primes))
+    assert not verdict.accepted
+    assert verdict.reason == "stated order is not the order of the base"
+    assert verdict.claim_index == index
+
+
+def test_a_kernel_fault_shared_with_the_solver_is_caught(monkeypatch):
+    # a common-mode fault: arith.multiplicative_order returns twice the
+    # order for the solver, the builders and the verifier alike.  The
+    # verifier must accept no certificate that it rejects with the kernel
+    # intact, and none that states a doubled order.
+    true_order = arith.multiplicative_order
+    with monkeypatch.context() as patched:
+        patched.setattr(arith, "multiplicative_order", lambda base, m: 2 * true_order(base, m))
+        solved = [solve(EquationInstance(*triple)).certificate for triple in iter_cube(12, 12, 12)]
+        faulty = [verify_certificate(cert).accepted for cert in solved]
+    assert len(solved) == 1452
+    wrongly_accepted = [
+        cert.instance for cert, accepted in zip(solved, faulty)
+        if accepted and not verify_certificate(cert).accepted
+    ]
+    assert wrongly_accepted == []
+    for cert, accepted in zip(solved, faulty):
+        for claim in cert.claims:
+            params = claim.params
+            if accepted and "order" in params:
+                modulus = params.get("modulus", params.get("prime"))
+                assert params["order"] == true_order(params["base"] % modulus, modulus)
