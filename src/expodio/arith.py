@@ -65,8 +65,6 @@ def is_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle finding)."""
-    if n % 2 == 0:
-        return 2
     for c in count(1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y

@@ -39,10 +39,8 @@ EXIT_USAGE = 1
 EXIT_UNRESOLVED = 2
 EXIT_REJECTED = 3
 
-JOBS_ENV_VAR = "EXPODIO_JOBS"
-
-# Each solver budget flag: the SolverConfig field it sets (its dest, and
-# its key in a config file), its value type and its help text.
+# Each solver budget flag: the SolverConfig field it sets (its dest),
+# its value type and its help text.
 _CONFIG_FLAGS = (
     ("--ceiling", "ceiling", int, "initial search bound on c^y"),
     ("--prime-count", "prime_budget_count", int, "magic prime candidates per constraint"),
@@ -51,10 +49,6 @@ _CONFIG_FLAGS = (
     ("--max-pops", "max_queue_pops", int, "queue pops before giving up"),
     ("--time-limit", "wall_limit", float, "wall-clock limit per instance (seconds)"),
 )
-_CONFIG_KINDS = {dest: kind for _, dest, kind, _ in _CONFIG_FLAGS}
-# The JSON values a config file may give a flag of each type: a bool is
-# no integer, and null leaves the wall-clock limit off.
-_FILE_TYPES = {int: ((int,), "an integer"), float: ((int, float, type(None)), "a number or null")}
 
 
 class CliError(Exception):
@@ -120,53 +114,17 @@ def record_from_result(instance: EquationInstance, result: SolveResult) -> ScanR
 # configuration plumbing
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="JSON file with solver budget overrides")
     for flag, dest, kind, text in _CONFIG_FLAGS:
         parser.add_argument(flag, dest=dest, type=kind, help=text)
 
 
 def build_config(args: argparse.Namespace) -> SolverConfig:
-    """Resolve the solver config: flags beat the config file beat defaults."""
-    values: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise CliError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise CliError(f"config file {args.config} must hold a JSON object")
-        unknown = set(doc).difference(_CONFIG_KINDS)
-        if unknown:
-            raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        for name, value in doc.items():
-            types, expected = _FILE_TYPES[_CONFIG_KINDS[name]]
-            if type(value) not in types:
-                raise CliError(f"config key {name} must be {expected}, got {json.dumps(value)}")
-        values.update(doc)
-    for name in _CONFIG_KINDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            values[name] = value
+    """The solver config: the budget flags given, defaults for the rest."""
+    values = {dest: getattr(args, dest) for _, dest, _, _ in _CONFIG_FLAGS}
     try:
-        return SolverConfig(**values)
-    except (TypeError, ValueError) as exc:
+        return SolverConfig(**{name: value for name, value in values.items() if value is not None})
+    except ValueError as exc:
         raise CliError(f"invalid solver configuration: {exc}") from exc
-
-
-def _resolve_jobs(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get(JOBS_ENV_VAR)
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise CliError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from exc
-    if value is None:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise CliError(f"jobs must be >= 1, got {value}")
-    return value
 
 
 def _parse_instance(a: int, b: int, c: int) -> EquationInstance:
@@ -266,12 +224,16 @@ def iter_cube(a_max: int, b_max: int, c_max: int) -> Iterable[tuple[int, int, in
                 yield (a, b, c)
 
 
-def _lines(path: str | Path) -> Iterator[str]:
-    """The non-blank lines of a results file, stripped."""
+def _lines(path: str | Path) -> Iterator[str | None]:
+    """The non-blank lines of a results file, stripped; None for a line that is not UTF-8."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
+        with open(path, "rb") as handle:
+            for raw in handle:
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    yield None
+                    continue
                 if line:
                     yield line
     except OSError as exc:
@@ -281,6 +243,9 @@ def _lines(path: str | Path) -> Iterator[str]:
 def iter_records(path: str | Path) -> Iterator[ScanRecord | None]:
     """Parse each non-blank line of a JSONL results file; a malformed line yields None."""
     for line in _lines(path):
+        if line is None:
+            yield None
+            continue
         try:
             yield ScanRecord.from_json(line)
         except (KeyError, TypeError, ValueError, RecursionError):
@@ -337,7 +302,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.a_max < 2 or args.c_max < 2 or args.b_max < 1:
         raise CliError("ranges must satisfy a-max >= 2, c-max >= 2, b-max >= 1")
     config = build_config(args)
-    jobs = _resolve_jobs(args.jobs)
+    jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise CliError(f"jobs must be >= 1, got {jobs}")
     out_path = Path(args.out)
     keep_certs_dir = Path(args.keep_certs) if args.keep_certs else None
     if keep_certs_dir is not None:
@@ -405,12 +372,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.certificate).read_text(encoding="utf-8")
+        data = Path(args.certificate).read_bytes()
     except OSError as exc:
         raise CliError(f"cannot read {args.certificate}: {exc}") from exc
     try:
-        cert = parse_certificate(text)
-    except MalformedCertificateError as exc:
+        cert = parse_certificate(data.decode("utf-8"))
+    except (UnicodeDecodeError, MalformedCertificateError) as exc:
         raise CliError(f"malformed certificate: {exc}") from exc
     verdict = verify_certificate(cert)
     if verdict.accepted:
@@ -496,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--b-max", type=int, required=True)
     p_scan.add_argument("--c-max", type=int, required=True)
     p_scan.add_argument("--out", required=True, metavar="FILE", help="JSONL output path")
-    p_scan.add_argument("--jobs", type=int, help=f"worker count (default: ${JOBS_ENV_VAR} or CPUs)")
+    p_scan.add_argument("--jobs", type=int, help="worker count (default: CPUs)")
     p_scan.add_argument("--resume", action="store_true", help="skip instances already in the file")
     p_scan.add_argument("--keep-certs", metavar="DIR", help="also store certificate files here")
     p_scan.add_argument(

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
-import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,9 +17,10 @@ from oracle import brute_force_solutions
 
 import expodio.cli as cli_module
 from expodio import parse_certificate, verify_certificate
-from expodio.cli import ScanRecord, iter_cube, main
+from expodio.cli import ScanRecord, build_parser, iter_cube, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args: list[str], capsys) -> tuple[int, str, str]:
@@ -51,85 +53,42 @@ class TestSolveCommand:
         assert code == 1
         assert "a must be >= 2" in err
 
-    def test_unresolved_exit_code(self, capsys, tmp_path):
-        config = tmp_path / "tiny.json"
-        config.write_text(json.dumps({"prime_budget_count": 0, "max_queue_pops": 1}))
-        code, out, _ = run_cli(["solve", "5", "3", "2", "--config", str(config)], capsys)
+    def test_unresolved_exit_code(self, capsys):
+        code, out, _ = run_cli(
+            ["solve", "5", "3", "2", "--prime-count", "0", "--max-pops", "1"], capsys
+        )
         assert code == 2
         assert "Unresolved" in out
 
     def test_unresolved_skips_proof_outputs(self, capsys, tmp_path):
-        config = tmp_path / "tiny.json"
-        config.write_text(json.dumps({"prime_budget_count": 0, "max_queue_pops": 1}))
         cert_file = tmp_path / "cert.json"
         code, _, err = run_cli(
-            ["solve", "5", "3", "2", "--config", str(config), "--cert", str(cert_file)],
+            ["solve", "5", "3", "2", "--prime-count", "0", "--max-pops", "1",
+             "--cert", str(cert_file)],
             capsys,
         )
         assert code == 2
         assert not cert_file.exists()
         assert "no certificate produced" in err
 
-    def test_unknown_config_key_rejected(self, capsys, tmp_path):
-        config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"prime_budget": 3}))
-        code, _, err = run_cli(["solve", "5", "3", "2", "--config", str(config)], capsys)
-        assert code == 1
-        assert "unknown config keys" in err
-
-    @pytest.mark.parametrize(
-        "text",
-        ['{"ceiling": ', HOSTILE_DEEP, '{"ceiling": %s}' % HOSTILE_DIGITS],
-        ids=["truncated", "deep", "digits"],
-    )
-    def test_unreadable_config_file(self, capsys, tmp_path, text):
-        config = tmp_path / "config.json"
-        config.write_text(text)
-        code, _, err = run_cli(["solve", "5", "3", "2", "--config", str(config)], capsys)
-        assert code == 1
-        assert "cannot read config file" in err
-
-    @pytest.mark.parametrize(
-        "doc, code",
-        [
-            ({"prime_budget_count": 2.5}, 1),
-            ({"ceiling": 1e30}, 1),
-            ({"max_queue_pops": True}, 1),
-            ({"max_modulus": "1000"}, 1),
-            ({"wall_limit": True}, 1),
-            ({"wall_limit": "5"}, 1),
-            ({"wall_limit": None}, 0),
-            ({"wall_limit": 30, "ceiling": 10**30}, 0),
-            ({"wall_limit": float("nan")}, 1),
-        ],
-    )
-    def test_config_value_types(self, capsys, tmp_path, doc, code):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
-        got, _, err = run_cli(["solve", "5", "3", "2", "--config", str(config)], capsys)
-        assert got == code
-        if code:
-            name, value = next(iter(doc.items()))
-            if isinstance(value, float) and math.isnan(value):
-                # json writes NaN, a float of the right type that SolverConfig refuses
-                assert "invalid solver configuration: wall limit must be positive" in err
-            else:
-                assert f"config key {name} must be" in err
+    def test_large_budget_flags_accepted(self, capsys):
+        # a ceiling past 2^64 is an int like any other
+        code, out, _ = run_cli(
+            ["solve", "5", "3", "2", "--time-limit", "30", "--ceiling", str(10**30)], capsys
+        )
+        assert code == 0
+        assert "(1,3) (3,7)" in out
 
     def test_nan_time_limit_rejected(self, capsys):
         code, _, err = run_cli(["solve", "5", "3", "2", "--time-limit", "nan"], capsys)
         assert code == 1
         assert "wall limit must be positive" in err
 
-    def test_flag_beats_config_file(self, capsys, tmp_path):
-        config = tmp_path / "tiny.json"
-        config.write_text(json.dumps({"prime_budget_count": 0, "max_queue_pops": 1}))
-        code, _, _ = run_cli(
-            ["solve", "5", "3", "2", "--config", str(config), "--prime-count", "64",
-             "--max-pops", "100"],
-            capsys,
-        )
-        assert code == 0
+    def test_no_config_file_option(self, capsys):
+        # budgets are set by their flags alone
+        code, _, err = run_cli(["solve", "5", "3", "2", "--config", "f.json"], capsys)
+        assert code == 1
+        assert "unrecognized arguments: --config" in err
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(["solve", "2", "1", "3", "--json"], capsys)
@@ -300,8 +259,8 @@ class TestScanCommand:
 
     def test_resume_skips_foreign_and_broken_rows(self, capsys, tmp_path):
         # rows of a larger cube and a row that is no instance mark nothing,
-        # and a truncated last line is not a row: every triple of the smaller
-        # cube ends up in the file exactly once
+        # and a line that is not UTF-8 and a truncated last line are not
+        # rows: every triple of the smaller cube ends up in the file exactly once
         out_file = tmp_path / "scan.jsonl"
         args = ["scan", "--a-max", "4", "--b-max", "3", "--c-max", "4", "--jobs", "1",
                 "--out", str(out_file)]
@@ -318,13 +277,15 @@ class TestScanCommand:
         # and a = 3.5 read as 3 would mark (3, 2, 2)
         foreign = [row(2, 4, 2), row(2, 1, 5), row(5, 1, 2), row(1, 3, 4), row(3.5, 2, 2)]
         hostile = [HOSTILE_DEEP, row(2, 3, 2).replace('"b":3', '"b":' + HOSTILE_DIGITS)]
-        out_file.write_text("\n".join([*foreign, *hostile, row(2, 1, 2), row(3, 2, 3)[:20]]))
+        text = "\n".join([*foreign, *hostile, row(2, 1, 2), row(3, 2, 3)[:20]])
+        out_file.write_bytes(b"\xff\xfe bad\n" + text.encode())
         code, out, _ = run_cli(args + ["--resume"], capsys)
         assert code == 0
         assert_summary_recounts(out, out_file)
         rows, malformed = read_rows(out_file)
-        # the a = 1 and a = 3.5 rows, the two hostile rows and the truncated line
-        assert malformed == 5
+        # the a = 1 and a = 3.5 rows, the two hostile rows, the line that is
+        # not UTF-8 and the truncated line
+        assert malformed == 6
         cube = list(iter_cube(4, 3, 4))
         keys = [(r.a, r.b, r.c) for r in rows if (r.a, r.b, r.c) in cube]
         assert sorted(keys) == sorted(cube)
@@ -394,7 +355,8 @@ class TestScanCommand:
     def test_retry_copies_kept_rows_as_written(self, capsys, tmp_path):
         # the rewrite copies each kept row byte for byte, here one written
         # with spaces after its separators, instead of encoding it again;
-        # the Unresolved row it retries and the malformed line are left out
+        # the Unresolved row it retries, the line that is not UTF-8 ahead of
+        # the kept row and the truncated line are left out
         out_file = tmp_path / "scan.jsonl"
 
         def row(c, status):
@@ -405,7 +367,8 @@ class TestScanCommand:
 
         kept = json.dumps(vars(row(2, "Solved")))
         assert ", " in kept and ": " in kept
-        out_file.write_text("\n".join([kept, row(3, "Unresolved").to_json(), '{"truncated": ']))
+        text = "\n".join([kept, row(3, "Unresolved").to_json(), '{"truncated": '])
+        out_file.write_bytes(b"\xff\xfe bad\n" + text.encode())
         code, out, _ = run_cli(
             ["scan", "--a-max", "2", "--b-max", "1", "--c-max", "3", "--jobs", "1",
              "--out", str(out_file), "--retry-unresolved"],
@@ -465,15 +428,28 @@ class TestScanCommand:
             assert (got, len(calls)) == (code, reads), extra
             assert_summary_recounts(out, out_path)
 
-    def test_env_var_jobs(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("EXPODIO_JOBS", "1")
+    def test_jobs_default_to_the_cpu_count(self, capsys, tmp_path, monkeypatch):
+        # without --jobs the worker count is the CPU count; no variable is read
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setenv("EXPODIO_JOBS", "x")
         out_file = tmp_path / "scan.jsonl"
         code, out, _ = run_cli(
-            ["scan", "--a-max", "3", "--b-max", "2", "--c-max", "3", "--out", str(out_file)],
+            ["scan", "--a-max", "3", "--b-max", "3", "--c-max", "3", "--out", str(out_file)],
             capsys,
         )
         assert code == 0
         assert "jobs=1" in out
+
+    def test_jobs_below_one_rejected(self, capsys, tmp_path):
+        out_file = tmp_path / "scan.jsonl"
+        code, _, err = run_cli(
+            ["scan", "--a-max", "3", "--b-max", "3", "--c-max", "3", "--jobs", "0",
+             "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 1
+        assert "jobs must be >= 1" in err
+        assert not out_file.exists()
 
     def test_keep_certs_dir_that_cannot_be_made(self, tmp_path):
         # a directory under a regular file: an error line, not a traceback
@@ -530,14 +506,16 @@ class TestVerifyCommand:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "text", [HOSTILE_DEEP, '{"format": %s}' % HOSTILE_DIGITS], ids=["deep", "digits"]
+        "data",
+        [HOSTILE_DEEP.encode(), b'{"format": %s}' % HOSTILE_DIGITS.encode(), b"\xff\xfe{}"],
+        ids=["deep", "digits", "not-utf8"],
     )
-    def test_hostile_json_is_malformed(self, capsys, tmp_path, text):
+    def test_hostile_json_is_malformed(self, capsys, tmp_path, data):
         cert_file = tmp_path / "cert.json"
-        cert_file.write_text(text)
+        cert_file.write_bytes(data)
         code, _, err = run_cli(["verify", str(cert_file)], capsys)
         assert code == 1
-        assert "malformed certificate" in err
+        assert err.startswith("error: malformed certificate: "), err
 
 
 class TestStatsCommand:
@@ -555,10 +533,11 @@ class TestStatsCommand:
             solutions=((1, 1), (3, 2)), certificate_digest="ab" * 32, elapsed_ms=1.0,
         )
         hostile = [HOSTILE_DEEP, record.to_json().replace('"b":1', '"b":' + HOSTILE_DIGITS)]
-        results.write_text("\n".join([record.to_json(), *hostile, '{"truncated": \n']))
+        text = "\n".join([record.to_json(), *hostile, '{"truncated": \n'])
+        results.write_bytes(text.encode() + b"\xff\xfe bad\n")
         code, out, _ = run_cli(["stats", str(results)], capsys)
         assert code == 0
-        assert "records: 1 (3 malformed lines)" in out
+        assert "records: 1 (4 malformed lines)" in out
 
     def test_row_that_is_no_instance_is_malformed(self, capsys, tmp_path):
         # a = 1 is outside the parameter domain; such a row on top must not
@@ -606,3 +585,42 @@ class TestStatsCommand:
         assert "unresolved (2):\n  (5, 7, 3)\n  (9, 2, 11)\n" in out
         # holding every row took about 8 MB
         assert peak < 2_000_000, peak
+
+
+class TestReadme:
+    @staticmethod
+    def command_line_options() -> set[str]:
+        """The option strings that README's `## Command line` section names."""
+        section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1]
+        section = section.split("\n## ")[0]
+        return set(re.findall(r"(?<![\w-])(--?[a-z][a-z-]*)", section))
+
+    @staticmethod
+    def parser_options() -> dict[str, list[list[str]]]:
+        """Each subcommand's options, each as its option strings; -h left out."""
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        return {
+            name: [
+                action.option_strings
+                for action in sub._actions
+                if action.option_strings and not isinstance(action, argparse._HelpAction)
+            ]
+            for name, sub in subparsers.choices.items()
+        }
+
+    def test_every_option_is_documented(self):
+        named = self.command_line_options()
+        missing = [
+            f"{command} {strings[0]}"
+            for command, options in self.parser_options().items()
+            for strings in options
+            if named.isdisjoint(strings)
+        ]
+        assert missing == []
+
+    def test_every_documented_flag_exists(self):
+        defined = {s for options in self.parser_options().values() for o in options for s in o}
+        flags = {o for o in self.command_line_options() if o.startswith("--")}
+        assert sorted(flags - defined) == []
