@@ -21,7 +21,9 @@ Certificates are immutable: a frozen dataclass whose claims are
 ClaimRecord tuples with read-only params, whose integer lists are tuples.
 
 verify_certificate works from the (a, b, c) triple alone and shares no
-code with the solver's search.  A stated residue is checked with one pow;
+code with the solver's search: the one kernel function it trusts is
+is_prime, and its enumeration tests exact powers with its own division
+loop.  A stated residue is checked with one pow;
 each order a proof uses is stated with its prime factors and proved exact
 by Pratt's test (pow and is_prime); a value outside a power cycle is shown
 by a subgroup test at that order, never by a discrete-log search or an
@@ -653,6 +655,15 @@ def _outside_cycle(base: int, p: int, k: int, order: int, targets) -> bool:
     return all(pow(t, order, modulus) != 1 for t in targets)
 
 
+def _exponent(n: int, base: int) -> int | None:
+    """The x >= 1 with base^x = n, for a base >= 2, or None (always for n <= 1)."""
+    x = 0
+    while n > 1 and n % base == 0:
+        n //= base
+        x += 1
+    return x if n == 1 and x else None
+
+
 def _enumerate_solutions(
     instance: EquationInstance, variable: str, bound: int
 ) -> tuple[tuple[int, int], ...]:
@@ -661,16 +672,14 @@ def _enumerate_solutions(
     found: set[tuple[int, int]] = set()
     if variable in ("x", "either"):
         for x in range(1, bound + 1):
-            y = arith.exact_power_decompose(a**x + b, c)
+            y = _exponent(a**x + b, c)
             if y is not None:
                 found.add((x, y))
     if variable in ("y", "either"):
         for y in range(1, bound + 1):
-            rest = c**y - b
-            if rest >= 2:
-                x = arith.exact_power_decompose(rest, a)
-                if x is not None:
-                    found.add((x, y))
+            x = _exponent(c**y - b, a)
+            if x is not None:
+                found.add((x, y))
     return tuple(sorted(found))
 
 

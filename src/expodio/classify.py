@@ -74,8 +74,9 @@ def final_enumeration(
     """Complete solution list once `variable < strict_bound` is proved.
 
     variable is "x", "y", or "either" when only min(x, y) is bounded;
-    each bounded exponent is enumerated with an exact big-integer power
-    test on the other side.
+    each bounded exponent is enumerated, its powers built by repeated
+    multiplication, with an exact big-integer power test on the other
+    side.  The initial search is this enumeration over y.
     """
     if variable not in ("x", "y", "either"):
         raise ValueError(f"variable must be 'x', 'y' or 'either', got {variable!r}")
@@ -83,15 +84,19 @@ def final_enumeration(
     found: set[tuple[int, int]] = set()
     # a power with a positive exponent is a multiple of its base
     if variable != "y":
+        power = 1
         for x in range(1, strict_bound):
-            rest = a**x + b
+            power *= a
+            rest = power + b
             if rest % c == 0:
                 y = arith.exact_power_decompose(rest, c)
                 if y is not None:
                     found.add((x, y))
     if variable != "x":
+        power = 1
         for y in range(1, strict_bound):
-            rest = c**y - b
+            power *= c
+            rest = power - b
             if rest >= 2 and rest % a == 0:
                 x = arith.exact_power_decompose(rest, a)
                 if x is not None:

@@ -2,11 +2,14 @@
 
 Each script states the instance hypotheses (h1: x >= 1, h2: y >= 1,
 h3: the equation), splits on the excluded bound where one exists, and
-discharges every computational fact through the trusted `Claim` axiom,
-naming the revalidator that can re-check it.  A shared prelude file
-declares the `VerifiedFact` structure and the `Claim` axiom.  Direct and
-magic-prime proofs share one template, prose and Lean alike: the magic
-prime only adds its three claims about the prime P.
+discharges every computational fact through the `Claim` axiom, naming
+the revalidator that can re-check it.  A shared prelude file declares
+the `VerifiedFact` structure and the `Claim` axiom.  The scripts are
+outlines, not kernel-checked proofs: `Claim` accepts any `Prop`, so
+`Claim False [] ""` proves `False`.  Each step rests on the verifier's
+acceptance of the certificate, and no Lean kernel checks the scripts.
+Direct and magic-prime proofs share one template, prose and Lean alike:
+the magic prime only adds its three claims about the prime P.
 
 Rendering is deterministic: the same certificate always produces the
 same bytes.  Only certificates accepted by the independent verifier are

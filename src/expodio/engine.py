@@ -63,7 +63,8 @@ class SolverConfig:
     ceiling bounds the initial search (all solutions with c^y <= ceiling
     are collected up front).  Each congruence constraint may try at most
     prime_budget_count magic-prime candidates P = nK + 1, taken in
-    ascending order, none larger than prime_budget_cap.  The queue
+    ascending order, none larger than prime_budget_cap, which is at most
+    2^62 (the verifier rejects a larger magic prime).  The queue
     refuses moduli above max_modulus and the whole run stops after
     max_queue_pops pops or wall_limit seconds (None: no limit; NaN is
     rejected, like any limit that is not positive).
@@ -79,8 +80,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.ceiling < 2:
             raise ValueError("ceiling must be >= 2")
-        if self.prime_budget_count < 0 or self.prime_budget_cap < 2:
-            raise ValueError("prime budget must be nonnegative with cap >= 2")
+        if self.prime_budget_count < 0 or not 2 <= self.prime_budget_cap <= arith.MODULUS_CAP:
+            raise ValueError("prime budget needs a count >= 0 and a cap in [2, 2^62]")
         if not 2 <= self.max_modulus <= arith.MODULUS_CAP:
             raise ValueError(f"max modulus must lie in [2, 2^62], got {self.max_modulus}")
         if self.max_queue_pops < 1:
@@ -127,23 +128,14 @@ class ExclusionStep:
 
 
 def initial_search(instance: EquationInstance, ceiling: int) -> tuple[tuple[int, int], ...]:
-    """All solutions with c^y <= ceiling, by exact power decomposition."""
+    """All solutions with c^y <= ceiling: the closing enumeration over those y."""
     if ceiling < instance.c:
         raise ValueError("ceiling must be at least c")
-    a, b, c = instance.a, instance.b, instance.c
-    found = []
-    power = c
-    y = 1
+    top, power = 0, instance.c
     while power <= ceiling:
-        rest = power - b
-        # a^x with x >= 1 is a multiple of a
-        if rest >= 2 and rest % a == 0:
-            x = arith.exact_power_decompose(rest, a)
-            if x is not None:
-                found.append((x, y))
-        power *= c
-        y += 1
-    return tuple(found)
+        power *= instance.c
+        top += 1
+    return final_enumeration(instance, "y", top + 1)
 
 
 def exclusion_step(instance: EquationInstance, candidate: ModulusCandidate) -> ExclusionStep:
@@ -214,42 +206,38 @@ def magic_prime_search(
     config: SolverConfig = DEFAULT_CONFIG,
     on_event: EventCallback | None = None,
 ) -> MagicPrimeWitness | None:
-    """First magic prime P = nK + 1 within budget, or None when exhausted."""
+    """First magic prime P = nK + 1 within budget, or None when exhausted.
+
+    The candidates are the primes nK + 1 up to prime_budget_cap that
+    divide none of a, b, c, ascending, and at most prime_budget_count
+    of them: the count is checked before a prime is drawn.
+    """
+    primes = arith.primes_in_progression(constraint.period)
     tried = 0
-    for prime in arith.primes_in_progression(constraint.period):
+    while tried < config.prime_budget_count:
+        prime = next(primes)
         if prime > config.prime_budget_cap:
-            break
-        if instance.a % prime == 0 or instance.b % prime == 0 or instance.c % prime == 0:
-            continue
-        tried += 1
-        if on_event is not None:
-            on_event("try_prime", {"prime": prime})
-        witness = witness_for_prime(instance, constraint, prime)
-        if witness is not None:
-            return witness
-        if tried >= config.prime_budget_count:
-            break
+            return None
+        if instance.a % prime and instance.b % prime and instance.c % prime:
+            tried += 1
+            if on_event is not None:
+                on_event("try_prime", {"prime": prime})
+            witness = witness_for_prime(instance, constraint, prime)
+            if witness is not None:
+                return witness
     return None
 
 
 def _solve_class_one(
     instance: EquationInstance, classification: Classification
 ) -> tuple[tuple[tuple[int, int], ...], Certificate]:
-    tag = classification.tag
-    p = classification.witness_prime
-    assert p is not None
-    if tag is ClassTag.TYPE_I_I:
-        cert = build_divisibility_certificate(instance, Mode.FORWARD, p)
-        solutions: tuple[tuple[int, int], ...] = ()
-    elif tag is ClassTag.TYPE_I_II:
-        cert = build_divisibility_certificate(instance, Mode.BACKWARD, p)
-        solutions = ()
-    else:
+    # classify sets the witness prime, and for the bounded case the exponent
+    p, k = classification.witness_prime, classification.modulus_exponent
+    if classification.tag is ClassTag.TYPE_I_III_BOUNDED:
         solutions = bounded_case_solutions(instance, classification)
-        k = classification.modulus_exponent
-        assert k is not None
-        cert = build_common_factor_certificate(instance, p, k, solutions)
-    return solutions, cert
+        return solutions, build_common_factor_certificate(instance, p, k, solutions)
+    mode = Mode.FORWARD if classification.tag is ClassTag.TYPE_I_I else Mode.BACKWARD
+    return (), build_divisibility_certificate(instance, mode, p)
 
 
 def _conclude(
@@ -298,7 +286,7 @@ def solve(
     if classification.tag is not ClassTag.CLASS_II:
         return finish(*_solve_class_one(instance, classification))
 
-    known = tuple(sorted(initial_search(instance, max(config.ceiling, instance.c))))
+    known = initial_search(instance, max(config.ceiling, instance.c))
     x_max = max((x for x, _ in known), default=0)
     y_max = max((y for _, y in known), default=0)
 
@@ -318,15 +306,9 @@ def solve(
     for p, v in arith.factorize(instance.a):
         push(Mode.BACKWARD, p, v, x_max + 1)
 
+    deadline = math.inf if config.wall_limit is None else start + config.wall_limit
     pops = 0
-    while heap:
-        if pops >= config.max_queue_pops:
-            break
-        if (
-            config.wall_limit is not None
-            and time.perf_counter() - start > config.wall_limit
-        ):
-            break
+    while heap and pops < config.max_queue_pops and time.perf_counter() <= deadline:
         _, _, _, candidate = heapq.heappop(heap)
         pops += 1
         if on_event is not None:

@@ -64,15 +64,13 @@ _COMPARE_FLIPS = {
 }
 _BOOL_SWAPS = {ast.And: (r"\band\b", "or"), ast.Or: (r"\bor\b", "and")}
 
-_ONE_MORE = (
-    "the exclusion already re-derived leaves no solution at bound + 1 (for 'either', one "
-    "with x = k has y < k and the y loop finds it)"
-)
 _CHEAP_POWER = (
     "the bit-length test only keeps p**k cheap for a huge stated k; the MODULUS_CAP test "
     "beside it gives the same verdict and reason, and a test telling them apart would "
     "compute p**k"
 )
+
+_UNIT = "n = 1 is no multiple of a base >= 2, so the loop stops there either way"
 
 # Survivors that cannot change a verdict, keyed by their description.
 EQUIVALENT: dict[str, str] = {
@@ -82,14 +80,10 @@ EQUIVALENT: dict[str, str] = {
         "so an order equal to the modulus fails that test with the same reason",
     "_outside_cycle: if p == 2 and k >= 3:  ->  if p == 2 and k >= 2:":
         "the 2^k split is exact modulo 4 as well",
-    "_enumerate_solutions: for x in range(1, bound + 1):  ->  "
-    "for x in range(1, bound + 2):": _ONE_MORE,
-    "_enumerate_solutions: for y in range(1, bound + 1):  ->  "
-    "for y in range(1, bound + 2):": _ONE_MORE,
     "_enumerate_solutions: for y in range(1, bound + 1):  ->  for y in range(0, bound + 1):":
-        "y = 0 leaves c^0 - b = 1 - b < 2, which the next test skips",
-    "_enumerate_solutions: if rest >= 2:  ->  if rest >= 1:":
-        "exact_power_decompose(1, a) is None: 1 is no power a^x with x >= 1",
+        "y = 0 leaves c^0 - b = 1 - b <= 0, for which _exponent returns None",
+    "_exponent: while n > 1 and n % base == 0:  ->  while n >= 1 and n % base == 0:": _UNIT,
+    "_exponent: while n > 1 and n % base == 0:  ->  while n > 0 and n % base == 0:": _UNIT,
     "_verify_class_two: if k * (p.bit_length() - 1) > 62 or p**k > arith.MODULUS_CAP:  ->  "
     "if k * (p.bit_length() - 2) > 62 or p**k > arith.MODULUS_CAP:": _CHEAP_POWER,
     "_verify_class_two: if k * (p.bit_length() - 1) > 62 or p**k > arith.MODULUS_CAP:  ->  "

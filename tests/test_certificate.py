@@ -15,7 +15,7 @@ import pytest
 from conftest import HOSTILE_DEEP, HOSTILE_DIGITS
 from independence import certificate_import_violations, trusted_base
 from mutation import mutated_certificate_is_rejected
-from oracle import brute_force_cycle, brute_force_order, sieve_primes
+from oracle import brute_force_cycle, brute_force_order, brute_force_solutions, sieve_primes
 
 from expodio import (
     CertShape,
@@ -440,6 +440,35 @@ def test_round_trip_is_the_identity_on_sampled_triples():
         assert emit_text(parsed) == emit_text(result.certificate), triple
 
 
+def test_enumeration_matches_the_oracle_on_the_twelve_cube():
+    # a solution with x <= 6 or y <= 6 has c^y <= 12^6 + 12, below the ceiling
+    enumerate_solutions = certificate_module._enumerate_solutions
+    found = 0
+    for a in range(2, 13):
+        for b in range(1, 13):
+            for c in range(2, 13):
+                oracle = brute_force_solutions(a, b, c, ceiling=10**7)
+                for bound in range(1, 7):
+                    expected = {
+                        "x": [(x, y) for x, y in oracle if x <= bound],
+                        "y": [(x, y) for x, y in oracle if y <= bound],
+                        "either": [(x, y) for x, y in oracle if min(x, y) <= bound],
+                    }
+                    for variable, solutions in expected.items():
+                        got = enumerate_solutions(EquationInstance(a, b, c), variable, bound)
+                        assert got == tuple(sorted(solutions)), (a, b, c, variable, bound)
+                        found += len(got)
+    assert found > 0
+
+
+def test_exponent_finds_exact_powers_only():
+    exponent = certificate_module._exponent
+    assert [exponent(n, 2) for n in (-4, 0, 1)] == [None, None, None]
+    assert exponent(2, 2) == 1
+    assert exponent(32, 4) is None
+    assert exponent(64, 4) == 3
+
+
 def test_cycle_walk_agrees_with_the_order_test():
     # every prime power M <= 128 with every base, multiples of p among
     # them, and every target, against the powers base^1 .. base^M listed
@@ -499,11 +528,8 @@ class TestVerifierIndependence:
         # the code verify_certificate can reach, by call graph through
         # certificate.py and arith.py; the line bound only ever goes down
         reached = trusted_base()
-        assert sorted(name for name in reached if name.startswith("arith.")) == [
-            "arith.exact_power_decompose",
-            "arith.is_prime",
-        ]
-        assert sum(reached.values()) <= 391
+        assert sorted(name for name in reached if name.startswith("arith.")) == ["arith.is_prime"]
+        assert sum(reached.values()) <= 378
 
     def test_verify_computes_no_order(self, monkeypatch):
         # a certificate states each order with its prime factors, and the

@@ -71,6 +71,18 @@ class TestSolveCommand:
         assert not cert_file.exists()
         assert "no certificate produced" in err
 
+    def test_prime_cap_above_the_verifier_limit_rejected(self, capsys, tmp_path):
+        # a magic prime past 2^62 would make a certificate that verify rejects
+        cert_file = tmp_path / "cert.json"
+        code, _, err = run_cli(
+            ["solve", "2756340000392378401", "1", "3109674063836340001",
+             "--prime-cap", str(1 << 64), "--cert", str(cert_file)],
+            capsys,
+        )
+        assert code == 1
+        assert "invalid solver configuration" in err
+        assert not cert_file.exists()
+
     def test_large_budget_flags_accepted(self, capsys):
         # a ceiling past 2^64 is an int like any other
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -33,6 +34,7 @@ from expodio.engine import (
     ExclusionKind,
     ModulusCandidate,
     _conclude,
+    enlarged,
     exclusion_step,
 )
 
@@ -207,6 +209,16 @@ class TestMagicPrimeSearch:
         witness = magic_prime_search(inst, con, SolverConfig(prime_budget_cap=257))
         assert witness is not None and witness.prime == 257
 
+    def test_zero_budget_tries_no_prime(self):
+        # the count is checked before a prime is tried; 883 would come first
+        inst = EquationInstance(2, 89, 91)
+        con = exclusion_step(inst, ModulusCandidate(Mode.FORWARD, 7, 3, 3)).constraint
+        tried = []
+        config = SolverConfig(prime_budget_count=0)
+        on_event = lambda _, payload: tried.append(payload["prime"])
+        assert magic_prime_search(inst, con, config, on_event=on_event) is None
+        assert tried == []
+
     def test_candidates_dividing_parameters_are_skipped(self):
         inst = EquationInstance(2, 19, 3)
         con = Constraint(variable="x", residue=3, period=18, source_target=8)
@@ -308,6 +320,22 @@ class TestSolve:
         # the initial search still reports what it found
         assert list(result.solutions) == [(1, 3), (3, 7)]
 
+    def test_zero_prime_budget_is_unresolved(self):
+        result = solve(EquationInstance(5, 3, 2), SolverConfig(prime_budget_count=0))
+        assert result.status is SolveStatus.UNRESOLVED
+        assert list(result.solutions) == [(1, 3), (3, 7)]
+
+    def test_modulus_lines_dropped_at_the_default_cap(self):
+        # with no magic prime every step of (2, 1, 3) is conditional: the
+        # lines 2^4 .. 2^62 (Backward) and 3^3 .. 3^39 (Forward) are
+        # re-pushed until their next modulus would pass 2^62
+        kinds = []
+        config = SolverConfig(prime_budget_count=0)
+        on_event = lambda kind, _: kinds.append(kind)
+        result = solve(EquationInstance(2, 1, 3), config, on_event=on_event)
+        assert result.status is SolveStatus.UNRESOLVED
+        assert kinds == ["attempt"] * 96
+
     def test_unresolved_when_moduli_capped(self):
         config = SolverConfig(max_modulus=4, prime_budget_count=1)
         result = solve(EquationInstance(5, 3, 2), config)
@@ -325,6 +353,25 @@ class TestSolve:
         # a NaN limit compares false both ways, and would mean "no limit"
         with pytest.raises(ValueError, match="wall limit must be positive"):
             SolverConfig(wall_limit=limit)
+
+    def test_prime_cap_at_most_the_verifier_limit(self):
+        # the verifier rejects a magic prime above 2^62
+        assert SolverConfig(prime_budget_cap=1 << 62).prime_budget_cap == 1 << 62
+        with pytest.raises(ValueError, match=r"a cap in \[2, 2\^62\]"):
+            SolverConfig(prime_budget_cap=(1 << 62) + 1)
+
+    def test_enlarged_scales_only_the_search_budgets(self):
+        config = SolverConfig(
+            ceiling=1000,
+            prime_budget_count=5,
+            prime_budget_cap=999,
+            max_modulus=77,
+            max_queue_pops=9,
+            wall_limit=2.5,
+        )
+        assert dataclasses.asdict(enlarged(config)) == dict(
+            dataclasses.asdict(config), prime_budget_count=20, max_queue_pops=36
+        )
 
     def test_unresolved_on_expired_wall_clock(self):
         config = SolverConfig(wall_limit=1e-9)
