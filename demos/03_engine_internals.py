@@ -15,7 +15,7 @@ from expodio.engine import ModulusCandidate, exclusion_step
 
 instance = EquationInstance(5, 3, 2)
 
-found = initial_search(instance, ceiling=1 << 64)
+found = initial_search(instance)  # c^y up to max(2^64, b*c)
 print(f"initial search below 2^64: {found}")
 
 # attack y >= 8 with the prime factor 2 of c = 2; v_2(c) = 1, so k = 8 * 1

@@ -1,14 +1,14 @@
 """Command-line surface: solve, scan, verify, stats.
 
     expodio solve A B C [--emit-lean DIR] [--emit-text DIR] [--cert FILE] [--json]
-    expodio scan --a-max N --b-max N --c-max N --out FILE [--jobs N] [--resume]
+    expodio scan --a-max N --b-max N --c-max N --out FILE [--jobs N] [--retry-unresolved]
     expodio verify FILE
     expodio stats FILE
 
 Scans write one JSON object per line (appended as each worker result
-arrives), so an interrupted run can be resumed: instances already in
-the output file are skipped.  Exit codes: 0 ok, 1 usage or I/O error,
-2 unresolved, 3 certificate rejected.
+arrives) and skip the instances the file already holds, so an interrupted
+run picks up where it stopped.  Exit codes: 0 ok, 1 usage or I/O error
+(a closed stdout too), 2 unresolved, 3 certificate rejected.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .certificate import (
     serialize_certificate,
     verify_certificate,
 )
-from .engine import SolveResult, SolverConfig, SolveStatus, enlarged, solve
+from .engine import DEFAULT_CONFIG, SolveResult, SolverConfig, SolveStatus, enlarged, solve
 from .instance import EquationInstance
 
 EXIT_OK = 0
@@ -42,10 +42,8 @@ EXIT_REJECTED = 3
 # Each solver budget flag: the SolverConfig field it sets (its dest),
 # its value type and its help text.
 _CONFIG_FLAGS = (
-    ("--ceiling", "ceiling", int, "initial search bound on c^y"),
     ("--prime-count", "prime_budget_count", int, "magic prime candidates per constraint"),
     ("--prime-cap", "prime_budget_cap", int, "largest magic prime candidate"),
-    ("--max-modulus", "max_modulus", int, "largest modulus the queue may reach"),
     ("--max-pops", "max_queue_pops", int, "queue pops before giving up"),
     ("--time-limit", "wall_limit", float, "wall-clock limit per instance (seconds)"),
 )
@@ -76,21 +74,28 @@ class ScanRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ScanRecord":
-        """One row; raises ValueError unless a, b, c are an instance as written (3.5 is not 3)."""
+        """One row; raises ValueError unless each field has the type to_json writes (3.5 is not 3)."""
         doc = json.loads(line)
-        solutions = tuple((int(x), int(y)) for x, y in doc["solutions"])
+        solutions = tuple((_typed(x, int), _typed(y, int)) for x, y in doc["solutions"])
         instance = EquationInstance(doc["a"], doc["b"], doc["c"])
         return cls(
             a=instance.a,
             b=instance.b,
             c=instance.c,
-            status=str(doc["status"]),
-            class_tag=str(doc["class_tag"]),
-            solution_count=int(doc["solution_count"]),
+            status=_typed(doc["status"], str),
+            class_tag=_typed(doc["class_tag"], str),
+            solution_count=_typed(doc["solution_count"], int),
             solutions=solutions,
-            certificate_digest=doc["certificate_digest"],
-            elapsed_ms=float(doc["elapsed_ms"]),
+            certificate_digest=_typed(doc["certificate_digest"], str, type(None)),
+            elapsed_ms=float(_typed(doc["elapsed_ms"], int, float)),
         )
+
+
+def _typed(value, *kinds: type):
+    """`value` when its exact type is one of `kinds` (so a bool is no int); else ValueError."""
+    if type(value) not in kinds:
+        raise ValueError(f"unexpected value {value!r} in a scan row")
+    return value
 
 
 def record_from_result(instance: EquationInstance, result: SolveResult) -> ScanRecord:
@@ -115,14 +120,13 @@ def record_from_result(instance: EquationInstance, result: SolveResult) -> ScanR
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for flag, dest, kind, text in _CONFIG_FLAGS:
-        parser.add_argument(flag, dest=dest, type=kind, help=text)
+        parser.add_argument(flag, dest=dest, type=kind, help=text, default=getattr(DEFAULT_CONFIG, dest))
 
 
 def build_config(args: argparse.Namespace) -> SolverConfig:
-    """The solver config: the budget flags given, defaults for the rest."""
-    values = {dest: getattr(args, dest) for _, dest, _, _ in _CONFIG_FLAGS}
+    """The solver config the budget flags set (each flag's default is the field's)."""
     try:
-        return SolverConfig(**{name: value for name, value in values.items() if value is not None})
+        return SolverConfig(**{dest: getattr(args, dest) for _, dest, _, _ in _CONFIG_FLAGS})
     except ValueError as exc:
         raise CliError(f"invalid solver configuration: {exc}") from exc
 
@@ -204,17 +208,11 @@ def _scan_worker(
 
 
 def _terminate_partial_line(path: Path) -> None:
-    """Close off a half-written trailing line so appends start fresh."""
-    try:
-        with open(path, "rb+") as handle:
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() == 0:
-                return
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) != b"\n":
-                handle.write(b"\n")
-    except FileNotFoundError:
-        return
+    """Close off a half-written trailing line of a non-empty file so appends start fresh."""
+    with open(path, "rb+") as handle:
+        handle.seek(-1, os.SEEK_END)
+        if handle.read(1) != b"\n":
+            handle.write(b"\n")
 
 
 def iter_cube(a_max: int, b_max: int, c_max: int) -> Iterable[tuple[int, int, int]]:
@@ -315,12 +313,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     # one byte per cube position, in iter_cube order: set once the file holds that triple
     done = bytearray((args.a_max - 1) * args.b_max * (args.c_max - 1))
-    # retrying implies resuming: never duplicate solved records
-    resume = args.resume or args.retry_unresolved
     held = held_unresolved = 0  # the file's rows before this run, for the closing summary
     retry = []
     dropped = set()  # positions among the file's lines that a retry rewrite leaves out
-    if os.path.isfile(out_path) and os.path.getsize(out_path):
+    existing = os.path.isfile(out_path) and os.path.getsize(out_path) > 0
+    if existing:
         for position, record in enumerate(iter_records(out_path)):
             if record is None:
                 dropped.add(position)
@@ -328,7 +325,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             held += 1
             a, b, c = record.a, record.b, record.c
             # a row of a larger cube marks nothing
-            if resume and a <= args.a_max and b <= args.b_max and c <= args.c_max:
+            if a <= args.a_max and b <= args.b_max and c <= args.c_max:
                 done[((a - 2) * args.b_max + b - 1) * (args.c_max - 1) + c - 2] = 1
             if record.status == SolveStatus.UNRESOLVED.value:
                 held_unresolved += 1
@@ -352,7 +349,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     todo = (t for t, skip in zip(cube, done) if not skip)
     start = time.perf_counter()
     try:
-        _terminate_partial_line(out_path)
+        if existing:
+            _terminate_partial_line(out_path)
         with open(out_path, "a", encoding="utf-8", buffering=1) as handle:
             processed, unresolved = _run_pool(todo, config, jobs, keep_certs_dir, handle)
     except OSError as exc:
@@ -462,9 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--a-max", type=int, required=True)
     p_scan.add_argument("--b-max", type=int, required=True)
     p_scan.add_argument("--c-max", type=int, required=True)
-    p_scan.add_argument("--out", required=True, metavar="FILE", help="JSONL output path")
+    p_scan.add_argument("--out", required=True, metavar="FILE", help="JSONL output, resumed if present")
     p_scan.add_argument("--jobs", type=int, help="worker count (default: CPUs)")
-    p_scan.add_argument("--resume", action="store_true", help="skip instances already in the file")
     p_scan.add_argument("--keep-certs", metavar="DIR", help="also store certificate files here")
     p_scan.add_argument(
         "--retry-unresolved",
@@ -493,10 +490,16 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors; this tool reports 1
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout may surface only here
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader went away; devnull takes the interpreter's closing flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -60,30 +60,24 @@ class SolveStatus(str, Enum):
 class SolverConfig:
     """Budgets for the search; defaults solve every tabulated instance.
 
-    ceiling bounds the initial search (all solutions with c^y <= ceiling
-    are collected up front).  Each congruence constraint may try at most
-    prime_budget_count magic-prime candidates P = nK + 1, taken in
-    ascending order, none larger than prime_budget_cap, which is at most
-    2^62 (the verifier rejects a larger magic prime).  The queue
-    refuses moduli above max_modulus and the whole run stops after
+    Each congruence constraint may try at most prime_budget_count
+    magic-prime candidates P = nK + 1, taken in ascending order, none
+    larger than prime_budget_cap, which is at most 2^62 (the verifier
+    rejects a larger magic prime).  The whole run stops after
     max_queue_pops pops or wall_limit seconds (None: no limit; NaN is
-    rejected, like any limit that is not positive).
+    rejected, like any limit that is not positive).  The initial search
+    derives its ceiling from the instance, and the queue drops a modulus
+    above arith.MODULUS_CAP, the verifier's limit.
     """
 
-    ceiling: int = 1 << 64
     prime_budget_count: int = 64
     prime_budget_cap: int = 1 << 40
-    max_modulus: int = arith.MODULUS_CAP
     max_queue_pops: int = 10_000
     wall_limit: float | None = None
 
     def __post_init__(self) -> None:
-        if self.ceiling < 2:
-            raise ValueError("ceiling must be >= 2")
         if self.prime_budget_count < 0 or not 2 <= self.prime_budget_cap <= arith.MODULUS_CAP:
             raise ValueError("prime budget needs a count >= 0 and a cap in [2, 2^62]")
-        if not 2 <= self.max_modulus <= arith.MODULUS_CAP:
-            raise ValueError(f"max modulus must lie in [2, 2^62], got {self.max_modulus}")
         if self.max_queue_pops < 1:
             raise ValueError("max queue pops must be >= 1")
         if self.wall_limit is not None and not self.wall_limit > 0:
@@ -127,10 +121,12 @@ class ExclusionStep:
     constraint: Constraint | None = None
 
 
-def initial_search(instance: EquationInstance, ceiling: int) -> tuple[tuple[int, int], ...]:
-    """All solutions with c^y <= ceiling: the closing enumeration over those y."""
-    if ceiling < instance.c:
-        raise ValueError("ceiling must be at least c")
+def initial_search(instance: EquationInstance) -> tuple[tuple[int, int], ...]:
+    """All solutions with c^y <= max(2^64, b*c): the closing enumeration over those y.
+
+    Each solution has c^y > b, and the first power of c above b is at most b*c.
+    """
+    ceiling = max(1 << 64, instance.b * instance.c)
     top, power = 0, instance.c
     while power <= ceiling:
         power *= instance.c
@@ -286,7 +282,7 @@ def solve(
     if classification.tag is not ClassTag.CLASS_II:
         return finish(*_solve_class_one(instance, classification))
 
-    known = initial_search(instance, max(config.ceiling, instance.c))
+    known = initial_search(instance)
     x_max = max((x for x, _ in known), default=0)
     y_max = max((y for _, y in known), default=0)
 
@@ -297,7 +293,7 @@ def solve(
         # needs no valuation (and no primality test) per push
         cand = ModulusCandidate(mode=mode, p=p, t=t, k=t * v)
         key = cand.key
-        if key <= config.max_modulus:
+        if key <= arith.MODULUS_CAP:
             mode_rank = 0 if mode is Mode.FORWARD else 1
             heapq.heappush(heap, (key, mode_rank, p, cand))
 

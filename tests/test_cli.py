@@ -84,9 +84,9 @@ class TestSolveCommand:
         assert not cert_file.exists()
 
     def test_large_budget_flags_accepted(self, capsys):
-        # a ceiling past 2^64 is an int like any other
+        # a budget past 2^64 is an int like any other
         code, out, _ = run_cli(
-            ["solve", "5", "3", "2", "--time-limit", "30", "--ceiling", str(10**30)], capsys
+            ["solve", "5", "3", "2", "--time-limit", "30", "--max-pops", str(10**30)], capsys
         )
         assert code == 0
         assert "(1,3) (3,7)" in out
@@ -101,6 +101,13 @@ class TestSolveCommand:
         code, _, err = run_cli(["solve", "5", "3", "2", "--config", "f.json"], capsys)
         assert code == 1
         assert "unrecognized arguments: --config" in err
+
+    @pytest.mark.parametrize("flag", ["--ceiling", "--max-modulus"])
+    def test_derived_bounds_are_no_options(self, capsys, flag):
+        # the initial search's ceiling comes from the instance, the modulus cap is the verifier's
+        code, _, err = run_cli(["solve", "5", "3", "2", flag, "10"], capsys)
+        assert code == 1
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(["solve", "2", "1", "3", "--json"], capsys)
@@ -145,6 +152,25 @@ class TestSolveCommand:
         )
         assert proc.returncode == 0
         assert "(1,3) (3,7)" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["solve", "stats"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, command):
+        # the reader closes the pipe before the first write: exit 1, with no
+        # traceback and no failed flush at interpreter exit
+        results = tmp_path / "results.jsonl"
+        results.write_text("{}\n")
+        argv = {"solve": ["solve", "2", "1", "3", "--prime-count", "0", "-v"],
+                "stats": ["stats", str(results)]}[command]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "expodio", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err, err
 
     def test_import_leaves_the_pool_and_the_hash_unloaded(self):
         # what `expodio solve` and `expodio verify` load: a scan loads
@@ -259,7 +285,7 @@ class TestScanCommand:
         # truncate mid-line to model a crash during a write
         out_file.write_text("".join(lines[:keep]) + lines[keep][: len(lines[keep]) // 2])
 
-        code, out, _ = run_cli(args + ["--resume"], capsys)
+        code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert_summary_recounts(out, out_file)
         resumed, malformed = read_rows(out_file)
@@ -291,7 +317,7 @@ class TestScanCommand:
         hostile = [HOSTILE_DEEP, row(2, 3, 2).replace('"b":3', '"b":' + HOSTILE_DIGITS)]
         text = "\n".join([*foreign, *hostile, row(2, 1, 2), row(3, 2, 3)[:20]])
         out_file.write_bytes(b"\xff\xfe bad\n" + text.encode())
-        code, out, _ = run_cli(args + ["--resume"], capsys)
+        code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert_summary_recounts(out, out_file)
         rows, malformed = read_rows(out_file)
@@ -320,7 +346,7 @@ class TestScanCommand:
         tracemalloc.start()
         try:
             code = main(["scan", "--a-max", "17", "--b-max", "17", "--c-max", "17",
-                         "--jobs", "1", "--out", str(out_file), "--resume"])
+                         "--jobs", "1", "--out", str(out_file)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -356,7 +382,7 @@ class TestScanCommand:
         records, _ = read_rows(out_file)
         assert any(r.status == "Unresolved" for r in records)
 
-        code, out, _ = run_cli(args + ["--resume", "--retry-unresolved"], capsys)
+        code, out, _ = run_cli(args + ["--retry-unresolved"], capsys)
         assert code == 0
         assert_summary_recounts(out, out_file)
         retried, _ = read_rows(out_file)
@@ -414,7 +440,7 @@ class TestScanCommand:
 
     def test_reads_the_file_once_per_pass_it_needs(self, capsys, tmp_path, monkeypatch):
         # the summary is counted while scanning: a fresh scan parses no row,
-        # and a resume or a retry parses the file once; a retry's rewrite
+        # and a scan into a non-empty file parses it once; a retry's rewrite
         # copies the rows it keeps as lines
         calls = []
         real = cli_module.iter_records
@@ -432,13 +458,23 @@ class TestScanCommand:
         for extra, out_path, code, reads in [
             (tiny, out_file, 2, 0),  # a new file, left with Unresolved rows
             ([], other, 0, 0),  # an empty file, then filled
-            (["--resume"], other, 0, 1),
-            (["--resume", "--retry-unresolved"], out_file, 0, 1),
+            ([], other, 0, 1),
+            (["--retry-unresolved"], out_file, 0, 1),
         ]:
             calls.clear()
             got, out, _ = run_cli(args + ["--out", str(out_path)] + extra, capsys)
             assert (got, len(calls)) == (code, reads), extra
             assert_summary_recounts(out, out_path)
+
+    def test_resume_is_no_option(self, capsys, tmp_path):
+        # every scan skips the triples its file holds
+        code, _, err = run_cli(
+            ["scan", "--a-max", "3", "--b-max", "3", "--c-max", "3", "--jobs", "1",
+             "--out", str(tmp_path / "scan.jsonl"), "--resume"],
+            capsys,
+        )
+        assert code == 1
+        assert "unrecognized arguments: --resume" in err
 
     def test_jobs_default_to_the_cpu_count(self, capsys, tmp_path, monkeypatch):
         # without --jobs the worker count is the CPU count; no variable is read
@@ -544,12 +580,25 @@ class TestStatsCommand:
             a=2, b=1, c=3, status="Solved", class_tag="ClassII", solution_count=2,
             solutions=((1, 1), (3, 2)), certificate_digest="ab" * 32, elapsed_ms=1.0,
         )
-        hostile = [HOSTILE_DEEP, record.to_json().replace('"b":1', '"b":' + HOSTILE_DIGITS)]
-        text = "\n".join([record.to_json(), *hostile, '{"truncated": \n'])
+        row = record.to_json()
+        hostile = [HOSTILE_DEEP, row.replace('"b":1', '"b":' + HOSTILE_DIGITS)]
+        # each field of a type to_json does not write, rather than coerced
+        mistyped = [
+            row.replace("[[1,1],", "[[1.9,1],"),
+            row.replace(",[3,2]]", ",[3,true]]"),
+            row.replace('"Solved"', "5"),
+            row.replace('"ClassII"', "null"),
+            row.replace('"solution_count":2', '"solution_count":"2"'),
+            row.replace('"' + "ab" * 32 + '"', "5"),
+            row.replace('"elapsed_ms":1.0', '"elapsed_ms":"1.0"'),
+            row.replace('"elapsed_ms":1.0', '"elapsed_ms":true'),
+        ]
+        assert all(line != row for line in mistyped)
+        text = "\n".join([row, *hostile, *mistyped, '{"truncated": \n'])
         results.write_bytes(text.encode() + b"\xff\xfe bad\n")
         code, out, _ = run_cli(["stats", str(results)], capsys)
         assert code == 0
-        assert "records: 1 (4 malformed lines)" in out
+        assert "records: 1 (12 malformed lines)" in out
 
     def test_row_that_is_no_instance_is_malformed(self, capsys, tmp_path):
         # a = 1 is outside the parameter domain; such a row on top must not

@@ -72,15 +72,16 @@ def _large_range_sample(seed: int) -> list[tuple[int, int, int]]:
 
 class TestInitialSearch:
     def test_examples(self):
-        assert initial_search(EquationInstance(5, 3, 2), 1 << 64) == ((1, 3), (3, 7))
-        assert initial_search(EquationInstance(3, 5, 7), 1 << 64) == ()
-        assert initial_search(EquationInstance(2, 1, 3), 1 << 64) == ((1, 1), (3, 2))
+        assert initial_search(EquationInstance(5, 3, 2)) == ((1, 3), (3, 7))
+        assert initial_search(EquationInstance(3, 5, 7)) == ()
+        assert initial_search(EquationInstance(2, 1, 3)) == ((1, 1), (3, 2))
 
-    def test_respects_ceiling(self):
-        assert initial_search(EquationInstance(5, 3, 2), 100) == ((1, 3),)
+    def test_ceiling_reaches_past_a_large_b(self):
+        # every solution has c^y > b: a fixed ceiling of 2^64 would find none here
+        assert initial_search(EquationInstance(3, 2**70 - 3, 2)) == ((1, 70),)
 
     def test_sorted_by_y(self):
-        found = initial_search(EquationInstance(2, 1, 3), 1 << 64)
+        found = initial_search(EquationInstance(2, 1, 3))
         ys = [y for _, y in found]
         assert ys == sorted(ys)
 
@@ -307,7 +308,7 @@ class TestSolve:
                 assert result.solutions == ()
                 continue
             index = {"x": 0, "y": 1, "either": None}[enumeration.params["variable"]]
-            for sol in initial_search(EquationInstance(*triple), 1 << 64):
+            for sol in initial_search(EquationInstance(*triple)):
                 assert sol in result.solutions
                 if index is not None:
                     assert sol[index] <= enumeration.params["bound"]
@@ -319,6 +320,12 @@ class TestSolve:
         assert result.certificate is None
         # the initial search still reports what it found
         assert list(result.solutions) == [(1, 3), (3, 7)]
+
+    def test_unresolved_lists_a_solution_above_two_to_the_64(self):
+        config = SolverConfig(prime_budget_count=0, max_queue_pops=1)
+        result = solve(EquationInstance(3, 2**70 - 3, 2), config)
+        assert result.status is SolveStatus.UNRESOLVED
+        assert result.solutions == ((1, 70),)
 
     def test_zero_prime_budget_is_unresolved(self):
         result = solve(EquationInstance(5, 3, 2), SolverConfig(prime_budget_count=0))
@@ -336,18 +343,6 @@ class TestSolve:
         assert result.status is SolveStatus.UNRESOLVED
         assert kinds == ["attempt"] * 96
 
-    def test_unresolved_when_moduli_capped(self):
-        config = SolverConfig(max_modulus=4, prime_budget_count=1)
-        result = solve(EquationInstance(5, 3, 2), config)
-        assert result.status is SolveStatus.UNRESOLVED
-
-    def test_unresolved_when_modulus_line_outgrows_cap(self):
-        # the only viable line starts below the cap and is dropped once
-        # its modulus would exceed it
-        config = SolverConfig(max_modulus=4, prime_budget_count=2)
-        result = solve(EquationInstance(2, 5, 11), config)
-        assert result.status is SolveStatus.UNRESOLVED
-
     @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
     def test_wall_limit_must_be_positive(self, limit):
         # a NaN limit compares false both ways, and would mean "no limit"
@@ -362,12 +357,7 @@ class TestSolve:
 
     def test_enlarged_scales_only_the_search_budgets(self):
         config = SolverConfig(
-            ceiling=1000,
-            prime_budget_count=5,
-            prime_budget_cap=999,
-            max_modulus=77,
-            max_queue_pops=9,
-            wall_limit=2.5,
+            prime_budget_count=5, prime_budget_cap=999, max_queue_pops=9, wall_limit=2.5
         )
         assert dataclasses.asdict(enlarged(config)) == dict(
             dataclasses.asdict(config), prime_budget_count=20, max_queue_pops=36
