@@ -4,9 +4,9 @@ Everything here is a pure function of its inputs: modular powers,
 deterministic 64-bit primality, factorization, multiplicative orders
 (multiplicative_order returns the order itself, as an int), discrete
 logs inside a single power cycle, primes in arithmetic progressions,
-and exact perfect-power decomposition.  Modular work is done on
-machine-word-sized moduli (capped at 2^62); only the searches that
-compare raw power values use arbitrary precision.
+and exact perfect-power decomposition.  The solver keeps its moduli
+below the verifier's cap, certificate.MODULUS_CAP (2^62); only the
+searches that compare raw power values use arbitrary precision.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import count
-
-MODULUS_CAP = 1 << 62
 
 # Full-cycle enumeration is used for discrete logs below this order;
 # baby-step/giant-step (inside a Pohlig-Hellman decomposition for

@@ -1,4 +1,4 @@
-"""Self-contained proof certificates and their independent verifier.
+"""The certificate format, its reader and its independent verifier: the trusted module.
 
 A certificate records one complete exclusion argument for a^x + b = c^y
 as an ordered list of claims, each tagged with the revalidator that can
@@ -21,18 +21,19 @@ Certificates are immutable: a frozen dataclass whose claims are
 ClaimRecord tuples with read-only params, whose integer lists are tuples.
 
 verify_certificate works from the (a, b, c) triple alone and shares no
-code with the solver's search: the one kernel function it trusts is
-is_prime, and its enumeration tests exact powers with its own division
-loop.  A stated residue is checked with one pow;
-each order a proof uses is stated with its prime factors and proved exact
-by Pratt's test (pow and is_prime); a value outside a power cycle is shown
-by a subgroup test at that order, never by a discrete-log search or an
-order computation.  It checks each claim against the builders' claim for
-those facts (one claims function per shape states its layout) and re-runs
-the bounded enumeration at the enumeration claim.  The work is bounded by
-the certificate: a modulus or magic prime above 2^62 is rejected before
-any pow, and a lift unless it has as many residues as the certificate
-lists, before any list of them is built.  It remembers, by identity, each
+code with the solver: this module imports only the standard library and
+`instance`, has its own primality test, _is_prime, and its enumeration
+tests exact powers with its own division loop.  A stated residue is
+checked with one pow; each order a proof uses is stated with its prime
+factors and proved exact by Pratt's test (pow and _is_prime); a value
+outside a power cycle is shown by a subgroup test at that order, never by
+a discrete-log search or an order computation.  It checks each claim
+against the claim the engine's builders write for those facts (one claims
+function per shape states its layout) and re-runs the bounded enumeration
+at the enumeration claim.  The work is bounded by the certificate: a
+modulus or magic prime above MODULUS_CAP (2^62) is rejected before any
+pow, and a lift unless it has as many residues as the certificate lists,
+before any list of them is built.  It remembers, by identity, each
 certificate it has accepted; was_accepted lets a renderer reuse that
 acceptance instead of verifying it again.
 """
@@ -46,10 +47,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, NamedTuple
 
-from . import arith
 from .instance import EquationInstance
 
 FORMAT_TAG = "diophantine1-certificate/3"
+
+# The largest modulus p^k or magic prime the verifier accepts; _is_prime
+# is exact below 2^63.  The solver keeps every modulus and prime below it.
+MODULUS_CAP = 1 << 62
 
 # json.dumps(doc, separators=(",", ":")) without building an encoder per call;
 # _document builds a fresh tree each time, so no reference cycle can occur
@@ -158,10 +162,6 @@ class Verdict:
 ACCEPT = Verdict(accepted=True)
 
 
-class CertificateBuildError(Exception):
-    """Raised when solver outputs handed to a builder are inconsistent."""
-
-
 class MalformedCertificateError(Exception):
     """Raised when serialized certificate text cannot be parsed."""
 
@@ -175,7 +175,7 @@ class _Rejected(Exception):
 
 
 # ---------------------------------------------------------------------------
-# claim layout and builders
+# claim layout
 
 def _sides(instance: EquationInstance, mode: Mode) -> tuple[int, str, int, str]:
     """(zeroed base, zeroed var, constrained base, constrained var) for a mode."""
@@ -191,30 +191,8 @@ def _expected_target(instance: EquationInstance, mode: Mode, modulus: int) -> in
     return instance.b % modulus
 
 
-def _check_solutions(instance: EquationInstance, solutions) -> tuple[tuple[int, int], ...]:
-    solutions = tuple(sorted(set(map(tuple, solutions))))
-    for x, y in solutions:
-        if not instance.is_solution(x, y):
-            raise CertificateBuildError(f"({x}, {y}) does not solve {instance.equation_text()}")
-    return solutions
-
-
-def _check_bound(solutions, zero_var: str, t: int) -> None:
-    bounded = 0 if zero_var == "x" else 1
-    for sol in solutions:
-        if sol[bounded] >= t:
-            raise CertificateBuildError(f"solution {sol} contradicts {zero_var} < {t}")
-
-
-def _order_of(base: int, modulus: int) -> dict[str, Any]:
-    """The order params of a unit base mod modulus: its order and that order's primes."""
-    order = arith.multiplicative_order(base % modulus, modulus)
-    primes = tuple(q for q, _ in arith.factorize(order)) if order > 1 else ()
-    return {"order": order, "order_factors": primes}
-
-
 # The claims functions below are the one statement of each shape's claim
-# layout.  The builders store the ClaimRecords they return; the verifier
+# layout.  The engine's builders store the ClaimRecords they return; the verifier
 # compares a certificate's claims with the records they give for the
 # facts it has re-derived or checked.
 
@@ -243,31 +221,37 @@ def _common_factor_claims(instance: EquationInstance, p: int, k: int) -> tuple[C
 
 
 def _direct_exclusion_claims(
-    instance: EquationInstance, mode: Mode, modulus: int, t: int, order: dict[str, Any]
+    shape: CertShape,
+    sides: tuple[int, str, int, str],
+    target: int,
+    modulus: int,
+    t: int,
+    order: dict[str, Any],
 ) -> tuple[ClaimRecord, ...]:
-    """The direct-exclusion claims; a divisibility certificate is their first two at t = 1."""
-    zero_base, zero_var, other_base, other_var = _sides(instance, mode)
-    return (
-        _pow_claim(zero_base, zero_var, t, modulus),
-        ClaimRecord(
-            ClaimKind.OBSERVE_MOD_CYCLE,
-            Params(
-                base=other_base,
-                variable=other_var,
-                target=_expected_target(instance, mode, modulus),
-                modulus=modulus,
-                **order,
-                outcome="impossible",
-            ),
-            (0,),
+    """The direct-exclusion claims for `sides`; a divisibility certificate has the first two."""
+    zero_base, zero_var, other_base, other_var = sides
+    zero = _pow_claim(zero_base, zero_var, t, modulus)
+    observe = ClaimRecord(
+        ClaimKind.OBSERVE_MOD_CYCLE,
+        Params(
+            base=other_base,
+            variable=other_var,
+            target=target,
+            modulus=modulus,
+            **order,
+            outcome="impossible",
         ),
-        _enumeration_claim(zero_var, t - 1, (1,)),
+        (0,),
     )
+    if shape is CertShape.DIVISIBILITY_NO_SOLUTION:
+        return zero, observe
+    return zero, observe, _enumeration_claim(zero_var, t - 1, (1,))
 
 
 def _magic_prime_claims(
     instance: EquationInstance,
     mode: Mode,
+    sides: tuple[int, str, int, str],
     modulus: int,
     t: int,
     constraint: Constraint,
@@ -275,7 +259,7 @@ def _magic_prime_claims(
     order: dict[str, Any],
     zero_order: dict[str, Any],
 ) -> tuple[ClaimRecord, ...]:
-    zero_base, zero_var, con_base, con_var = _sides(instance, mode)
+    zero_base, zero_var, con_base, con_var = sides
     shift_kind = ClaimKind.COMPUTE_MOD_ADD if mode is Mode.FORWARD else ClaimKind.COMPUTE_MOD_SUB
     prime = witness.prime
     return (
@@ -327,101 +311,6 @@ def _magic_prime_claims(
             (3,),
         ),
         _enumeration_claim(zero_var, t - 1, (4,)),
-    )
-
-
-def build_divisibility_certificate(instance: EquationInstance, mode: Mode, p: int) -> Certificate:
-    """Type i / ii certificate: one side is 0 mod p, the other never is."""
-    zero_base, _, other_base, _ = _sides(instance, mode)
-    if zero_base % p != 0 or instance.b % p != 0:
-        raise CertificateBuildError(f"prime {p} does not divide both b and {zero_base}")
-    if other_base % p == 0:
-        raise CertificateBuildError(f"prime {p} divides both sides of {instance.equation_text()}")
-    return Certificate(
-        instance=instance,
-        shape=CertShape.DIVISIBILITY_NO_SOLUTION,
-        mode=mode,
-        witness_prime=p,
-        modulus_exponent=1,
-        bound_threshold=1,
-        solutions=(),
-        claims=_direct_exclusion_claims(instance, mode, p, 1, _order_of(other_base, p))[:2],
-    )
-
-
-def build_common_factor_certificate(
-    instance: EquationInstance, p: int, k: int, solutions
-) -> Certificate:
-    """Type iii certificate: p | gcd(a, c) and p^k does not divide b."""
-    modulus = p**k
-    if instance.a % p != 0 or instance.c % p != 0:
-        raise CertificateBuildError(f"prime {p} does not divide both a and c")
-    if instance.b % modulus == 0:
-        raise CertificateBuildError(f"{modulus} divides b; bound exponent {k} is unsound")
-    solutions = _check_solutions(instance, solutions)
-    for x, y in solutions:
-        if x >= k and y >= k:
-            raise CertificateBuildError(f"solution ({x}, {y}) contradicts min(x, y) < {k}")
-    return Certificate(
-        instance=instance,
-        shape=CertShape.COMMON_FACTOR_BOUND,
-        mode=None,
-        witness_prime=p,
-        modulus_exponent=k,
-        bound_threshold=k,
-        solutions=solutions,
-        claims=_common_factor_claims(instance, p, k),
-    )
-
-
-def build_direct_exclusion_certificate(
-    instance: EquationInstance, mode: Mode, p: int, k: int, t: int, solutions
-) -> Certificate:
-    """Type iv / vi certificate: the forced residue is outside the power cycle."""
-    _, zero_var, con_base, _ = _sides(instance, mode)
-    solutions = _check_solutions(instance, solutions)
-    _check_bound(solutions, zero_var, t)
-    return Certificate(
-        instance=instance,
-        shape=CertShape.DIRECT_MODULAR_EXCLUSION,
-        mode=mode,
-        witness_prime=p,
-        modulus_exponent=k,
-        bound_threshold=t,
-        solutions=solutions,
-        claims=_direct_exclusion_claims(instance, mode, p**k, t, _order_of(con_base, p**k)),
-    )
-
-
-def build_magic_prime_certificate(
-    instance: EquationInstance,
-    mode: Mode,
-    p: int,
-    k: int,
-    t: int,
-    constraint: Constraint,
-    witness: MagicPrimeWitness,
-    solutions,
-) -> Certificate:
-    """Type v / vii certificate: a magic prime separates the two value sets."""
-    zero_base, zero_var, con_base, con_var = _sides(instance, mode)
-    if constraint.variable != con_var:
-        raise CertificateBuildError(
-            f"constraint variable {constraint.variable} does not match mode {mode.value}"
-        )
-    solutions = _check_solutions(instance, solutions)
-    _check_bound(solutions, zero_var, t)
-    modulus = p**k
-    orders = _order_of(con_base, modulus), _order_of(zero_base, witness.prime)
-    return Certificate(
-        instance=instance,
-        shape=CertShape.MAGIC_PRIME_EXCLUSION,
-        mode=mode,
-        witness_prime=p,
-        modulus_exponent=k,
-        bound_threshold=t,
-        solutions=solutions,
-        claims=_magic_prime_claims(instance, mode, modulus, t, constraint, witness, *orders),
     )
 
 
@@ -604,6 +493,34 @@ def parse_certificate(text: str) -> Certificate:
 # ---------------------------------------------------------------------------
 # verification
 
+# The first 12 primes: Miller-Rabin with these bases is deterministic for
+# every n below 3.18 * 10^23 (OEIS A014233), far past MODULUS_CAP.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for every n < 2^63."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _valuation(n: int, p: int) -> int:
     """Largest v with p^v dividing n >= 1, for a p the caller has proved prime."""
     v = 0
@@ -623,8 +540,8 @@ def _is_order(base: int, modulus: int, order: int, order_factors: tuple[int, ...
         return False
     rest = order
     for q in order_factors:
-        # q divides order, which is below the modulus, before is_prime sees it
-        if rest % q or not arith.is_prime(q) or pow(base, order // q, modulus) == 1:
+        # q divides order, which is below the modulus, before _is_prime sees it
+        if rest % q or not _is_prime(q) or pow(base, order // q, modulus) == 1:
             return False
         while rest % q == 0:
             rest //= q
@@ -744,12 +661,13 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     if mode is None:
         return _reject("modular exclusion certificates need a mode")
     p, k, t = cert.witness_prime, cert.modulus_exponent, cert.bound_threshold
-    if not arith.is_prime(p):
+    if not _is_prime(p):
         return _reject(f"{p} is not prime")
-    zero_base, zero_var, con_base, con_var = _sides(instance, mode)
+    sides = _sides(instance, mode)
+    zero_base, zero_var, con_base, con_var = sides
     if t < 1 or k != t * _valuation(zero_base, p):
         return _reject("modulus exponent does not match the attacked bound")
-    if k * (p.bit_length() - 1) > 62 or p**k > arith.MODULUS_CAP:
+    if k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:
         return _reject("modulus exceeds the supported cap")
     modulus = p**k
     if math.gcd(con_base, modulus) != 1:
@@ -762,7 +680,8 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     if cert.shape is CertShape.DIRECT_MODULAR_EXCLUSION:
         if not _outside_cycle(con_base, p, k, period, [target]):
             return _reject("target actually lies in the power cycle", claim_index=1)
-        return _check_claims(cert, _direct_exclusion_claims(instance, mode, modulus, t, order))
+        claims = _direct_exclusion_claims(cert.shape, sides, target, modulus, t, order)
+        return _check_claims(cert, claims)
 
     # magic prime shape
     residue = _stated(cert, 1, "residue")
@@ -772,7 +691,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
         return _reject("congruence is not the discrete log of the target", claim_index=1)
 
     P = _stated(cert, 2, "prime")
-    if P > arith.MODULUS_CAP or not arith.is_prime(P):
+    if P > MODULUS_CAP or not _is_prime(P):
         return _reject(f"magic prime {P} is not a prime below 2^62", claim_index=2)
     if P % period != 1 % period:
         return _reject("magic prime is not 1 mod the constraint period", claim_index=2)
@@ -794,7 +713,10 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     constraint = Constraint(con_var, residue, period, target)
     witness = MagicPrimeWitness(P, L, lifted, values, shifted)
     return _check_claims(
-        cert, _magic_prime_claims(instance, mode, modulus, t, constraint, witness, order, zero_order)
+        cert,
+        _magic_prime_claims(
+            instance, mode, sides, modulus, t, constraint, witness, order, zero_order
+        ),
     )
 
 
@@ -857,18 +779,20 @@ def _verify_divisibility(cert: Certificate) -> Verdict:
     if mode is None:
         return _reject("divisibility certificates need a mode")
     p = cert.witness_prime
-    if not arith.is_prime(p):
+    if not _is_prime(p):
         return _reject(f"{p} is not prime")
     if cert.modulus_exponent != 1 or cert.bound_threshold != 1:
         return _reject("divisibility certificates work modulo a single prime")
     if cert.solutions != ():
         return _reject("divisibility certificates prove there are no solutions")
-    zero_base, _, other_base, _ = _sides(instance, mode)
+    sides = _sides(instance, mode)
+    zero_base, _, other_base, _ = sides
     _check_zero_power(zero_base, 1, p, 1, 0)
     order = _stated_order(cert, 1, other_base, p)
-    if not _outside_cycle(other_base, p, 1, order["order"], [_expected_target(instance, mode, p)]):
+    target = _expected_target(instance, mode, p)
+    if not _outside_cycle(other_base, p, 1, order["order"], [target]):
         return _reject("target actually lies in the power cycle", claim_index=1)
-    return _check_claims(cert, _direct_exclusion_claims(instance, mode, p, 1, order)[:2])
+    return _check_claims(cert, _direct_exclusion_claims(cert.shape, sides, target, p, 1, order))
 
 
 def _verify_common_factor(cert: Certificate) -> Verdict:
@@ -876,7 +800,7 @@ def _verify_common_factor(cert: Certificate) -> Verdict:
     if cert.mode is not None:
         return _reject("common-factor certificates are symmetric; no mode applies")
     p, k = cert.witness_prime, cert.modulus_exponent
-    if not arith.is_prime(p):
+    if not _is_prime(p):
         return _reject(f"{p} is not prime")
     if k < 1 or cert.bound_threshold != k:
         return _reject("bound threshold must equal the modulus exponent")

@@ -14,6 +14,10 @@ Candidate moduli live in a priority queue keyed by M, smallest first,
 so cheap contradictions are found before expensive ones.  Termination
 is conjectural; the solver gives up cleanly (status Unresolved) when
 its budgets are exhausted.
+
+The engine also builds the certificates: it computes each order a proof
+states with the arithmetic kernel and lays out the claims with the claims
+functions of `certificate`, whose verifier shares no code with the solver.
 """
 
 from __future__ import annotations
@@ -23,21 +27,21 @@ import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import Any, Callable
 
 from . import arith
 from .certificate import (
+    MODULUS_CAP,
     Certificate,
-    CertificateBuildError,
+    CertShape,
     Constraint,
     MagicPrimeWitness,
     Mode,
+    _common_factor_claims,
+    _direct_exclusion_claims,
     _expected_target,
+    _magic_prime_claims,
     _sides,
-    build_common_factor_certificate,
-    build_direct_exclusion_certificate,
-    build_divisibility_certificate,
-    build_magic_prime_certificate,
 )
 from .classify import (
     Classification,
@@ -67,7 +71,7 @@ class SolverConfig:
     max_queue_pops pops or wall_limit seconds (None: no limit; NaN is
     rejected, like any limit that is not positive).  The initial search
     derives its ceiling from the instance, and the queue drops a modulus
-    above arith.MODULUS_CAP, the verifier's limit.
+    above certificate.MODULUS_CAP, the verifier's limit.
     """
 
     prime_budget_count: int = 64
@@ -76,7 +80,7 @@ class SolverConfig:
     wall_limit: float | None = None
 
     def __post_init__(self) -> None:
-        if self.prime_budget_count < 0 or not 2 <= self.prime_budget_cap <= arith.MODULUS_CAP:
+        if self.prime_budget_count < 0 or not 2 <= self.prime_budget_cap <= MODULUS_CAP:
             raise ValueError("prime budget needs a count >= 0 and a cap in [2, 2^62]")
         if self.max_queue_pops < 1:
             raise ValueError("max queue pops must be >= 1")
@@ -224,6 +228,136 @@ def magic_prime_search(
     return None
 
 
+class CertificateBuildError(Exception):
+    """Raised when solver outputs handed to a builder are inconsistent."""
+
+
+def _check_solutions(instance: EquationInstance, solutions) -> tuple[tuple[int, int], ...]:
+    solutions = tuple(sorted(set(map(tuple, solutions))))
+    for x, y in solutions:
+        if not instance.is_solution(x, y):
+            raise CertificateBuildError(f"({x}, {y}) does not solve {instance.equation_text()}")
+    return solutions
+
+
+def _check_bound(solutions, zero_var: str, t: int) -> None:
+    bounded = 0 if zero_var == "x" else 1
+    for sol in solutions:
+        if sol[bounded] >= t:
+            raise CertificateBuildError(f"solution {sol} contradicts {zero_var} < {t}")
+
+
+def _order_of(base: int, modulus: int) -> dict[str, Any]:
+    """The order params of a unit base mod modulus: its order and that order's primes."""
+    order = arith.multiplicative_order(base % modulus, modulus)
+    primes = tuple(q for q, _ in arith.factorize(order)) if order > 1 else ()
+    return {"order": order, "order_factors": primes}
+
+
+def build_divisibility_certificate(instance: EquationInstance, mode: Mode, p: int) -> Certificate:
+    """Type i / ii certificate: one side is 0 mod p, the other never is."""
+    sides = _sides(instance, mode)
+    zero_base, _, other_base, _ = sides
+    if zero_base % p != 0 or instance.b % p != 0:
+        raise CertificateBuildError(f"prime {p} does not divide both b and {zero_base}")
+    if other_base % p == 0:
+        raise CertificateBuildError(f"prime {p} divides both sides of {instance.equation_text()}")
+    shape = CertShape.DIVISIBILITY_NO_SOLUTION
+    target = _expected_target(instance, mode, p)
+    return Certificate(
+        instance=instance,
+        shape=shape,
+        mode=mode,
+        witness_prime=p,
+        modulus_exponent=1,
+        bound_threshold=1,
+        solutions=(),
+        claims=_direct_exclusion_claims(shape, sides, target, p, 1, _order_of(other_base, p)),
+    )
+
+
+def build_common_factor_certificate(
+    instance: EquationInstance, p: int, k: int, solutions
+) -> Certificate:
+    """Type iii certificate: p | gcd(a, c) and p^k does not divide b."""
+    modulus = p**k
+    if instance.a % p != 0 or instance.c % p != 0:
+        raise CertificateBuildError(f"prime {p} does not divide both a and c")
+    if instance.b % modulus == 0:
+        raise CertificateBuildError(f"{modulus} divides b; bound exponent {k} is unsound")
+    solutions = _check_solutions(instance, solutions)
+    for x, y in solutions:
+        if x >= k and y >= k:
+            raise CertificateBuildError(f"solution ({x}, {y}) contradicts min(x, y) < {k}")
+    return Certificate(
+        instance=instance,
+        shape=CertShape.COMMON_FACTOR_BOUND,
+        mode=None,
+        witness_prime=p,
+        modulus_exponent=k,
+        bound_threshold=k,
+        solutions=solutions,
+        claims=_common_factor_claims(instance, p, k),
+    )
+
+
+def build_direct_exclusion_certificate(
+    instance: EquationInstance, mode: Mode, p: int, k: int, t: int, solutions
+) -> Certificate:
+    """Type iv / vi certificate: the forced residue is outside the power cycle."""
+    sides = _sides(instance, mode)
+    _, zero_var, con_base, _ = sides
+    solutions = _check_solutions(instance, solutions)
+    _check_bound(solutions, zero_var, t)
+    shape = CertShape.DIRECT_MODULAR_EXCLUSION
+    modulus = p**k
+    target = _expected_target(instance, mode, modulus)
+    order = _order_of(con_base, modulus)
+    return Certificate(
+        instance=instance,
+        shape=shape,
+        mode=mode,
+        witness_prime=p,
+        modulus_exponent=k,
+        bound_threshold=t,
+        solutions=solutions,
+        claims=_direct_exclusion_claims(shape, sides, target, modulus, t, order),
+    )
+
+
+def build_magic_prime_certificate(
+    instance: EquationInstance,
+    mode: Mode,
+    p: int,
+    k: int,
+    t: int,
+    constraint: Constraint,
+    witness: MagicPrimeWitness,
+    solutions,
+) -> Certificate:
+    """Type v / vii certificate: a magic prime separates the two value sets."""
+    sides = _sides(instance, mode)
+    zero_base, zero_var, con_base, con_var = sides
+    if constraint.variable != con_var:
+        raise CertificateBuildError(
+            f"constraint variable {constraint.variable} does not match mode {mode.value}"
+        )
+    solutions = _check_solutions(instance, solutions)
+    _check_bound(solutions, zero_var, t)
+    modulus = p**k
+    orders = _order_of(con_base, modulus), _order_of(zero_base, witness.prime)
+    return Certificate(
+        instance=instance,
+        shape=CertShape.MAGIC_PRIME_EXCLUSION,
+        mode=mode,
+        witness_prime=p,
+        modulus_exponent=k,
+        bound_threshold=t,
+        solutions=solutions,
+        claims=_magic_prime_claims(instance, mode, sides, modulus, t, constraint, witness, *orders),
+    )
+
+
 def _solve_class_one(
     instance: EquationInstance, classification: Classification
 ) -> tuple[tuple[tuple[int, int], ...], Certificate]:
@@ -293,7 +427,7 @@ def solve(
         # needs no valuation (and no primality test) per push
         cand = ModulusCandidate(mode=mode, p=p, t=t, k=t * v)
         key = cand.key
-        if key <= arith.MODULUS_CAP:
+        if key <= MODULUS_CAP:
             mode_rank = 0 if mode is Mode.FORWARD else 1
             heapq.heappush(heap, (key, mode_rank, p, cand))
 

@@ -58,3 +58,13 @@ def sieve_primes(limit: int) -> list[int]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
         p += 1
     return [i for i in range(limit + 1) if flags[i]]
+
+
+def is_strong_probable_prime(n: int, base: int) -> bool:
+    """Whether odd n > 2 passes one Miller-Rabin round to `base`, as every odd prime does."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(base, d, n)
+    return x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(r))

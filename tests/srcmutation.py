@@ -1,7 +1,8 @@
-"""Source-mutation probe of the certificate verifier.
+"""Source-mutation probe of the trusted module, src/expodio/certificate.py.
 
-Makes one mutant of src/expodio/certificate.py per site in its
-verification section, everything below the "# verification" banner:
+Makes one mutant of certificate.py per site anywhere in it: the format,
+the claim layout, the serializer, the parser and the verifier with its
+primality test:
 
 - each comparison operator flipped (`<` and `<=`, `>` and `>=`, `==`
   and `!=`, `is` and `is not`, `in` and `not in`);
@@ -10,11 +11,13 @@ verification section, everything below the "# verification" banner:
 
 A mutant is spliced into the source text, so every other line keeps its
 place.  Each one replaces certificate.py in a private copy of the package
-and runs the verifier's tests against it (test_certificate.py,
-test_verifier_hardening.py, test_emit.py, acceptance criteria 1, 4 and
-6, and test_engine.py's large-range sample).  A mutant is killed when a test fails, and hangs when the tests
-outrun TIMEOUT; it survives when they pass.  A survivor listed in
-EQUIVALENT is reported with the reason it cannot change a verdict.
+and runs the module's tests against it (test_certificate.py,
+test_verifier_hardening.py, test_emit.py, the primality tests of
+test_arith.py, acceptance criteria 1, 4 and 6, and test_engine.py's
+large-range sample).  A mutant is killed when a test fails, and hangs
+when the tests outrun TIMEOUT; it survives when they pass.  A survivor
+listed in EQUIVALENT is reported with the reason it cannot change a
+verdict; the script exits 1 when any other survives.
 
 Not part of tier-1: a full run takes several minutes.
 
@@ -37,11 +40,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "expodio"
-BANNER = "# verification\n"
 TESTS = [
     "tests/test_certificate.py",
     "tests/test_verifier_hardening.py",
     "tests/test_emit.py",
+    "tests/test_arith.py::TestIsPrime",
     "tests/test_acceptance.py::test_criterion_1_golden_suite",
     "tests/test_acceptance.py::test_criterion_4_certificate_soundness",
     "tests/test_acceptance.py::test_criterion_6_magic_prime_fidelity",
@@ -84,13 +87,17 @@ EQUIVALENT: dict[str, str] = {
         "y = 0 leaves c^0 - b = 1 - b <= 0, for which _exponent returns None",
     "_exponent: while n > 1 and n % base == 0:  ->  while n >= 1 and n % base == 0:": _UNIT,
     "_exponent: while n > 1 and n % base == 0:  ->  while n > 0 and n % base == 0:": _UNIT,
-    "_verify_class_two: if k * (p.bit_length() - 1) > 62 or p**k > arith.MODULUS_CAP:  ->  "
-    "if k * (p.bit_length() - 2) > 62 or p**k > arith.MODULUS_CAP:": _CHEAP_POWER,
-    "_verify_class_two: if k * (p.bit_length() - 1) > 62 or p**k > arith.MODULUS_CAP:  ->  "
-    "if k * (p.bit_length() - 1) > 63 or p**k > arith.MODULUS_CAP:": _CHEAP_POWER,
-    "_verify_class_two: if P > arith.MODULUS_CAP or not arith.is_prime(P):  ->  "
-    "if P >= arith.MODULUS_CAP or not arith.is_prime(P):":
-        "MODULUS_CAP is 2^62, which is not prime, so is_prime rejects it with the same reason",
+    "_is_prime: for _ in range(r - 1):  ->  for _ in range(r - 0):":
+        "the extra squaring only asks whether a^(n-1) = -1 (mod n), with n - 1 = 2^r d and d "
+        "odd; then 2^(r+1) divides the order of a mod each prime p | n, so each p, and so n, "
+        "is 1 mod 2^(r+1), against d odd: no n passes it",
+    "_verify_class_two: if k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:  ->  "
+    "if k * (p.bit_length() - 2) > 62 or p**k > MODULUS_CAP:": _CHEAP_POWER,
+    "_verify_class_two: if k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:  ->  "
+    "if k * (p.bit_length() - 1) > 63 or p**k > MODULUS_CAP:": _CHEAP_POWER,
+    "_verify_class_two: if P > MODULUS_CAP or not _is_prime(P):  ->  "
+    "if P >= MODULUS_CAP or not _is_prime(P):":
+        "MODULUS_CAP is 2^62, which is not prime, so _is_prime rejects it with the same reason",
 }
 
 
@@ -112,9 +119,7 @@ def _offsets(source: bytes) -> list[int]:
 
 
 def mutants(source: bytes) -> list[Mutant]:
-    """Every mutant of the verification section, in source order."""
-    lines = source.decode("utf-8").splitlines()
-    first = lines.index(BANNER.rstrip("\n")) + 1
+    """Every mutant of the module, in source order."""
     starts = _offsets(source)
 
     def begin(node: ast.AST) -> int:
@@ -140,8 +145,6 @@ def mutants(source: bytes) -> list[Mutant]:
     found: list[Mutant] = []
     tree = ast.parse(source)
     for top in tree.body:
-        if top.lineno <= first:
-            continue
         function = getattr(top, "name", f"line {top.lineno}")
         for node in ast.walk(top):
             if isinstance(node, ast.Compare):

@@ -8,32 +8,68 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympy
-from oracle import brute_force_cycle, brute_force_order, sieve_primes
+from oracle import brute_force_cycle, brute_force_order, is_strong_probable_prime, sieve_primes
 
 from expodio import arith
+from expodio import certificate as certificate_module
+
+
+# The package's primality test and the verifier's own copy, which shares no code with it
+PRIMALITY_TESTS = (arith.is_prime, certificate_module._is_prime)
+
+# OEIS A014233 below 2^63: the least composite that is a strong probable
+# prime to each of the first 1, 2, ..., 11 prime bases
+_A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051,
+)
+
+# For each base q from 3 to 31, three primes whose product is a strong
+# probable prime to every other one of the first 12 primes: each p_i is 3
+# (mod 4), p_i - 1 divides n - 1, and each base but q has one Legendre
+# symbol modulo all three.  A test that drops or alters base q accepts it.
+_ALL_BASES_BUT_ONE = {
+    3: (372604429645211, 3353439866806891, 4843857585387731),
+    5: (559624368636282643, 2798121843181413211, 29660091537722980027),
+    7: (8682605644136371, 43413028220681851, 78143450797227331),
+    11: (13512044185608571, 67560220928042851, 121608397670477131),
+    13: (33050942647765351, 165254713238826751, 297458483829888151),
+    17: (23723461821273271, 118617309106366351, 213511156391459431),
+    19: (6930480014213911, 34652400071069551, 62374320127925191),
+    23: (43905180318229231, 219525901591146151, 395146622864063071),
+    29: (6906568570391491, 34532842851957451, 62159117133523411),
+    31: (24264354650772391, 121321773253861951, 218379191856951511),
+}
 
 
 class TestIsPrime:
     def test_examples(self):
-        assert arith.is_prime(257)
-        assert not arith.is_prime(1)
-        assert arith.is_prime(2647)
+        for is_prime in PRIMALITY_TESTS:
+            assert is_prime(257), is_prime
+            assert not is_prime(1), is_prime
+            assert is_prime(2647), is_prime
 
     def test_small_exhaustive(self):
-        primes = set(sieve_primes(10_000))
-        for n in range(10_000 + 1):
-            assert arith.is_prime(n) == (n in primes), n
+        primes = sieve_primes(10**6)
+        for is_prime in PRIMALITY_TESTS:
+            assert [n for n in range(10**6 + 1) if is_prime(n)] == primes, is_prime
 
     def test_strong_pseudoprimes(self):
-        # composites that fool single-base Miller-Rabin tests
-        for n in (3215031751, 3825123056546413051, 341550071728321):
-            assert not arith.is_prime(n)
-        assert arith.is_prime(2**61 - 1)
+        # composites that fool Miller-Rabin tests on fewer or other bases
+        bases = sieve_primes(37)
+        for q, factors in _ALL_BASES_BUT_ONE.items():
+            n = math.prod(factors)
+            assert [a for a in bases if not is_strong_probable_prime(n, a)] == [q]
+        composites = (*_A014233, *map(math.prod, _ALL_BASES_BUT_ONE.values()))
+        for is_prime in PRIMALITY_TESTS:
+            assert [n for n in composites if is_prime(n)] == [], is_prime
+            assert is_prime(2**61 - 1), is_prime
 
     @given(st.integers(2, 2**62 - 1))
     @settings(max_examples=300, deadline=None)
     def test_matches_sympy(self, n):
-        assert arith.is_prime(n) == sympy.isprime(n)
+        for is_prime in PRIMALITY_TESTS:
+            assert is_prime(n) == sympy.isprime(n), is_prime
 
 
 class TestFactorize:

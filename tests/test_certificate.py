@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import HOSTILE_DEEP, HOSTILE_DIGITS
-from independence import certificate_import_violations, trusted_base
+from conftest import GOLDEN_SUITE, HOSTILE_DEEP, HOSTILE_DIGITS
+from independence import certificate_import_violations, trusted_lines
 from mutation import mutated_certificate_is_rejected
 from oracle import brute_force_cycle, brute_force_order, brute_force_solutions, sieve_primes
 
@@ -33,15 +33,17 @@ from expodio import (
 )
 from expodio import arith
 from expodio import certificate as certificate_module
-from expodio.certificate import (
+from expodio.certificate import MalformedCertificateError, certificate_to_dict
+from expodio.cli import iter_cube
+from expodio.engine import (
     CertificateBuildError,
-    MalformedCertificateError,
+    ModulusCandidate,
     build_direct_exclusion_certificate,
     build_divisibility_certificate,
     build_magic_prime_certificate,
-    certificate_to_dict,
+    exclusion_step,
+    witness_for_prime,
 )
-from expodio.engine import ModulusCandidate, exclusion_step, witness_for_prime
 
 _EXPECTED_KINDS = {
     CertShape.DIVISIBILITY_NO_SOLUTION: ["pow_mod_eq_zero", "observe_mod_cycle"],
@@ -312,6 +314,15 @@ class TestSerialization:
         with pytest.raises(MalformedCertificateError, match="must be a string"):
             parse_certificate(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "bad", [[2, 89, 91], "2 89 91", {"a": 2, "b": 89}, {"a": 2, "b": 89, "c": 91, "d": 1}]
+    )
+    def test_instance_must_be_an_object_of_a_b_c(self, golden_certificates, bad):
+        doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
+        doc["instance"] = bad
+        with pytest.raises(MalformedCertificateError, match="bad instance field"):
+            parse_certificate(json.dumps(doc))
+
     def test_retired_format_is_malformed(self, golden_certificates):
         # /2 stated no orders, which the verifier no longer computes
         doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
@@ -519,32 +530,36 @@ def test_cycle_walk_agrees_with_the_order_test():
 
 class TestVerifierIndependence:
     def test_certificate_module_avoids_solver_code(self):
-        # the verifier may share only the arithmetic kernel (and the
-        # instance type); it must not import the engine, classifier,
-        # emitter, or CLI
+        # the trusted module imports the standard library and .instance
+        # only, and names no arith
         assert certificate_import_violations() == []
 
-    def test_verifier_reaches_no_discrete_log_search(self):
-        # the code verify_certificate can reach, by call graph through
-        # certificate.py and arith.py; the line bound only ever goes down
-        reached = trusted_base()
-        assert sorted(name for name in reached if name.startswith("arith.")) == ["arith.is_prime"]
-        assert sum(reached.values()) <= 378
+    def test_trusted_module_line_count(self):
+        # the trusted base is certificate.py, every line of it: the format,
+        # the parser and the verifier; the bound only ever goes down
+        assert trusted_lines() <= 815
 
-    def test_verify_computes_no_order(self, monkeypatch):
-        # a certificate states each order with its prime factors, and the
-        # verifier checks them with pow and is_prime: it runs with the
-        # kernel's order and factorization gone
-        def boom(*args, **kwargs):  # pragma: no cover - should never run
-            raise AssertionError("verifier computed an order or a factorization")
-
-        monkeypatch.setattr(arith, "multiplicative_order", boom)
-        monkeypatch.setattr(arith, "factorize", boom)
+    def test_parse_and_verify_run_with_the_kernel_gone(self, monkeypatch):
+        # the verifier shares no arithmetic with the solver: every
+        # certificate parses and verifies with each callable of the
+        # kernel raising, the goldens and the 12-cube's alike
         frozen = sorted((Path(__file__).parent / "golden").glob("*.cert.json"))
-        assert len(frozen) == 15
-        for path in frozen:
-            cert = parse_certificate(path.read_text(encoding="utf-8"))
-            assert verify_certificate(cert).accepted, path.name
+        texts = [path.read_text(encoding="utf-8") for path in frozen]
+        assert len(texts) == len(GOLDEN_SUITE)
+        for triple in iter_cube(12, 12, 12):
+            texts.append(serialize_certificate(solve(EquationInstance(*triple)).certificate))
+        assert len(texts) == len(GOLDEN_SUITE) + 1452
+
+        def boom(*args, **kwargs):  # pragma: no cover - should never run
+            raise AssertionError("the verifier called the arithmetic kernel")
+
+        kernel = [name for name, value in vars(arith).items() if callable(value)]
+        assert {"is_prime", "multiplicative_order", "factorize"} <= set(kernel)
+        for name in kernel:
+            monkeypatch.setattr(arith, name, boom)
+        for text in texts:
+            cert = parse_certificate(text)
+            assert verify_certificate(cert).accepted, cert.instance
 
     def test_verify_does_not_touch_engine(self, golden_certificates, monkeypatch):
         import expodio.engine as engine_module

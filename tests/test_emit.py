@@ -14,11 +14,7 @@ from expodio import (
     serialize_certificate,
     verify_certificate,
 )
-from expodio.certificate import (
-    CertShape,
-    build_direct_exclusion_certificate,
-    build_magic_prime_certificate,
-)
+from expodio.certificate import CertShape
 from expodio.emit import (
     PRELUDE,
     PRELUDE_FILENAME,
@@ -26,7 +22,13 @@ from expodio.emit import (
     theorem_name,
     write_proof_files,
 )
-from expodio.engine import ModulusCandidate, exclusion_step, magic_prime_search
+from expodio.engine import (
+    ModulusCandidate,
+    build_direct_exclusion_certificate,
+    build_magic_prime_certificate,
+    exclusion_step,
+    magic_prime_search,
+)
 
 _KIND_SEQUENCES = {
     CertShape.DIVISIBILITY_NO_SOLUTION: ["pow_mod_eq_zero", "observe_mod_cycle"],

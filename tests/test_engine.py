@@ -28,9 +28,9 @@ from expodio import (
     verify_certificate,
     witness_for_prime,
 )
-from expodio.certificate import CertificateBuildError
 from expodio.classify import ClassTag
 from expodio.engine import (
+    CertificateBuildError,
     ExclusionKind,
     ModulusCandidate,
     _conclude,

@@ -27,10 +27,6 @@ from expodio.certificate import (
     MalformedCertificateError,
     Mode,
     Params,
-    build_common_factor_certificate,
-    build_direct_exclusion_certificate,
-    build_divisibility_certificate,
-    build_magic_prime_certificate,
     certificate_to_dict,
     parse_certificate,
     verify_certificate,
@@ -38,6 +34,12 @@ from expodio.certificate import (
 )
 from expodio.cli import iter_cube
 from expodio.emit import EmitRefusedError, emit_lean
+from expodio.engine import (
+    build_common_factor_certificate,
+    build_direct_exclusion_certificate,
+    build_divisibility_certificate,
+    build_magic_prime_certificate,
+)
 
 _REPRESENTATIVES = {
     "DivisibilityNoSolution": (2, 6, 9),
@@ -308,8 +310,8 @@ _REJECTIONS = [
      "compute_mod_add param 'prime' does not match the re-derived facts", 3),
     ("composite magic prime", lambda: _edited((5, 3, 2), 2, prime=255),
      "magic prime 255 is not a prime below 2^62", 2),
-    # 2^62 + 135 is prime, but above MODULUS_CAP, which bounds every modulus
-    # and magic prime
+    # 2^62 + 135 is prime, but above certificate.MODULUS_CAP, which bounds
+    # every modulus and magic prime
     ("magic prime above 2^62", lambda: _edited((2, 1, 3), 2, prime=2**62 + 135),
      "magic prime 4611686018427388039 is not a prime below 2^62", 2),
     # claim 2 lists one lifted residue; at these primes a lift of y = 0
