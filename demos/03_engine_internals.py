@@ -11,7 +11,8 @@ proof, and y < 8 leaves a seven-case enumeration.
 
 from expodio import EquationInstance, Mode, final_enumeration, initial_search, magic_prime_search
 from expodio.arith import multiplicative_order
-from expodio.engine import ModulusCandidate, exclusion_step
+from expodio.certificate import _expected_target
+from expodio.engine import ModulusCandidate, build_magic_prime_certificate, exclusion_step
 
 instance = EquationInstance(5, 3, 2)
 
@@ -24,16 +25,22 @@ print(f"queue entry: modulus {candidate.p}^{candidate.k} = {candidate.key}")
 
 step = exclusion_step(instance, candidate)
 con = step.constraint
+target = _expected_target(instance, candidate.mode, candidate.key)
 print(f"exclusion step: {step.kind.value}")
-print(f"  forced congruence: 5^x = {con.source_target} (mod {candidate.key})")
+print(f"  forced congruence: 5^x = {target} (mod {candidate.key})")
 print(f"  hence {con.variable} = {con.residue} (mod {con.period})")
 
-witness = magic_prime_search(instance, con)
-print(f"magic prime found: {witness.prime}")
-print(f"  exponent classes lift to {witness.lifted_residues} (mod {witness.lifted_period})")
-print(f"  5^x mod {witness.prime} is one of   {witness.power_values}")
-print(f"  so 2^y mod {witness.prime} would be {witness.shifted_values}")
-print(f"  powers of 2 mod {witness.prime} form a cycle of length {multiplicative_order(2, witness.prime)},")
+prime, lift = magic_prime_search(instance, con)
+print(f"magic prime found: {prime}")
+# the certificate states the lift's lists; they follow from (residue, period, prime, lift)
+cert = build_magic_prime_certificate(
+    instance, Mode.FORWARD, 2, 8, 8, con.residue, prime, lift, final_enumeration(instance, "y", 8)
+)
+utilize, compute = (claim.params for claim in cert.claims[2:4])
+print(f"  exponent classes lift to {utilize['lifted_residues']} (mod {lift})")
+print(f"  5^x mod {prime} is one of   {utilize['values']}")
+print(f"  so 2^y mod {prime} would be {compute['output_values']}")
+print(f"  powers of 2 mod {prime} form a cycle of length {multiplicative_order(2, prime)},")
 print("  and none of those values are in it")
 
 # the contradiction proves y < 8; enumerate the rest exactly

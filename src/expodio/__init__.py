@@ -8,7 +8,6 @@ and render it as a prose proof or a Lean script.
 from .certificate import (
     CertShape,
     ClaimKind,
-    Constraint,
     Mode,
     certificate_digest,
     parse_certificate,
@@ -18,6 +17,7 @@ from .certificate import (
 from .classify import bounded_case_solutions, classify, final_enumeration
 from .emit import emit_lean, emit_text
 from .engine import (
+    Constraint,
     SolverConfig,
     SolveStatus,
     initial_search,

@@ -30,12 +30,18 @@ outside a power cycle is shown by a subgroup test at that order, never by
 a discrete-log search or an order computation.  It checks each claim
 against the claim the engine's builders write for those facts (one claims
 function per shape states its layout) and re-runs the bounded enumeration
-at the enumeration claim.  The work is bounded by the certificate: a
-modulus or magic prime above MODULUS_CAP (2^62) is rejected before any
-pow, and a lift unless it has as many residues as the certificate lists,
-before any list of them is built.  It remembers, by identity, each
-certificate it has accepted; was_accepted lets a renderer reuse that
-acceptance instead of verifying it again.
+at the enumeration claim.  The lists a magic-prime certificate states
+follow from (residue, period, prime, lift); _lift computes them, for the
+verifier and the builder alike, and the engine's per-prime decision
+calls it too.  The work is bounded by the certificate: a modulus or
+magic prime above MODULUS_CAP (2^62) is rejected before any pow or
+primality test, a Class I witness prime that does not divide the
+numbers it must before its primality test, and a lift unless it has as
+many residues as the certificate lists, before any list of them is
+built.  No rejection reason writes a number above MODULUS_CAP in full.
+It remembers, by identity, each certificate it has accepted;
+was_accepted lets a renderer reuse that acceptance instead of verifying
+it again.
 """
 
 from __future__ import annotations
@@ -86,27 +92,6 @@ class ClaimKind(str, Enum):
     COMPUTE_MOD_SUB = "compute_mod_sub"
     EXHAUST_MOD_CYCLE = "exhaust_mod_cycle"
     DIOPHANTINE1_ENUMERATION = "diophantine1_enumeration"
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """A congruence var = residue (mod period) forced by a source modulus."""
-
-    variable: str  # "x" or "y"
-    residue: int
-    period: int
-    source_target: int
-
-
-@dataclass(frozen=True)
-class MagicPrimeWitness:
-    """A prime P where the constrained side's values miss the other power cycle."""
-
-    prime: int
-    lifted_period: int
-    lifted_residues: tuple[int, ...]
-    power_values: tuple[int, ...]
-    shifted_values: tuple[int, ...]
 
 
 class Params(dict):
@@ -248,20 +233,39 @@ def _direct_exclusion_claims(
     return zero, observe, _enumeration_claim(zero_var, t - 1, (1,))
 
 
+def _lift(
+    instance: EquationInstance, mode: Mode, residue: int, period: int, prime: int, lift: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The lift of var = residue (mod period) to var mod lift, read modulo prime.
+
+    Returns the lifted residues, the constrained base's powers at them and
+    those powers shifted across the equation: the values the zeroed side
+    would take mod prime.
+    """
+    _, _, base, _ = _sides(instance, mode)
+    target = _expected_target(instance, mode, prime)
+    lifted = tuple(range(residue, lift, period))
+    values = tuple(pow(base, r, prime) for r in lifted)
+    return lifted, values, tuple((v - target) % prime for v in values)
+
+
 def _magic_prime_claims(
     instance: EquationInstance,
     mode: Mode,
     sides: tuple[int, str, int, str],
     modulus: int,
     t: int,
-    constraint: Constraint,
-    witness: MagicPrimeWitness,
+    residue: int,
     order: dict[str, Any],
+    prime: int,
+    lift: int,
     zero_order: dict[str, Any],
 ) -> tuple[ClaimRecord, ...]:
+    """The magic-prime claims: var = residue (mod the order) lifted to `lift` at `prime`."""
     zero_base, zero_var, con_base, con_var = sides
     shift_kind = ClaimKind.COMPUTE_MOD_ADD if mode is Mode.FORWARD else ClaimKind.COMPUTE_MOD_SUB
-    prime = witness.prime
+    period = order["order"]
+    lifted, values, shifted = _lift(instance, mode, residue, period, prime, lift)
     return (
         _pow_claim(zero_base, zero_var, t, modulus),
         ClaimRecord(
@@ -269,12 +273,12 @@ def _magic_prime_claims(
             Params(
                 base=con_base,
                 variable=con_var,
-                target=constraint.source_target,
+                target=_expected_target(instance, mode, modulus),
                 modulus=modulus,
                 **order,
                 outcome="constrains",
-                residue=constraint.residue,
-                period=constraint.period,
+                residue=residue,
+                period=period,
             ),
             (0,),
         ),
@@ -283,12 +287,12 @@ def _magic_prime_claims(
             Params(
                 base=con_base,
                 variable=con_var,
-                residue=constraint.residue,
-                period=constraint.period,
+                residue=residue,
+                period=period,
                 prime=prime,
-                lifted_period=witness.lifted_period,
-                lifted_residues=witness.lifted_residues,
-                values=witness.power_values,
+                lifted_period=lift,
+                lifted_residues=lifted,
+                values=values,
             ),
             (1,),
         ),
@@ -301,7 +305,7 @@ def _magic_prime_claims(
                 shift=instance.b,
                 output_base=zero_base,
                 output_variable=zero_var,
-                output_values=witness.shifted_values,
+                output_values=shifted,
             ),
             (2,),
         ),
@@ -600,13 +604,9 @@ def _enumerate_solutions(
     return tuple(sorted(found))
 
 
-def _check_zero_power(base: int, threshold: int, prime: int, exponent: int, index: int) -> None:
-    """Reject at claim `index` unless var >= threshold makes base^var = 0 (mod prime^exponent)."""
-    if exponent < 1:
-        raise _Rejected("pow_mod_eq_zero needs threshold >= 1 and modulus >= 2", index)
-    # var >= t implies base^var = 0 (mod p^k) iff t * v_p(base) >= k
-    if threshold * _valuation(base, prime) < exponent:
-        raise _Rejected(f"{prime**exponent} does not divide {base}^{threshold}", index)
+def _shown(n: int) -> str:
+    """A stated number as a rejection reason writes it: its size alone above MODULUS_CAP."""
+    return str(n) if abs(n) <= MODULUS_CAP else f"<{n.bit_length()}-bit number>"
 
 
 def _stated(cert: Certificate, index: int, key: str) -> Any:
@@ -661,18 +661,21 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     if mode is None:
         return _reject("modular exclusion certificates need a mode")
     p, k, t = cert.witness_prime, cert.modulus_exponent, cert.bound_threshold
+    # the size tests come first, so a huge stated p costs no primality test
+    if p > MODULUS_CAP or k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:
+        return _reject("modulus exceeds the supported cap")
     if not _is_prime(p):
-        return _reject(f"{p} is not prime")
+        return _reject(f"{_shown(p)} is not prime")
     sides = _sides(instance, mode)
-    zero_base, zero_var, con_base, con_var = sides
+    zero_base, _, con_base, _ = sides
+    # k = t * v_p(zero_base), so var >= t makes zero_base^var = 0 (mod p^k)
     if t < 1 or k != t * _valuation(zero_base, p):
         return _reject("modulus exponent does not match the attacked bound")
-    if k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:
-        return _reject("modulus exceeds the supported cap")
     modulus = p**k
     if math.gcd(con_base, modulus) != 1:
         return _reject("constrained base shares a factor with the modulus")
-    _check_zero_power(zero_base, t, p, k, 0)
+    if k < 1:
+        return _reject("pow_mod_eq_zero needs threshold >= 1 and modulus >= 2", 0)
     target = _expected_target(instance, mode, modulus)
     order = _stated_order(cert, 1, con_base, modulus)
     period = order["order"]
@@ -692,7 +695,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
 
     P = _stated(cert, 2, "prime")
     if P > MODULUS_CAP or not _is_prime(P):
-        return _reject(f"magic prime {P} is not a prime below 2^62", claim_index=2)
+        return _reject(f"magic prime {_shown(P)} is not a prime below 2^62", claim_index=2)
     if P % period != 1 % period:
         return _reject("magic prime is not 1 mod the constraint period", claim_index=2)
     if any(v % P == 0 for v in (instance.a, instance.b, instance.c)):
@@ -703,21 +706,11 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     count = len(cert.claims[2].params.get("lifted_residues", ()))
     if count < 1 or L != count * period or pow(con_base, L, P) != 1:
         return _reject("lifted residues do not fill the lifted period", claim_index=2)
-    lifted = tuple(range(residue, L, period))
-    values = tuple(pow(con_base, r, P) for r in lifted)
-    target_mod_P = _expected_target(instance, mode, P)
-    shifted = tuple((v - target_mod_P) % P for v in values)
     zero_order = _stated_order(cert, 4, zero_base, P)
-    if not _outside_cycle(zero_base, P, 1, zero_order["order"], shifted):
+    claims = _magic_prime_claims(instance, mode, sides, modulus, t, residue, order, P, L, zero_order)
+    if not _outside_cycle(zero_base, P, 1, zero_order["order"], claims[3].params["output_values"]):
         return _reject("shifted values intersect the other power cycle", claim_index=4)
-    constraint = Constraint(con_var, residue, period, target)
-    witness = MagicPrimeWitness(P, L, lifted, values, shifted)
-    return _check_claims(
-        cert,
-        _magic_prime_claims(
-            instance, mode, sides, modulus, t, constraint, witness, order, zero_order
-        ),
-    )
+    return _check_claims(cert, claims)
 
 
 # The certificates verify_certificate has accepted, keyed by id(); an entry
@@ -778,21 +771,25 @@ def _verify_divisibility(cert: Certificate) -> Verdict:
     mode = cert.mode
     if mode is None:
         return _reject("divisibility certificates need a mode")
-    p = cert.witness_prime
-    if not _is_prime(p):
-        return _reject(f"{p} is not prime")
     if cert.modulus_exponent != 1 or cert.bound_threshold != 1:
         return _reject("divisibility certificates work modulo a single prime")
     if cert.solutions != ():
         return _reject("divisibility certificates prove there are no solutions")
+    p = cert.witness_prime
     sides = _sides(instance, mode)
     zero_base, _, other_base, _ = sides
-    _check_zero_power(zero_base, 1, p, 1, 0)
+    # p divides the zeroed base and b, so it is no larger than b: the
+    # divisions go before the primality test
+    if zero_base % p:
+        return _reject(f"{_shown(p)} does not divide {_shown(zero_base)}^1", 0)
+    if instance.b % p:
+        return _reject(f"{_shown(p)} does not divide b")
+    if not _is_prime(p):
+        return _reject(f"{_shown(p)} is not prime")
+    # the stated order proves other_base a unit mod p, and p divides b:
+    # the target is 0, which no power of a unit reaches
     order = _stated_order(cert, 1, other_base, p)
-    target = _expected_target(instance, mode, p)
-    if not _outside_cycle(other_base, p, 1, order["order"], [target]):
-        return _reject("target actually lies in the power cycle", claim_index=1)
-    return _check_claims(cert, _direct_exclusion_claims(cert.shape, sides, target, p, 1, order))
+    return _check_claims(cert, _direct_exclusion_claims(cert.shape, sides, 0, p, 1, order))
 
 
 def _verify_common_factor(cert: Certificate) -> Verdict:
@@ -800,8 +797,12 @@ def _verify_common_factor(cert: Certificate) -> Verdict:
     if cert.mode is not None:
         return _reject("common-factor certificates are symmetric; no mode applies")
     p, k = cert.witness_prime, cert.modulus_exponent
+    # p divides a, so it is no larger: the divisions go before the primality
+    # test, and for k >= 1 they make a^x and c^y 0 mod p^k once x, y >= k
+    if instance.a % p or instance.c % p:
+        return _reject(f"{_shown(p)} does not divide both a and c")
     if not _is_prime(p):
-        return _reject(f"{p} is not prime")
+        return _reject(f"{_shown(p)} is not prime")
     if k < 1 or cert.bound_threshold != k:
         return _reject("bound threshold must equal the modulus exponent")
     # Honest exponents satisfy p^(k-1) <= b, so k is small relative to b.
@@ -809,7 +810,5 @@ def _verify_common_factor(cert: Certificate) -> Verdict:
         return _reject("bound exponent is too large to stem from b")
     modulus = p**k
     if instance.b % modulus == 0:
-        return _reject(f"{modulus} divides b, so no contradiction arises")
-    for index, base in enumerate((instance.a, instance.c)):
-        _check_zero_power(base, k, p, k, index)
+        return _reject(f"{_shown(modulus)} divides b, so no contradiction arises")
     return _check_claims(cert, _common_factor_claims(instance, p, k))

@@ -34,12 +34,11 @@ from .certificate import (
     MODULUS_CAP,
     Certificate,
     CertShape,
-    Constraint,
-    MagicPrimeWitness,
     Mode,
     _common_factor_claims,
     _direct_exclusion_claims,
     _expected_target,
+    _lift,
     _magic_prime_claims,
     _sides,
 )
@@ -91,7 +90,7 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ModulusCandidate:
     """One queue entry: disprove `variable of mode` >= t modulo p^k, where k = t * v_p(base)."""
 
@@ -112,6 +111,15 @@ class SolveResult:
     classification: Classification
     certificate: Certificate | None
     elapsed_ms: float
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """A congruence var = residue (mod period) forced by a source modulus."""
+
+    variable: str  # "x" or "y"
+    residue: int
+    period: int
 
 
 class ExclusionKind(str, Enum):
@@ -154,50 +162,32 @@ def exclusion_step(instance: EquationInstance, candidate: ModulusCandidate) -> E
     period = arith.multiplicative_order(base % modulus, modulus)
     return ExclusionStep(
         kind=ExclusionKind.CONDITIONAL,
-        constraint=Constraint(
-            variable=variable,
-            residue=residue,
-            period=period,
-            source_target=target,
-        ),
+        constraint=Constraint(variable=variable, residue=residue, period=period),
     )
 
 
 def witness_for_prime(
     instance: EquationInstance, constraint: Constraint, prime: int
-) -> MagicPrimeWitness | None:
-    """Evaluate one candidate magic prime against a congruence constraint.
+) -> int | None:
+    """Decide whether `prime` is a magic prime for a congruence constraint.
 
-    Lifts the constraint to L = lcm(K, ord_P(base)), computes the power
-    values of the constrained side, shifts them across the equation, and
-    tests disjointness from the other side's power cycle (membership in
-    the unique subgroup of that order).  Returns the witness or None.
+    Lifts the constraint to L = lcm(K, ord_P(base)), takes the shifted
+    values of the constrained side from `certificate._lift`, and tests
+    their disjointness from the other side's power cycle (membership in
+    the unique subgroup of that order).  Returns the lift L, or None.
     """
     if instance.a % prime == 0 or instance.b % prime == 0 or instance.c % prime == 0:
         return None
     # Forward mode constrains x, Backward mode constrains y
     mode = Mode.FORWARD if constraint.variable == "x" else Mode.BACKWARD
     other, _, base, _ = _sides(instance, mode)
-    target = _expected_target(instance, mode, prime)
-    base_order = arith.multiplicative_order(base % prime, prime)
-    lifted_period = math.lcm(constraint.period, base_order)
-    lifted = tuple(
-        constraint.residue + j * constraint.period
-        for j in range(lifted_period // constraint.period)
-    )
-    values = tuple(pow(base, r, prime) for r in lifted)
-    shifted = tuple((v - target) % prime for v in values)
+    lift = math.lcm(constraint.period, arith.multiplicative_order(base % prime, prime))
+    _, _, shifted = _lift(instance, mode, constraint.residue, constraint.period, prime, lift)
     other_order = arith.multiplicative_order(other % prime, prime)
     for s in shifted:
         if s != 0 and pow(s, other_order, prime) == 1:
             return None
-    return MagicPrimeWitness(
-        prime=prime,
-        lifted_period=lifted_period,
-        lifted_residues=lifted,
-        power_values=values,
-        shifted_values=shifted,
-    )
+    return lift
 
 
 def magic_prime_search(
@@ -205,8 +195,8 @@ def magic_prime_search(
     constraint: Constraint,
     config: SolverConfig = DEFAULT_CONFIG,
     on_event: EventCallback | None = None,
-) -> MagicPrimeWitness | None:
-    """First magic prime P = nK + 1 within budget, or None when exhausted.
+) -> tuple[int, int] | None:
+    """First magic prime P = nK + 1 within budget and its lift, (P, L), or None.
 
     The candidates are the primes nK + 1 up to prime_budget_cap that
     divide none of a, b, c, ascending, and at most prime_budget_count
@@ -222,9 +212,9 @@ def magic_prime_search(
             tried += 1
             if on_event is not None:
                 on_event("try_prime", {"prime": prime})
-            witness = witness_for_prime(instance, constraint, prime)
-            if witness is not None:
-                return witness
+            lift = witness_for_prime(instance, constraint, prime)
+            if lift is not None:
+                return prime, lift
     return None
 
 
@@ -331,21 +321,18 @@ def build_magic_prime_certificate(
     p: int,
     k: int,
     t: int,
-    constraint: Constraint,
-    witness: MagicPrimeWitness,
+    residue: int,
+    prime: int,
+    lift: int,
     solutions,
 ) -> Certificate:
-    """Type v / vii certificate: a magic prime separates the two value sets."""
+    """Type v / vii certificate: at `prime`, var = residue lifted to `lift` separates the sides."""
     sides = _sides(instance, mode)
-    zero_base, zero_var, con_base, con_var = sides
-    if constraint.variable != con_var:
-        raise CertificateBuildError(
-            f"constraint variable {constraint.variable} does not match mode {mode.value}"
-        )
+    zero_base, zero_var, con_base, _ = sides
     solutions = _check_solutions(instance, solutions)
     _check_bound(solutions, zero_var, t)
     modulus = p**k
-    orders = _order_of(con_base, modulus), _order_of(zero_base, witness.prime)
+    order, zero_order = _order_of(con_base, modulus), _order_of(zero_base, prime)
     return Certificate(
         instance=instance,
         shape=CertShape.MAGIC_PRIME_EXCLUSION,
@@ -354,7 +341,9 @@ def build_magic_prime_certificate(
         modulus_exponent=k,
         bound_threshold=t,
         solutions=solutions,
-        claims=_magic_prime_claims(instance, mode, sides, modulus, t, constraint, witness, *orders),
+        claims=_magic_prime_claims(
+            instance, mode, sides, modulus, t, residue, order, prime, lift, zero_order
+        ),
     )
 
 
@@ -375,9 +364,9 @@ def _conclude(
     candidate: ModulusCandidate,
     known: tuple[tuple[int, int], ...],
     constraint: Constraint | None,
-    witness: MagicPrimeWitness | None,
+    found: tuple[int, int] | None,
 ) -> tuple[tuple[tuple[int, int], ...], Certificate]:
-    """Run the closing enumeration and build the certificate: magic-prime given a witness."""
+    """Run the closing enumeration and build the certificate: magic-prime given (P, L)."""
     mode, p, k, t = candidate.mode, candidate.p, candidate.k, candidate.t
     _, variable, _, _ = _sides(instance, mode)
     solutions = final_enumeration(instance, variable, t)
@@ -385,10 +374,10 @@ def _conclude(
     # contradict, is missing from the enumeration and fails this check
     if not set(known) <= set(solutions):
         raise CertificateBuildError("final enumeration lost an initial-search solution")
-    if witness is None:
+    if found is None:
         return solutions, build_direct_exclusion_certificate(instance, mode, p, k, t, solutions)
     return solutions, build_magic_prime_certificate(
-        instance, mode, p, k, t, constraint, witness, solutions
+        instance, mode, p, k, t, constraint.residue, *found, solutions
     )
 
 
@@ -455,13 +444,13 @@ def solve(
                 },
             )
         step = exclusion_step(instance, candidate)
-        witness = None
+        found = None
         if step.kind is ExclusionKind.CONDITIONAL:
-            witness = magic_prime_search(instance, step.constraint, config, on_event)
-            if witness is None:
+            found = magic_prime_search(instance, step.constraint, config, on_event)
+            if found is None:
                 push(candidate.mode, candidate.p, candidate.k // candidate.t, candidate.t + 1)
                 continue
-        solutions, cert = _conclude(instance, candidate, known, step.constraint, witness)
+        solutions, cert = _conclude(instance, candidate, known, step.constraint, found)
         if on_event is not None:
             on_event("succeeded", {})
         return finish(solutions, cert)

@@ -91,10 +91,12 @@ EQUIVALENT: dict[str, str] = {
         "the extra squaring only asks whether a^(n-1) = -1 (mod n), with n - 1 = 2^r d and d "
         "odd; then 2^(r+1) divides the order of a mod each prime p | n, so each p, and so n, "
         "is 1 mod 2^(r+1), against d odd: no n passes it",
-    "_verify_class_two: if k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:  ->  "
-    "if k * (p.bit_length() - 2) > 62 or p**k > MODULUS_CAP:": _CHEAP_POWER,
-    "_verify_class_two: if k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:  ->  "
-    "if k * (p.bit_length() - 1) > 63 or p**k > MODULUS_CAP:": _CHEAP_POWER,
+    "_verify_class_two: if p > MODULUS_CAP or k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:"
+    "  ->  if p > MODULUS_CAP or k * (p.bit_length() - 2) > 62 or p**k > MODULUS_CAP:":
+        _CHEAP_POWER,
+    "_verify_class_two: if p > MODULUS_CAP or k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:"
+    "  ->  if p > MODULUS_CAP or k * (p.bit_length() - 1) > 63 or p**k > MODULUS_CAP:":
+        _CHEAP_POWER,
     "_verify_class_two: if P > MODULUS_CAP or not _is_prime(P):  ->  "
     "if P >= MODULUS_CAP or not _is_prime(P):":
         "MODULUS_CAP is 2^62, which is not prime, so _is_prime rejects it with the same reason",

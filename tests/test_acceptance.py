@@ -27,7 +27,7 @@ from expodio import (
     verify_certificate,
     witness_for_prime,
 )
-from expodio.certificate import CertShape, Mode, certificate_to_dict
+from expodio.certificate import CertShape, Mode, _lift, certificate_to_dict
 from expodio.cli import main as cli_main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -179,20 +179,20 @@ def test_criterion_6_magic_prime_fidelity(golden_results):
         assert verify_certificate(result.certificate).accepted
 
         # each published prime checked directly
-        con = Constraint(variable="x", residue=35, period=64, source_target=253)
-        witness = witness_for_prime(EquationInstance(5, 3, 2), con, 257)
-        assert witness is not None
-        assert witness.lifted_residues == (35, 99, 163, 227)
-        assert witness.power_values == (14, 224, 243, 33)
-        assert witness.shifted_values == (17, 227, 246, 36)
+        inst = EquationInstance(5, 3, 2)
+        lift = witness_for_prime(inst, Constraint(variable="x", residue=35, period=64), 257)
+        assert lift is not None
+        lifted, values, shifted = _lift(inst, Mode.FORWARD, 35, 64, 257, lift)
+        assert lifted == (35, 99, 163, 227)
+        assert values == (14, 224, 243, 33)
+        assert shifted == (17, 227, 246, 36)
 
-        con = Constraint(
-            variable="y", residue=1461, period=2187, source_target=10
-        )
-        witness = witness_for_prime(EquationInstance(3, 10, 13), con, 17497)
-        assert witness is not None
-        assert witness.lifted_residues == (1461, 3648, 5835, 8022)
-        assert witness.power_values == (11616, 6486, 5881, 11011)
+        inst = EquationInstance(3, 10, 13)
+        lift = witness_for_prime(inst, Constraint(variable="y", residue=1461, period=2187), 17497)
+        assert lift is not None
+        lifted, values, _ = _lift(inst, Mode.BACKWARD, 1461, 2187, 17497, lift)
+        assert lifted == (1461, 3648, 5835, 8022)
+        assert values == (11616, 6486, 5881, 11011)
 
 
 def test_criterion_7_emitter_determinism(golden_certificates):

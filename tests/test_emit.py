@@ -64,10 +64,10 @@ def _magic_cert_2_1_3():
     inst = EquationInstance(2, 1, 3)
     cand = ModulusCandidate(Mode.FORWARD, 3, 3, 3)
     step = exclusion_step(inst, cand)
-    witness = magic_prime_search(inst, step.constraint)
-    assert witness.prime == 19
+    prime, lift = magic_prime_search(inst, step.constraint)
+    assert prime == 19
     return build_magic_prime_certificate(
-        inst, Mode.FORWARD, 3, 3, 3, step.constraint, witness, [(1, 1), (3, 2)]
+        inst, Mode.FORWARD, 3, 3, 3, step.constraint.residue, prime, lift, [(1, 1), (3, 2)]
     )
 
 

@@ -28,15 +28,24 @@ from expodio import (
     verify_certificate,
     witness_for_prime,
 )
+from expodio.certificate import CertShape, _expected_target, _lift
 from expodio.classify import ClassTag
+from expodio.cli import iter_cube
 from expodio.engine import (
     CertificateBuildError,
     ExclusionKind,
     ModulusCandidate,
     _conclude,
+    build_magic_prime_certificate,
     enlarged,
     exclusion_step,
 )
+
+
+def _lists(inst, con, found):
+    """The lifted residues, power values and shifted values of `con` at a found (P, L)."""
+    mode = Mode.FORWARD if con.variable == "x" else Mode.BACKWARD
+    return _lift(inst, mode, con.residue, con.period, *found)
 
 
 def _pairwise_coprime(a: int, b: int, c: int) -> bool:
@@ -100,18 +109,16 @@ class TestExclusionStep:
         assert cand.key == 256
         step = exclusion_step(inst, cand)
         assert step.kind is ExclusionKind.CONDITIONAL
-        assert step.constraint == Constraint(
-            variable="x", residue=35, period=64, source_target=253
-        )
+        assert step.constraint == Constraint(variable="x", residue=35, period=64)
+        assert _expected_target(inst, Mode.FORWARD, cand.key) == 253
 
     def test_conditional_backward(self):
         inst = EquationInstance(3, 7, 2)
         cand = ModulusCandidate(Mode.BACKWARD, 3, 3, 3)
         step = exclusion_step(inst, cand)
         assert step.kind is ExclusionKind.CONDITIONAL
-        assert step.constraint == Constraint(
-            variable="y", residue=16, period=18, source_target=7
-        )
+        assert step.constraint == Constraint(variable="y", residue=16, period=18)
+        assert _expected_target(inst, Mode.BACKWARD, cand.key) == 7
 
     def test_exponent_scales_with_valuation(self):
         # (1, 1) is known, so the first attempt attacks y >= 2; v_2(20) = 2,
@@ -145,7 +152,8 @@ class TestExclusionStep:
             m = p**t
             cycle = brute_force_cycle(base, m)
             assert len(cycle) == con.period
-            hits = [j + 1 for j, v in enumerate(cycle) if v == con.source_target]
+            target = _expected_target(inst, mode, m)
+            hits = [j + 1 for j, v in enumerate(cycle) if v == target]
             assert len(hits) == 1
             assert hits[0] % con.period == con.residue % con.period
 
@@ -153,62 +161,58 @@ class TestExclusionStep:
 class TestMagicPrimeSearch:
     def test_forward_small(self):
         inst = EquationInstance(2, 1, 3)
-        con = Constraint(variable="x", residue=9, period=18, source_target=26)
-        witness = magic_prime_search(inst, con)
-        assert witness is not None
-        assert witness.prime == 19
-        assert witness.power_values == (18,)
-        assert witness.shifted_values == (0,)
+        con = Constraint(variable="x", residue=9, period=18)
+        found = magic_prime_search(inst, con)
+        assert found is not None
+        assert found[0] == 19
+        _, values, shifted = _lists(inst, con, found)
+        assert values == (18,)
+        assert shifted == (0,)
 
     def test_forward_with_lift_expansion(self):
         inst = EquationInstance(5, 3, 2)
-        con = Constraint(variable="x", residue=35, period=64, source_target=253)
-        witness = magic_prime_search(inst, con)
-        assert witness is not None
-        assert witness.prime == 257
-        assert witness.lifted_period == 256
-        assert witness.lifted_residues == (35, 99, 163, 227)
-        assert witness.power_values == (14, 224, 243, 33)
-        assert witness.shifted_values == (17, 227, 246, 36)
+        con = Constraint(variable="x", residue=35, period=64)
+        found = magic_prime_search(inst, con)
+        assert found == (257, 256)
+        lifted, values, shifted = _lists(inst, con, found)
+        assert lifted == (35, 99, 163, 227)
+        assert values == (14, 224, 243, 33)
+        assert shifted == (17, 227, 246, 36)
 
     def test_backward_large(self):
         inst = EquationInstance(3, 10, 13)
-        con = Constraint(
-            variable="y", residue=1461, period=2187, source_target=10
-        )
-        witness = magic_prime_search(inst, con)
-        assert witness is not None
-        assert witness.prime == 17497
-        assert witness.lifted_period == 8748
-        assert witness.lifted_residues == (1461, 3648, 5835, 8022)
-        assert witness.power_values == (11616, 6486, 5881, 11011)
-        assert witness.shifted_values == (11606, 6476, 5871, 11001)
+        con = Constraint(variable="y", residue=1461, period=2187)
+        found = magic_prime_search(inst, con)
+        assert found == (17497, 8748)
+        lifted, values, shifted = _lists(inst, con, found)
+        assert lifted == (1461, 3648, 5835, 8022)
+        assert values == (11616, 6486, 5881, 11011)
+        assert shifted == (11606, 6476, 5871, 11001)
 
     def test_budget_exhaustion_returns_none(self):
         inst = EquationInstance(7, 3, 10)
-        con = Constraint(variable="x", residue=0, period=2, source_target=1)
+        con = Constraint(variable="x", residue=0, period=2)
         config = SolverConfig(prime_budget_count=3)
         assert magic_prime_search(inst, con, config) is None
 
     def test_pinned_primes(self):
         inst = EquationInstance(5, 3, 2)
-        con = Constraint(variable="x", residue=35, period=64, source_target=253)
-        witness = witness_for_prime(inst, con, 257)
-        assert witness is not None and witness.prime == 257
+        con = Constraint(variable="x", residue=35, period=64)
+        assert witness_for_prime(inst, con, 257) == 256
         # a prime that is no witness yields nothing
         assert witness_for_prime(inst, con, 193) is None
 
     def test_prime_cap_stops_the_search(self):
         inst = EquationInstance(5, 3, 2)
-        con = Constraint(variable="x", residue=35, period=64, source_target=253)
+        con = Constraint(variable="x", residue=35, period=64)
         # 193 fails and 257 is the first witness
         tried = []
         config = SolverConfig(prime_budget_cap=256)
         on_event = lambda _, payload: tried.append(payload["prime"])
         assert magic_prime_search(inst, con, config, on_event=on_event) is None
         assert tried == [193]
-        witness = magic_prime_search(inst, con, SolverConfig(prime_budget_cap=257))
-        assert witness is not None and witness.prime == 257
+        found = magic_prime_search(inst, con, SolverConfig(prime_budget_cap=257))
+        assert found is not None and found[0] == 257
 
     def test_zero_budget_tries_no_prime(self):
         # the count is checked before a prime is tried; 883 would come first
@@ -222,7 +226,7 @@ class TestMagicPrimeSearch:
 
     def test_candidates_dividing_parameters_are_skipped(self):
         inst = EquationInstance(2, 19, 3)
-        con = Constraint(variable="x", residue=3, period=18, source_target=8)
+        con = Constraint(variable="x", residue=3, period=18)
         # 19 divides b, so it cannot serve as a magic prime here
         assert witness_for_prime(inst, con, 19) is None
         # the search skips it without spending budget on it: 37 is its one try
@@ -234,18 +238,51 @@ class TestMagicPrimeSearch:
 
     def test_witness_soundness_by_brute_force(self):
         inst = EquationInstance(3, 7, 2)
-        con = Constraint(variable="y", residue=16, period=18, source_target=7)
-        witness = magic_prime_search(inst, con)
-        assert witness is not None and witness.prime == 73
-        P = witness.prime
+        con = Constraint(variable="y", residue=16, period=18)
+        found = magic_prime_search(inst, con)
+        assert found is not None and found[0] == 73
+        P, L = found
+        # the bound x < 3 that y = 16 (mod 18) modulo 3^3 yields
+        cert = build_magic_prime_certificate(
+            inst, Mode.BACKWARD, 3, 3, 3, con.residue, P, L, final_enumeration(inst, "x", 3)
+        )
+        utilize, compute = (claim.params for claim in cert.claims[2:4])
+        assert (utilize["prime"], utilize["lifted_period"]) == (P, L)
         lhs = {
             (pow(inst.c, y, P) - inst.b) % P
-            for y in range(1, 4 * witness.lifted_period + 1)
+            for y in range(1, 4 * L + 1)
             if y % con.period == con.residue % con.period
         }
-        assert lhs == set(witness.shifted_values)
+        assert lhs == set(compute["output_values"])
+        assert {pow(inst.c, r, P) for r in utilize["lifted_residues"]} == set(utilize["values"])
         rhs = set(brute_force_cycle(inst.a, P))
         assert not (lhs & rhs)
+
+    def test_decision_matches_every_12_cube_certificate(self):
+        # the per-prime decision and the certificate state one lift: at each
+        # magic prime of the 12-cube, witness_for_prime returns the stated L,
+        # and _lift there gives the stated lists
+        checked = 0
+        for triple in iter_cube(12, 12, 12):
+            inst = EquationInstance(*triple)
+            cert = solve(inst).certificate
+            if cert.shape is not CertShape.MAGIC_PRIME_EXCLUSION:
+                continue
+            candidate = ModulusCandidate(
+                cert.mode, cert.witness_prime, cert.bound_threshold, cert.modulus_exponent
+            )
+            con = exclusion_step(inst, candidate).constraint
+            utilize, compute = (claim.params for claim in cert.claims[2:4])
+            assert (con.residue, con.period) == (utilize["residue"], utilize["period"])
+            P, L = utilize["prime"], utilize["lifted_period"]
+            assert witness_for_prime(inst, con, P) == L, triple
+            assert _lists(inst, con, (P, L)) == (
+                utilize["lifted_residues"],
+                utilize["values"],
+                compute["output_values"],
+            ), triple
+            checked += 1
+        assert checked > 100
 
 
 class TestFinalEnumeration:

@@ -22,11 +22,10 @@ from expodio.certificate import (
     Certificate,
     CertShape,
     ClaimKind,
-    Constraint,
-    MagicPrimeWitness,
     MalformedCertificateError,
     Mode,
     Params,
+    _common_factor_claims,
     certificate_to_dict,
     parse_certificate,
     verify_certificate,
@@ -167,7 +166,7 @@ def _divisibility_by_hand(triple, p):
     """A divisibility certificate for `triple` at a p that does not divide b.
 
     Its claims are those built for the same a and c with b = p, which state
-    the order of a mod p, so the verifier reaches its target test.
+    the order of a mod p: well-formed claims do not carry a p that b refutes.
     """
     a, _, c = triple
     claims = build_divisibility_certificate(EquationInstance(a, p, c), Mode.FORWARD, p).claims
@@ -177,38 +176,34 @@ def _divisibility_by_hand(triple, p):
 
 
 def _magic_prime_193_for_5_3_2():
-    """(5, 3, 2) built from a witness at P = 193, where a shifted value lies in <2>."""
-    lifted = (35, 99, 163)  # x = 35 (mod 64), lifted to lcm(64, ord_193(5)) = 192
-    values = tuple(pow(5, r, 193) for r in lifted)
-    shifted = tuple((v + 3) % 193 for v in values)
-    witness = MagicPrimeWitness(193, 192, lifted, values, shifted)
-    constraint = Constraint("x", 35, 64, 253)
-    return build_magic_prime_certificate(
-        EquationInstance(5, 3, 2), Mode.FORWARD, 2, 8, 8, constraint, witness, ((1, 3), (3, 7))
+    """(5, 3, 2) built at P = 193, where a shifted value lies in <2>."""
+    # x = 35 (mod 64), lifted to lcm(64, ord_193(5)) = 192
+    cert = build_magic_prime_certificate(
+        EquationInstance(5, 3, 2), Mode.FORWARD, 2, 8, 8, 35, 193, 192, ((1, 3), (3, 7))
     )
+    assert cert.claims[2].params["lifted_residues"] == (35, 99, 163)
+    return cert
 
 
 def _magic_prime_11_for_10_5_3():
-    """(10, 5, 3) built from a witness at P = 11, where the shifted value 4 lies in <3>.
+    """(10, 5, 3) built at P = 11, where the shifted value 4 lies in <3>.
 
     3^5 = 1 (mod 121), so 4 is outside <3> modulo 121: the check must work mod P.
     """
-    witness = MagicPrimeWitness(11, 2, (0, 1), (1, 10), (6, 4))
-    return build_magic_prime_certificate(
-        EquationInstance(10, 5, 3), Mode.FORWARD, 3, 1, 1, Constraint("x", 0, 1, 1), witness, ()
+    cert = build_magic_prime_certificate(
+        EquationInstance(10, 5, 3), Mode.FORWARD, 3, 1, 1, 0, 11, 2, ()
     )
+    assert cert.claims[3].params["output_values"] == (6, 4)
+    return cert
 
 
 def _residue_minus_one_for_2_7_3():
     """(2, 7, 3) with y = 1 (mod 2) stated as y = -1: the same class, lifted from -1."""
-    lifted = tuple(range(-1, 12, 2))
-    values = tuple(pow(3, r, 73) for r in lifted)
-    shifted = tuple((v - 7) % 73 for v in values)
-    witness = MagicPrimeWitness(73, 12, lifted, values, shifted)
-    return build_magic_prime_certificate(
-        EquationInstance(2, 7, 3), Mode.BACKWARD, 2, 2, 2, Constraint("y", -1, 2, 3), witness,
-        ((1, 2),),
+    cert = build_magic_prime_certificate(
+        EquationInstance(2, 7, 3), Mode.BACKWARD, 2, 2, 2, -1, 73, 12, ((1, 2),)
     )
+    assert cert.claims[2].params["lifted_residues"] == tuple(range(-1, 12, 2))
+    return cert
 
 
 def _edited(triple, index, drop=(), **changes):
@@ -266,12 +261,18 @@ _REJECTIONS = [
     ("divisibility with solutions",
      lambda: _hand_built((2, 6, 9), _DIVISIBILITY, _FORWARD, 3, 1, 1, ((1, 1),)),
      "divisibility certificates prove there are no solutions", None),
-    ("divisibility target in cycle", lambda: _divisibility_by_hand((2, 1, 3), 3),
-     "target actually lies in the power cycle", 1),
+    ("divisibility prime not dividing b", lambda: _divisibility_by_hand((2, 1, 3), 3),
+     "3 does not divide b", None),
     ("common factor exponent", lambda: _hand_built((2, 1, 4), _COMMON, None, 2, 5, 5),
      "bound exponent is too large to stem from b", None),
     ("common factor divides b", lambda: _hand_built((2, 4, 6), _COMMON, None, 2, 2, 2),
      "4 divides b, so no contradiction arises", None),
+    # 2 divides a but not c; the claims are laid out as for a common factor,
+    # and they would hide the solutions (1, 1) and (3, 2)
+    ("common factor prime not dividing c", lambda: dataclasses.replace(
+        _hand_built((2, 1, 3), _COMMON, None, 2, 1, 1),
+        claims=_common_factor_claims(EquationInstance(2, 1, 3), 2, 1)),
+     "2 does not divide both a and c", None),
     ("missing instance",
      lambda: dataclasses.replace(_hand_built((2, 1, 3), _DIRECT, _FORWARD, 3, 1, 1), instance=None),
      "missing instance", None),
@@ -287,9 +288,6 @@ _REJECTIONS = [
      "bound threshold must equal the modulus exponent", None),
     ("divisibility zero power", lambda: _hand_built((2, 6, 9), _DIVISIBILITY, _FORWARD, 2, 1, 1),
      "2 does not divide 9^1", 0),
-    # 2 is in <8> modulo 3, but not modulo 9, where <8> = {8, 1}; and 8 + 1 = 3^2
-    ("divisibility target in cycle mod p", lambda: _divisibility_by_hand((8, 1, 3), 3),
-     "target actually lies in the power cycle", 1),
     ("magic prime 11", _magic_prime_11_for_10_5_3,
      "shifted values intersect the other power cycle", 4),
     ("residue -1", _residue_minus_one_for_2_7_3,
@@ -311,9 +309,12 @@ _REJECTIONS = [
     ("composite magic prime", lambda: _edited((5, 3, 2), 2, prime=255),
      "magic prime 255 is not a prime below 2^62", 2),
     # 2^62 + 135 is prime, but above certificate.MODULUS_CAP, which bounds
-    # every modulus and magic prime
+    # every modulus and magic prime; a reason writes no number above it in full
     ("magic prime above 2^62", lambda: _edited((2, 1, 3), 2, prime=2**62 + 135),
-     "magic prime 4611686018427388039 is not a prime below 2^62", 2),
+     "magic prime <63-bit number> is not a prime below 2^62", 2),
+    # 2^62 itself passes the size tests and is written in full
+    ("witness prime 2^62", lambda: _hand_built((3, 1, 2), _DIRECT, _FORWARD, 2**62, 1, 1),
+     "4611686018427387904 is not prime", None),
     # claim 2 lists one lifted residue; at these primes a lift of y = 0
     # (mod 4) would have about 2^24 and 2^30 of them, and the stated lift,
     # whose length fits the list, does not return 3 to 1: none is built
@@ -353,6 +354,35 @@ def test_each_rejection_fires(build, reason, claim_index):
     assert verdict.accepted is False
     assert verdict.reason == reason
     assert verdict.claim_index == claim_index
+
+
+# Mersenne primes of 4,423 and 11,213 bits: a primality test on either
+# takes seconds, and either written out runs to thousands of digits.
+_HUGE_PRIMES = {"2^4423 - 1": 2**4423 - 1, "2^11213 - 1": 2**11213 - 1}
+
+
+def _forged_primes(golden_certificates):
+    """Each golden below with a huge stated prime: its witness prime, or claim 2's magic prime."""
+    for name, huge in _HUGE_PRIMES.items():
+        for triple in ((2, 6, 9), (17, 3, 20), (2, 4, 6)):
+            cert = golden_certificates[triple]
+            yield f"{triple} {name}", dataclasses.replace(cert, witness_prime=huge)
+        # no power of p bounds a zero exponent; the size of p itself must
+        cert = golden_certificates[(17, 3, 20)]
+        yield f"(17, 3, 20) {name} k=0", dataclasses.replace(
+            cert, witness_prime=huge, modulus_exponent=0
+        )
+        yield f"(3, 7, 2) {name} magic", _edited((3, 7, 2), 2, prime=huge)
+
+
+def test_a_huge_stated_prime_is_rejected_cheaply(golden_certificates):
+    for what, cert in _forged_primes(golden_certificates):
+        start = time.process_time()
+        verdict = verify_certificate(cert)
+        elapsed = time.process_time() - start
+        assert not verdict.accepted, what
+        assert elapsed < 0.05, (what, elapsed)
+        assert len(verdict.reason) < 200, (what, verdict.reason)
 
 
 def test_common_factor_exponent_bound():
