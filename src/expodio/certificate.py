@@ -537,16 +537,16 @@ def _valuation(n: int, p: int) -> int:
 def _is_order(base: int, modulus: int, order: int, order_factors: tuple[int, ...]) -> bool:
     """True when order is the order of base mod modulus and order_factors its primes.
 
-    Pratt's test: base^order = 1 and base^(order/q) != 1 for each listed q;
-    the primes, ascending and distinct, divide order and leave nothing of it.
+    Pratt's test: base^order = 1 and base^(order/q) != 1 for each listed q; the primes
+    ascend, divide order (below the modulus) before _is_prime sees one, and leave nothing of it.
     """
-    if order >= modulus or order_factors != tuple(sorted(set(order_factors))):
+    if order >= modulus:
         return False
-    rest = order
+    rest, last = order, 1
     for q in order_factors:
-        # q divides order, which is below the modulus, before _is_prime sees it
-        if rest % q or not _is_prime(q) or pow(base, order // q, modulus) == 1:
+        if q <= last or rest % q or not _is_prime(q) or pow(base, order // q, modulus) == 1:
             return False
+        last = q
         while rest % q == 0:
             rest //= q
     return rest == 1 and pow(base, order, modulus) == 1

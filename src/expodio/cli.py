@@ -19,19 +19,20 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from . import emit
 from .certificate import (
+    MODULUS_CAP,
     MalformedCertificateError,
     certificate_digest,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
 )
-from .engine import DEFAULT_CONFIG, SolveResult, SolverConfig, SolveStatus, enlarged, solve
+from .engine import DEFAULT_CONFIG, SolveResult, SolverConfig, SolveStatus, solve
 from .instance import EquationInstance
 
 EXIT_OK = 0
@@ -44,7 +45,6 @@ EXIT_REJECTED = 3
 _CONFIG_FLAGS = (
     ("--prime-count", "prime_budget_count", int, "magic prime candidates per constraint"),
     ("--prime-cap", "prime_budget_cap", int, "largest magic prime candidate"),
-    ("--max-pops", "max_queue_pops", int, "queue pops before giving up"),
     ("--time-limit", "wall_limit", float, "wall-clock limit per instance (seconds)"),
 )
 
@@ -340,7 +340,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 for position, line in enumerate(_lines(out_path)):
                     if position not in dropped:
                         handle.write(line + "\n")
-                _, held_unresolved = _run_pool(retry, enlarged(config), jobs, keep_certs_dir, handle)
+                # the prime cap is the budget that binds: a retry raises it to the verifier's limit
+                retry_config = replace(config, prime_budget_cap=MODULUS_CAP)
+                _, held_unresolved = _run_pool(retry, retry_config, jobs, keep_certs_dir, handle)
             os.replace(tmp_path, out_path)
         except OSError as exc:
             raise CliError(f"cannot rewrite {out_path}: {exc}") from exc
@@ -466,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--retry-unresolved",
         action="store_true",
-        help="re-run unresolved records with enlarged budgets first",
+        help="first re-run unresolved records with the prime cap raised to 2^62",
     )
     _add_config_flags(p_scan)
     p_scan.set_defaults(func=cmd_scan)

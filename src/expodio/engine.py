@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -66,23 +66,21 @@ class SolverConfig:
     Each congruence constraint may try at most prime_budget_count
     magic-prime candidates P = nK + 1, taken in ascending order, none
     larger than prime_budget_cap, which is at most 2^62 (the verifier
-    rejects a larger magic prime).  The whole run stops after
-    max_queue_pops pops or wall_limit seconds (None: no limit; NaN is
-    rejected, like any limit that is not positive).  The initial search
-    derives its ceiling from the instance, and the queue drops a modulus
-    above certificate.MODULUS_CAP, the verifier's limit.
+    rejects a larger magic prime).  The whole run stops after wall_limit
+    seconds (None: no limit; NaN is rejected, like any limit that is not
+    positive).  The initial search derives its ceiling from the instance,
+    and the queue is finite: it drops a modulus above
+    certificate.MODULUS_CAP, the verifier's limit, so each prime factor
+    of a or c adds at most 62 moduli.
     """
 
     prime_budget_count: int = 64
     prime_budget_cap: int = 1 << 40
-    max_queue_pops: int = 10_000
     wall_limit: float | None = None
 
     def __post_init__(self) -> None:
         if self.prime_budget_count < 0 or not 2 <= self.prime_budget_cap <= MODULUS_CAP:
             raise ValueError("prime budget needs a count >= 0 and a cap in [2, 2^62]")
-        if self.max_queue_pops < 1:
-            raise ValueError("max queue pops must be >= 1")
         if self.wall_limit is not None and not self.wall_limit > 0:
             raise ValueError("wall limit must be positive")
 
@@ -146,20 +144,47 @@ def initial_search(instance: EquationInstance) -> tuple[tuple[int, int], ...]:
     return final_enumeration(instance, "y", top + 1)
 
 
-def exclusion_step(instance: EquationInstance, candidate: ModulusCandidate) -> ExclusionStep:
+def _in_cycle(unit: int, target: int, modulus: int, order: int) -> bool:
+    """Whether target is a power of `unit`, of the given order mod a prime power: one pow."""
+    if modulus % 8 == 0:
+        # (Z/2^k)* for k >= 3 is not cyclic, but its classes 1 (mod 4) are;
+        # a unit 3 (mod 4) alternates between the classes, its even powers
+        # forming the cycle of unit^2, so test target or target / unit
+        if unit % 4 == 3:
+            order //= 2
+            if target % 4 == 3:
+                target = target * pow(unit, -1, modulus) % modulus
+        return target % 4 == 1 and pow(target, order, modulus) == 1
+    # otherwise (Z/p^k)* is cyclic: the cycle is its one subgroup of that order
+    return pow(target, order, modulus) == 1
+
+
+def exclusion_step(
+    instance: EquationInstance, candidate: ModulusCandidate, prime_cap: int = MODULUS_CAP
+) -> ExclusionStep:
     """Try to refute `var >= t` modulo p^k: a contradiction or a congruence.
 
     Forward mode forces a^x = -b (mod M); Backward forces c^y = b (mod M).
     If the target is outside the cycle of the base the bound is disproved
     outright; otherwise the unique discrete log becomes a constraint.
+    When the period K leaves no magic prime nK + 1 up to prime_cap, the
+    log is not computed: a target in the cycle gives a conditional step
+    with no constraint.
     """
     modulus = candidate.key
     _, _, base, variable = _sides(instance, candidate.mode)
+    unit = base % modulus
     target = _expected_target(instance, candidate.mode, modulus)
-    residue = arith.cycle_discrete_log(base % modulus, target, modulus)
+    # the period is below the modulus, so only a modulus above the cap can reach it
+    if modulus > prime_cap:
+        period = arith.multiplicative_order(unit, modulus)
+        if period >= prime_cap:
+            in_cycle = _in_cycle(unit, target, modulus, period)
+            return ExclusionStep(ExclusionKind.CONDITIONAL if in_cycle else ExclusionKind.DIRECT)
+    residue = arith.cycle_discrete_log(unit, target, modulus)
     if residue is None:
         return ExclusionStep(kind=ExclusionKind.DIRECT)
-    period = arith.multiplicative_order(base % modulus, modulus)
+    period = arith.multiplicative_order(unit, modulus)
     return ExclusionStep(
         kind=ExclusionKind.CONDITIONAL,
         constraint=Constraint(variable=variable, residue=residue, period=period),
@@ -426,10 +451,8 @@ def solve(
         push(Mode.BACKWARD, p, v, x_max + 1)
 
     deadline = math.inf if config.wall_limit is None else start + config.wall_limit
-    pops = 0
-    while heap and pops < config.max_queue_pops and time.perf_counter() <= deadline:
+    while heap and time.perf_counter() <= deadline:
         _, _, _, candidate = heapq.heappop(heap)
-        pops += 1
         if on_event is not None:
             base, variable, _, _ = _sides(instance, candidate.mode)
             on_event(
@@ -443,10 +466,11 @@ def solve(
                     "modulus": candidate.key,
                 },
             )
-        step = exclusion_step(instance, candidate)
+        step = exclusion_step(instance, candidate, config.prime_budget_cap)
         found = None
         if step.kind is ExclusionKind.CONDITIONAL:
-            found = magic_prime_search(instance, step.constraint, config, on_event)
+            if step.constraint is not None:
+                found = magic_prime_search(instance, step.constraint, config, on_event)
             if found is None:
                 push(candidate.mode, candidate.p, candidate.k // candidate.t, candidate.t + 1)
                 continue
@@ -457,14 +481,3 @@ def solve(
 
     return finish(known, None)
 
-
-_RETRY_FACTOR = 4
-
-
-def enlarged(config: SolverConfig) -> SolverConfig:
-    """A copy of `config` with search budgets scaled up fourfold for retries."""
-    return replace(
-        config,
-        prime_budget_count=config.prime_budget_count * _RETRY_FACTOR,
-        max_queue_pops=config.max_queue_pops * _RETRY_FACTOR,
-    )

@@ -77,10 +77,15 @@ _UNIT = "n = 1 is no multiple of a base >= 2, so the loop stops there either way
 
 # Survivors that cannot change a verdict, keyed by their description.
 EQUIVALENT: dict[str, str] = {
-    "_is_order: if order >= modulus or order_factors != tuple(sorted(set(order_factors))):  ->  "
-    "if order > modulus or order_factors != tuple(sorted(set(order_factors))):":
+    "_is_order: if order >= modulus:  ->  if order > modulus:":
         "an order Pratt's test proves divides the group exponent, which is below the modulus, "
         "so an order equal to the modulus fails that test with the same reason",
+    "_is_order: rest, last = order, 1  ->  rest, last = order, 0":
+        "a listed 1 then passes the ascent test, but _is_prime(1) is false: the same verdict",
+    "_is_order: if q <= last or rest % q or not _is_prime(q) or pow(base, order // q, modulus) "
+    "== 1:  ->  if q < last or rest % q or not _is_prime(q) or pow(base, order // q, modulus) "
+    "== 1:":
+        "a repeated prime was divided out of rest, so rest % q rejects it: the same verdict",
     "_outside_cycle: if p == 2 and k >= 3:  ->  if p == 2 and k >= 2:":
         "the 2^k split is exact modulo 4 as well",
     "_enumerate_solutions: for y in range(1, bound + 1):  ->  for y in range(0, bound + 1):":
@@ -91,9 +96,6 @@ EQUIVALENT: dict[str, str] = {
         "the extra squaring only asks whether a^(n-1) = -1 (mod n), with n - 1 = 2^r d and d "
         "odd; then 2^(r+1) divides the order of a mod each prime p | n, so each p, and so n, "
         "is 1 mod 2^(r+1), against d odd: no n passes it",
-    "_verify_class_two: if p > MODULUS_CAP or k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:"
-    "  ->  if p > MODULUS_CAP or k * (p.bit_length() - 2) > 62 or p**k > MODULUS_CAP:":
-        _CHEAP_POWER,
     "_verify_class_two: if p > MODULUS_CAP or k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:"
     "  ->  if p > MODULUS_CAP or k * (p.bit_length() - 1) > 63 or p**k > MODULUS_CAP:":
         _CHEAP_POWER,

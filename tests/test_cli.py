@@ -54,17 +54,14 @@ class TestSolveCommand:
         assert "a must be >= 2" in err
 
     def test_unresolved_exit_code(self, capsys):
-        code, out, _ = run_cli(
-            ["solve", "5", "3", "2", "--prime-count", "0", "--max-pops", "1"], capsys
-        )
+        code, out, _ = run_cli(["solve", "5", "3", "2", "--prime-count", "0"], capsys)
         assert code == 2
         assert "Unresolved" in out
 
     def test_unresolved_skips_proof_outputs(self, capsys, tmp_path):
         cert_file = tmp_path / "cert.json"
         code, _, err = run_cli(
-            ["solve", "5", "3", "2", "--prime-count", "0", "--max-pops", "1",
-             "--cert", str(cert_file)],
+            ["solve", "5", "3", "2", "--prime-count", "0", "--cert", str(cert_file)],
             capsys,
         )
         assert code == 2
@@ -86,7 +83,7 @@ class TestSolveCommand:
     def test_large_budget_flags_accepted(self, capsys):
         # a budget past 2^64 is an int like any other
         code, out, _ = run_cli(
-            ["solve", "5", "3", "2", "--time-limit", "30", "--max-pops", str(10**30)], capsys
+            ["solve", "5", "3", "2", "--time-limit", "30", "--prime-count", str(10**30)], capsys
         )
         assert code == 0
         assert "(1,3) (3,7)" in out
@@ -95,6 +92,12 @@ class TestSolveCommand:
         code, _, err = run_cli(["solve", "5", "3", "2", "--time-limit", "nan"], capsys)
         assert code == 1
         assert "wall limit must be positive" in err
+
+    def test_no_queue_pop_budget(self, capsys):
+        # the queue empties by itself: each prime factor adds at most 62 moduli
+        code, _, err = run_cli(["solve", "5", "3", "2", "--max-pops", "1"], capsys)
+        assert code == 1
+        assert "unrecognized arguments: --max-pops" in err
 
     def test_no_config_file_option(self, capsys):
         # budgets are set by their flags alone
@@ -374,7 +377,7 @@ class TestScanCommand:
 
     def test_retry_unresolved(self, capsys, tmp_path):
         out_file = tmp_path / "scan.jsonl"
-        tiny = ["--prime-count", "0", "--max-pops", "1"]
+        tiny = ["--prime-count", "0"]
         args = ["scan", "--a-max", "5", "--b-max", "3", "--c-max", "3", "--jobs", "1",
                 "--out", str(out_file)]
         # exit code 2 reports that unresolved records remain
@@ -389,6 +392,24 @@ class TestScanCommand:
         assert all(r.status == "Solved" for r in retried)
         keys = [(r.a, r.b, r.c) for r in retried]
         assert len(keys) == len(set(keys)) == len(records)
+
+    def test_retry_raises_the_prime_cap(self, capsys, tmp_path):
+        # the same command, budgets included, resolves its rows once the
+        # retry lifts the cap to 2^62; the prime count and pops were never short
+        out_file = tmp_path / "scan.jsonl"
+        args = ["scan", "--a-max", "5", "--b-max", "3", "--c-max", "3", "--jobs", "1",
+                "--prime-cap", "2", "--out", str(out_file)]
+        assert run_cli(args, capsys)[0] == 2
+        records, _ = read_rows(out_file)
+        unresolved = [(r.a, r.b, r.c) for r in records if r.status == "Unresolved"]
+        assert unresolved == [(2, 1, 3), (5, 1, 3), (5, 2, 3), (5, 3, 2)]
+
+        code, out, _ = run_cli(args + ["--retry-unresolved"], capsys)
+        assert code == 0
+        assert_summary_recounts(out, out_file)
+        retried, _ = read_rows(out_file)
+        assert len(retried) == len(records)
+        assert all(r.status == "Solved" for r in retried)
 
     def test_retry_copies_kept_rows_as_written(self, capsys, tmp_path):
         # the rewrite copies each kept row byte for byte, here one written
@@ -452,7 +473,7 @@ class TestScanCommand:
         monkeypatch.setattr(cli_module, "iter_records", counted)
         out_file = tmp_path / "scan.jsonl"
         args = ["scan", "--a-max", "5", "--b-max", "3", "--c-max", "3", "--jobs", "1"]
-        tiny = ["--prime-count", "0", "--max-pops", "1"]
+        tiny = ["--prime-count", "0"]
         other = tmp_path / "other.jsonl"
         other.write_text("")
         for extra, out_path, code, reads in [

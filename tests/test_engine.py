@@ -1,8 +1,9 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from expodio import (
     Mode,
     SolverConfig,
     SolveStatus,
+    arith,
     emit_lean,
     final_enumeration,
     initial_search,
@@ -28,16 +30,16 @@ from expodio import (
     verify_certificate,
     witness_for_prime,
 )
-from expodio.certificate import CertShape, _expected_target, _lift
-from expodio.classify import ClassTag
+from expodio.certificate import MODULUS_CAP, CertShape, _expected_target, _lift
+from expodio.classify import ClassTag, classify
 from expodio.cli import iter_cube
 from expodio.engine import (
     CertificateBuildError,
     ExclusionKind,
     ModulusCandidate,
     _conclude,
+    _in_cycle,
     build_magic_prime_certificate,
-    enlarged,
     exclusion_step,
 )
 
@@ -156,6 +158,36 @@ class TestExclusionStep:
             hits = [j + 1 for j, v in enumerate(cycle) if v == target]
             assert len(hits) == 1
             assert hits[0] % con.period == con.residue % con.period
+
+    def test_cycle_membership_matches_the_discrete_log(self):
+        # one pow decides, for every pair of units, what the log search
+        # decides; 2^k with k >= 3 has a group that is not cyclic
+        for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 7), (3, 1), (3, 3), (5, 2), (7, 2), (11, 1)]:
+            m = p**k
+            units = [u for u in range(1, m) if u % p]
+            for base in units:
+                order = arith.multiplicative_order(base, m)
+                for target in units:
+                    in_cycle = arith.cycle_discrete_log(base, target, m) is not None
+                    assert _in_cycle(base, target, m, order) == in_cycle, (base, target, m)
+
+    def test_no_log_when_no_magic_prime_fits_under_the_cap(self):
+        # at a cap of 2 every period K >= 2 leaves no prime nK + 1: each
+        # step keeps its kind, and a conditional one carries no constraint
+        steps = 0
+        for triple in iter_cube(12, 12, 12):
+            inst = EquationInstance(*triple)
+            if classify(inst).tag is not ClassTag.CLASS_II:
+                continue
+            for mode, base in ((Mode.FORWARD, inst.c), (Mode.BACKWARD, inst.a)):
+                for p, v in arith.factorize(base):
+                    for t in range(1, 5):
+                        cand = ModulusCandidate(mode, p, t, t * v)
+                        full, cut = exclusion_step(inst, cand), exclusion_step(inst, cand, 2)
+                        assert cut.kind is full.kind, (triple, cand)
+                        assert cut.constraint in (None, full.constraint), (triple, cand)
+                        steps += cut.constraint is None
+        assert steps > 1000
 
 
 class TestMagicPrimeSearch:
@@ -351,7 +383,7 @@ class TestSolve:
                     assert sol[index] <= enumeration.params["bound"]
 
     def test_unresolved_on_tiny_budget(self):
-        config = SolverConfig(prime_budget_count=0, max_queue_pops=1)
+        config = SolverConfig(prime_budget_count=0)
         result = solve(EquationInstance(5, 3, 2), config)
         assert result.status is SolveStatus.UNRESOLVED
         assert result.certificate is None
@@ -359,7 +391,7 @@ class TestSolve:
         assert list(result.solutions) == [(1, 3), (3, 7)]
 
     def test_unresolved_lists_a_solution_above_two_to_the_64(self):
-        config = SolverConfig(prime_budget_count=0, max_queue_pops=1)
+        config = SolverConfig(prime_budget_count=0)
         result = solve(EquationInstance(3, 2**70 - 3, 2), config)
         assert result.status is SolveStatus.UNRESOLVED
         assert result.solutions == ((1, 70),)
@@ -392,19 +424,55 @@ class TestSolve:
         with pytest.raises(ValueError, match=r"a cap in \[2, 2\^62\]"):
             SolverConfig(prime_budget_cap=(1 << 62) + 1)
 
-    def test_enlarged_scales_only_the_search_budgets(self):
-        config = SolverConfig(
-            prime_budget_count=5, prime_budget_cap=999, max_queue_pops=9, wall_limit=2.5
-        )
-        assert dataclasses.asdict(enlarged(config)) == dict(
-            dataclasses.asdict(config), prime_budget_count=20, max_queue_pops=36
-        )
-
     def test_unresolved_on_expired_wall_clock(self):
         config = SolverConfig(wall_limit=1e-9)
         result = solve(EquationInstance(5, 3, 2), config)
         assert result.status is SolveStatus.UNRESOLVED
         assert list(result.solutions) == [(1, 3), (3, 7)]
+
+    def test_a_log_no_magic_prime_can_use_is_skipped(self):
+        # both steps have K + 1 > 2^40, the default cap: K = c - 1, then
+        # K = a - 1; the second log once built a 15-million-entry table
+        # (11.5 s of CPU, 1.6 GB) for a constraint no prime could use
+        kinds = []
+        tracemalloc.start()
+        cpu = time.process_time()
+        try:
+            result = solve(
+                EquationInstance(937309884106109, 55, 331888661888881),
+                on_event=lambda kind, _: kinds.append(kind),
+            )
+            cpu = time.process_time() - cpu
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.status is SolveStatus.UNRESOLVED
+        assert kinds == ["attempt", "attempt"]
+        assert cpu < 1.0, cpu
+        assert peak < 50_000_000, peak
+
+    # Census triples, prime a and c in [10^12, 10^15) and b <= 100, that
+    # end Unresolved at the default cap: four from an earlier census, then
+    # the three of tests/census-seed3.json that the raised cap proves in
+    # under 10 ms
+    CENSUS_UNRESOLVED = [
+        (467939402755073, 90, 801096207847849),
+        (728143039777339, 23, 881692975910657),
+        (448133911238833, 9, 876089585348441),
+        (937309884106109, 55, 331888661888881),
+        (707437820378417, 64, 121182798389857),
+        (925286709344773, 22, 801096207847849),
+        (926322131315393, 1, 442409134599371),
+    ]
+
+    @pytest.mark.parametrize("triple", CENSUS_UNRESOLVED)
+    def test_census_triple_needs_the_raised_prime_cap(self, triple):
+        # the cap is the budget that binds: a retry's 2^62 proves each one
+        inst = EquationInstance(*triple)
+        assert solve(inst).status is SolveStatus.UNRESOLVED
+        raised = solve(inst, SolverConfig(prime_budget_cap=MODULUS_CAP))
+        assert raised.status is SolveStatus.SOLVED
+        assert verify_certificate(raised.certificate).accepted
 
     def test_effort_counters(self):
         def effort(triple):

@@ -26,6 +26,7 @@ from expodio.certificate import (
     Mode,
     Params,
     _common_factor_claims,
+    certificate_from_dict,
     certificate_to_dict,
     parse_certificate,
     verify_certificate,
@@ -383,6 +384,52 @@ def test_a_huge_stated_prime_is_rejected_cheaply(golden_certificates):
         assert not verdict.accepted, what
         assert elapsed < 0.05, (what, elapsed)
         assert len(verdict.reason) < 200, (what, verdict.reason)
+
+
+# Hostile values for every field: each integer in turn (top level, instance,
+# claim params, premises, list elements) and each list in turn.  Parsing a
+# list reads the type of each element, about 30 ms for 10^6 of them here.
+_HOSTILE_INTS = {"2^4423 - 1": 2**4423 - 1, "4,300 digits": 10**4299 + 1, "0": 0, "-1": -1}
+_HOSTILE_LIST = list(range(2, 10**6 + 2))
+_INT_CPU_MS, _LIST_CPU_MS = 10, 100
+
+
+def _hostile_cases(doc):
+    """(path, name, value) for each hostile value of each field of `doc` that changes it."""
+    for path, value in _leaf_paths(doc):
+        if type(value) is int:
+            for name, hostile in _HOSTILE_INTS.items():
+                if hostile != value:
+                    yield path, name, hostile
+        elif type(value) is list:
+            yield path, "10^6 integers", _HOSTILE_LIST
+
+
+@pytest.mark.parametrize("shape,triple", sorted(_REPRESENTATIVES.items()))
+def test_hostile_values_in_every_field_are_rejected_cheaply(shape, triple, golden_certificates):
+    doc = certificate_to_dict(golden_certificates[triple])
+    checked = 0
+    for path, name, hostile in _hostile_cases(doc):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        original, parent[path[-1]] = parent[path[-1]], hostile
+        start = time.process_time()
+        try:
+            verdict = verify_certificate(certificate_from_dict(doc))
+            accepted, reason = verdict.accepted, verdict.reason
+        except MalformedCertificateError as exc:
+            accepted, reason = False, str(exc)
+        elapsed_ms = (time.process_time() - start) * 1000
+        parent[path[-1]] = original
+        what = f"{path} = {name}"
+        assert not accepted, what
+        assert len(reason) < 200, (what, reason)
+        bound = _LIST_CPU_MS if hostile is _HOSTILE_LIST else _INT_CPU_MS
+        assert elapsed_ms < bound, (what, elapsed_ms)
+        checked += 1
+    assert verify_certificate(certificate_from_dict(doc)).accepted
+    assert checked > 60, checked
 
 
 def test_common_factor_exponent_bound():
