@@ -6,12 +6,15 @@ deterministic 64-bit primality, factorization, multiplicative orders
 logs inside a single power cycle, primes in arithmetic progressions,
 and exact perfect-power decomposition.  The solver keeps its moduli
 below the verifier's cap, certificate.MODULUS_CAP (2^62); only the
-searches that compare raw power values use arbitrary precision.
+searches that compare raw power values use arbitrary precision.  A
+discrete log takes a perf_counter deadline and raises TimeoutError once
+it is past it, checked every _DEADLINE_STRIDE baby or giant steps.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from functools import lru_cache
 from itertools import count
 
@@ -19,6 +22,8 @@ from itertools import count
 # baby-step/giant-step (inside a Pohlig-Hellman decomposition for
 # composite orders) above it.
 _DLOG_ENUM_LIMIT = 1 << 16
+# Baby or giant steps between two deadline checks.
+_DEADLINE_STRIDE = 1 << 12
 
 # The first 12 primes are a deterministic Miller-Rabin witness set for
 # n < 318,665,857,834,031,151,167,461 (about 3.19 * 10^24; OEIS A014233),
@@ -172,16 +177,27 @@ def _dlog_enumerate(base: int, target: int, m: int, order: int) -> int | None:
     return None
 
 
-def _dlog_bsgs(base: int, target: int, m: int, order: int) -> int | None:
+def _check_deadline(deadline: float) -> None:
+    if time.perf_counter() > deadline:
+        raise TimeoutError("wall limit reached inside a discrete log")
+
+
+def _dlog_bsgs(
+    base: int, target: int, m: int, order: int, deadline: float = math.inf
+) -> int | None:
     step = math.isqrt(order) + 1
     table: dict[int, int] = {}
     v = 1
     for j in range(step):
+        if not j % _DEADLINE_STRIDE:
+            _check_deadline(deadline)
         table.setdefault(v, j)
         v = v * base % m
     giant = pow(base, -step, m)
     gamma = target % m
     for i in range(step + 1):
+        if not i % _DEADLINE_STRIDE:
+            _check_deadline(deadline)
         j = table.get(gamma)
         if j is not None:
             x = (i * step + j) % order
@@ -191,7 +207,9 @@ def _dlog_bsgs(base: int, target: int, m: int, order: int) -> int | None:
     return None
 
 
-def _dlog_pohlig_hellman(base: int, target: int, m: int, order: int) -> int | None:
+def _dlog_pohlig_hellman(
+    base: int, target: int, m: int, order: int, deadline: float = math.inf
+) -> int | None:
     """Discrete log in the cycle of `base` via prime-power subgroups and CRT."""
     residues: list[tuple[int, int]] = []
     for q, e in factorize(order):
@@ -207,7 +225,7 @@ def _dlog_pohlig_hellman(base: int, target: int, m: int, order: int) -> int | No
             if q < _DLOG_ENUM_LIMIT:
                 d = _dlog_enumerate(gq, h_j, m, q)
             else:
-                d = _dlog_bsgs(gq, h_j, m, q)
+                d = _dlog_bsgs(gq, h_j, m, q, deadline)
             if d is None:
                 return None
             x_i += d * q**j
@@ -223,13 +241,17 @@ def _dlog_pohlig_hellman(base: int, target: int, m: int, order: int) -> int | No
     return None
 
 
-def cycle_discrete_log(base: int, target: int, m: int) -> int | None:
+def cycle_discrete_log(
+    base: int, target: int, m: int, deadline: float = math.inf
+) -> int | None:
     """Unique x_r in [0, K) with base^x_r = target (mod m), or None.
 
     K is the order of base mod m.  None means the target is provably
     outside the cycle generated by base: the small-order path exhausts
     the whole cycle, the large-order paths cover it via baby-step/
-    giant-step and Pohlig-Hellman with a final recheck.
+    giant-step and Pohlig-Hellman with a final recheck.  Raises
+    TimeoutError when baby-step/giant-step runs past `deadline`
+    (a time.perf_counter value).
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
@@ -240,7 +262,7 @@ def cycle_discrete_log(base: int, target: int, m: int) -> int | None:
     order = _order(base, m)
     if order <= _DLOG_ENUM_LIMIT:
         return _dlog_enumerate(base, target, m, order)
-    return _dlog_pohlig_hellman(base, target, m, order)
+    return _dlog_pohlig_hellman(base, target, m, order, deadline)
 
 
 def primes_in_progression(k: int):

@@ -39,9 +39,9 @@ primality test, a Class I witness prime that does not divide the
 numbers it must before its primality test, and a lift unless it has as
 many residues as the certificate lists, before any list of them is
 built.  No rejection reason writes a number above MODULUS_CAP in full.
-It remembers, by identity, each certificate it has accepted;
-was_accepted lets a renderer reuse that acceptance instead of verifying
-it again.
+It remembers, by weak reference, the last certificate it accepted;
+was_accepted lets a renderer that follows the verification reuse that
+acceptance instead of verifying it again.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, NamedTuple
+from itertools import repeat
+from typing import Any, Callable, NamedTuple
 
 from .instance import EquationInstance
 
@@ -92,6 +93,13 @@ class ClaimKind(str, Enum):
     COMPUTE_MOD_SUB = "compute_mod_sub"
     EXHAUST_MOD_CYCLE = "exhaust_mod_cycle"
     DIOPHANTINE1_ENUMERATION = "diophantine1_enumeration"
+
+
+# The members as module names, in declaration order: Python 3.11 resolves
+# `Mode.FORWARD` through EnumType.__getattr__, about 0.15 us a lookup.
+_FORWARD = Mode.FORWARD
+_DIVISIBILITY, _COMMON_FACTOR, _DIRECT, _MAGIC_PRIME = CertShape
+_POW, _OBSERVE, _UTILIZE, _ADD, _SUB, _EXHAUST, _ENUMERATION = ClaimKind
 
 
 class Params(dict):
@@ -164,14 +172,14 @@ class _Rejected(Exception):
 
 def _sides(instance: EquationInstance, mode: Mode) -> tuple[int, str, int, str]:
     """(zeroed base, zeroed var, constrained base, constrained var) for a mode."""
-    if mode is Mode.FORWARD:
+    if mode is _FORWARD:
         return instance.c, "y", instance.a, "x"
     return instance.a, "x", instance.c, "y"
 
 
 def _expected_target(instance: EquationInstance, mode: Mode, modulus: int) -> int:
     """Residue forced on the constrained side once the other side is 0 mod M."""
-    if mode is Mode.FORWARD:
+    if mode is _FORWARD:
         return (-instance.b) % modulus
     return instance.b % modulus
 
@@ -184,16 +192,12 @@ def _expected_target(instance: EquationInstance, mode: Mode, modulus: int) -> in
 
 def _pow_claim(base: int, variable: str, threshold: int, modulus: int) -> ClaimRecord:
     return ClaimRecord(
-        ClaimKind.POW_MOD_EQ_ZERO,
-        Params(base=base, variable=variable, threshold=threshold, modulus=modulus),
-        (),
+        _POW, Params(base=base, variable=variable, threshold=threshold, modulus=modulus), ()
     )
 
 
 def _enumeration_claim(variable: str, bound: int, premises: tuple[int, ...]) -> ClaimRecord:
-    return ClaimRecord(
-        ClaimKind.DIOPHANTINE1_ENUMERATION, Params(variable=variable, bound=bound), premises
-    )
+    return ClaimRecord(_ENUMERATION, Params(variable=variable, bound=bound), premises)
 
 
 def _common_factor_claims(instance: EquationInstance, p: int, k: int) -> tuple[ClaimRecord, ...]:
@@ -217,7 +221,7 @@ def _direct_exclusion_claims(
     zero_base, zero_var, other_base, other_var = sides
     zero = _pow_claim(zero_base, zero_var, t, modulus)
     observe = ClaimRecord(
-        ClaimKind.OBSERVE_MOD_CYCLE,
+        _OBSERVE,
         Params(
             base=other_base,
             variable=other_var,
@@ -228,7 +232,7 @@ def _direct_exclusion_claims(
         ),
         (0,),
     )
-    if shape is CertShape.DIVISIBILITY_NO_SOLUTION:
+    if shape is _DIVISIBILITY:
         return zero, observe
     return zero, observe, _enumeration_claim(zero_var, t - 1, (1,))
 
@@ -263,13 +267,13 @@ def _magic_prime_claims(
 ) -> tuple[ClaimRecord, ...]:
     """The magic-prime claims: var = residue (mod the order) lifted to `lift` at `prime`."""
     zero_base, zero_var, con_base, con_var = sides
-    shift_kind = ClaimKind.COMPUTE_MOD_ADD if mode is Mode.FORWARD else ClaimKind.COMPUTE_MOD_SUB
+    shift_kind = _ADD if mode is _FORWARD else _SUB
     period = order["order"]
     lifted, values, shifted = _lift(instance, mode, residue, period, prime, lift)
     return (
         _pow_claim(zero_base, zero_var, t, modulus),
         ClaimRecord(
-            ClaimKind.OBSERVE_MOD_CYCLE,
+            _OBSERVE,
             Params(
                 base=con_base,
                 variable=con_var,
@@ -283,7 +287,7 @@ def _magic_prime_claims(
             (0,),
         ),
         ClaimRecord(
-            ClaimKind.UTILIZE_MOD_CYCLE,
+            _UTILIZE,
             Params(
                 base=con_base,
                 variable=con_var,
@@ -310,9 +314,7 @@ def _magic_prime_claims(
             (2,),
         ),
         ClaimRecord(
-            ClaimKind.EXHAUST_MOD_CYCLE,
-            Params(base=zero_base, variable=zero_var, prime=prime, **zero_order),
-            (3,),
+            _EXHAUST, Params(base=zero_base, variable=zero_var, prime=prime, **zero_order), (3,)
         ),
         _enumeration_claim(zero_var, t - 1, (4,)),
     )
@@ -376,26 +378,19 @@ def _as_int(value: Any, what: str) -> int:
     return value
 
 
-def _as_int_tuple(value: Any, what: str) -> tuple[int, ...]:
-    if type(value) is not list or not set(map(type, value)) <= _INT:
-        raise MalformedCertificateError(f"{what} must be a list of integers")
-    return tuple(value)
-
-
-def _as_params(value: Any) -> Params:
-    """Read-only claim params: integers, strings, and integer lists made tuples."""
+def _as_params(value: Any, ints: list) -> Params:
+    """Read-only claim params: integers, strings, and lists made tuples, whose items join `ints`."""
     if not isinstance(value, dict):
         raise MalformedCertificateError("claim params must be an object")
     params = Params(value)
     for key, item in value.items():
         kind = type(item)
-        if kind is list and set(map(type, item)) <= _INT:
+        if kind is list:
+            ints += item
             # no one holds params yet: swap the list for a tuple past the guard
             dict.__setitem__(params, key, tuple(item))
         elif kind is not int and kind is not str:
-            raise MalformedCertificateError(
-                "claim params hold only integers, strings and lists of integers"
-            )
+            raise MalformedCertificateError("claim params hold only integers, strings and lists")
     return params
 
 
@@ -462,16 +457,17 @@ def certificate_from_dict(doc: Any) -> Certificate:
 
     if not isinstance(doc["claims"], list):
         raise MalformedCertificateError("claims must be a list")
-    claims = []
+    claims, ints = [], []  # ints: the items of every list, type-checked at once
     for entry in doc["claims"]:
         if not isinstance(entry, dict) or entry.keys() != _CLAIM_KEYS:
             raise MalformedCertificateError("bad claim record")
-        kind = _member(_KINDS, entry["kind"], "claim kind")
-        claims.append(
-            ClaimRecord(
-                kind, _as_params(entry["params"]), _as_int_tuple(entry["premises"], "claim premises")
-            )
-        )
+        kind, premises = _member(_KINDS, entry["kind"], "claim kind"), entry["premises"]
+        if type(premises) is not list:
+            raise MalformedCertificateError("claim premises must be a list")
+        ints += premises
+        claims.append(ClaimRecord(kind, _as_params(entry["params"], ints), tuple(premises)))
+    if not set(map(type, ints)) <= _INT:
+        raise MalformedCertificateError("claim params and premises list only integers")
 
     return Certificate(
         instance,
@@ -509,6 +505,8 @@ def _is_prime(n: int) -> bool:
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
+    if n < 1681:  # 41^2: a composite below it has a prime factor below 41
+        return True
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
@@ -554,10 +552,10 @@ def _is_order(base: int, modulus: int, order: int, order_factors: tuple[int, ...
 
 def _stated_order(cert: Certificate, index: int, base: int, modulus: int) -> dict[str, Any]:
     """The order params claim `index` states for base mod modulus, once _is_order proves them."""
-    order = {key: _stated(cert, index, key) for key in ("order", "order_factors")}
-    if not _is_order(base, modulus, **order):
+    order, factors = _stated(cert, index, "order"), _stated(cert, index, "order_factors")
+    if not _is_order(base, modulus, order, factors):
         raise _Rejected("stated order is not the order of the base", index)
-    return order
+    return {"order": order, "order_factors": factors}
 
 
 def _outside_cycle(base: int, p: int, k: int, order: int, targets) -> bool:
@@ -573,7 +571,7 @@ def _outside_cycle(base: int, p: int, k: int, order: int, targets) -> bool:
         return all(t % 4 != 1 or pow(t, order, modulus) != 1 for t in targets)
     # (Z/p^k)* is cyclic, so <b> is its one subgroup of that order,
     # and t is in it exactly when t^order = 1
-    return all(pow(t, order, modulus) != 1 for t in targets)
+    return 1 not in map(pow, targets, repeat(order), repeat(modulus))
 
 
 def _exponent(n: int, base: int) -> int | None:
@@ -611,9 +609,10 @@ def _shown(n: int) -> str:
 
 def _stated(cert: Certificate, index: int, key: str) -> Any:
     """The value claim `index` gives `key`; raises _Rejected if it gives none."""
-    if index < len(cert.claims) and key in cert.claims[index].params:
+    try:
         return cert.claims[index].params[key]
-    raise _Rejected(f"claim {index} states no {key}", index)
+    except (IndexError, KeyError):
+        raise _Rejected(f"claim {index} states no {key}", index) from None
 
 
 _ABSENT = object()
@@ -642,11 +641,11 @@ def _check_claims(cert: Certificate, expected: tuple[ClaimRecord, ...]) -> Verdi
     """
     claims = cert.claims
     for i, (want, claim) in enumerate(zip(expected, claims)):
-        kind, params, premises = want
-        if claim.kind != kind or claim.params != params or claim.premises != premises:
+        # a plain tuple can equal a record; _difference then fails to read it
+        if claim != want or not isinstance(claim, ClaimRecord):
             return _reject(_difference(claim, want), claim_index=i)
-        if kind is ClaimKind.DIOPHANTINE1_ENUMERATION and cert.solutions != _enumerate_solutions(
-            cert.instance, params["variable"], params["bound"]
+        if want.kind is _ENUMERATION and cert.solutions != _enumerate_solutions(
+            cert.instance, want.params["variable"], want.params["bound"]
         ):
             return _reject("re-enumeration does not reproduce the claimed solutions", claim_index=i)
     if len(claims) != len(expected):
@@ -680,7 +679,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     order = _stated_order(cert, 1, con_base, modulus)
     period = order["order"]
 
-    if cert.shape is CertShape.DIRECT_MODULAR_EXCLUSION:
+    if cert.shape is _DIRECT:
         if not _outside_cycle(con_base, p, k, period, [target]):
             return _reject("target actually lies in the power cycle", claim_index=1)
         claims = _direct_exclusion_claims(cert.shape, sides, target, modulus, t, order)
@@ -698,7 +697,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
         return _reject(f"magic prime {_shown(P)} is not a prime below 2^62", claim_index=2)
     if P % period != 1 % period:
         return _reject("magic prime is not 1 mod the constraint period", claim_index=2)
-    if any(v % P == 0 for v in (instance.a, instance.b, instance.c)):
+    if instance.a * instance.b * instance.c % P == 0:
         return _reject("magic prime divides one of the parameters", claim_index=2)
     # a lift L that the period divides and with con_base^L = 1 (mod P) covers
     # every class of con_var mod the order mod P, in L / period listed residues
@@ -713,14 +712,14 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     return _check_claims(cert, claims)
 
 
-# The certificates verify_certificate has accepted, keyed by id(); an entry
-# goes when its certificate is collected, so a reused id never matches.
-_accepted: weakref.WeakValueDictionary[int, Certificate] = weakref.WeakValueDictionary()
+# The certificate verify_certificate accepted last, by weak reference, so
+# the memo keeps nothing alive; a renderer asks about the one just verified.
+_last_accepted: Callable[[], Certificate | None] = lambda: None
 
 
 def was_accepted(cert: Certificate) -> bool:
-    """True when verify_certificate has already accepted this very object."""
-    return _accepted.get(id(cert)) is cert
+    """True when verify_certificate's last acceptance was of this very object."""
+    return _last_accepted() is cert
 
 
 def verify_certificate(cert: Certificate) -> Verdict:
@@ -732,13 +731,14 @@ def verify_certificate(cert: Certificate) -> Verdict:
     was_accepted, because it cannot change afterwards.  One assembled by
     hand from a list of claims or plain dict params could, so it is not.
     """
+    global _last_accepted
     verdict = _verify(cert)
     if (
         verdict.accepted
         and type(cert.claims) is tuple
         and all(type(claim.params) is Params for claim in cert.claims)
     ):
-        _accepted[id(cert)] = cert
+        _last_accepted = weakref.ref(cert)
     return verdict
 
 
@@ -753,11 +753,11 @@ def _verify(cert: Certificate) -> Verdict:
         if cert.solutions != tuple(sorted(set(cert.solutions))):
             return _reject("solution list is not sorted and duplicate-free")
         shape = cert.shape
-        if shape is CertShape.DIVISIBILITY_NO_SOLUTION:
+        if shape is _DIVISIBILITY:
             return _verify_divisibility(cert)
-        if shape is CertShape.COMMON_FACTOR_BOUND:
+        if shape is _COMMON_FACTOR:
             return _verify_common_factor(cert)
-        if shape is CertShape.DIRECT_MODULAR_EXCLUSION or shape is CertShape.MAGIC_PRIME_EXCLUSION:
+        if shape is _DIRECT or shape is _MAGIC_PRIME:
             return _verify_class_two(cert)
         return _reject(f"unknown certificate shape {shape!r}")
     except _Rejected as exc:

@@ -396,7 +396,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     histogram: dict[int, int] = {}
     tags: dict[str, int] = {}
     unresolved: list[ScanRecord] = []
-    top: list[ScanRecord] = []  # the rows at the largest solution count so far
+    top: list[ScanRecord] = []  # the rows at the largest solution count so far, if >= 1
     malformed = 0
     for record in iter_records(args.results):
         if record is None:
@@ -407,9 +407,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         tags[record.class_tag] = tags.get(record.class_tag, 0) + 1
         if record.status == SolveStatus.UNRESOLVED.value:
             unresolved.append(record)
-        if not top or count > top[0].solution_count:
+        if count >= 1 and (not top or count > top[0].solution_count):
             top = [record]
-        elif count == top[0].solution_count:
+        elif top and count == top[0].solution_count:
             top.append(record)
 
     print(f"records: {sum(histogram.values())} ({malformed} malformed lines)")
@@ -418,7 +418,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(f"  {k}: {histogram[k]}")
     max_count = max(histogram) if histogram else 0
     print(f"max solution count: {max_count}")
-    if histogram:
+    if top:
         print("instances attaining the maximum:")
         for record in sorted(top, key=lambda r: (r.a, r.b, r.c)):
             inst = EquationInstance(record.a, record.b, record.c)

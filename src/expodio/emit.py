@@ -15,8 +15,8 @@ Rendering is deterministic: the same certificate always produces the
 same bytes.  Only certificates accepted by the independent verifier are
 rendered at all, so a renderer reads each fact from its claim by the
 claim's position in the shape's template.  Certificates are immutable,
-so a renderer reuses an acceptance the verifier already gave to the same
-object and runs the verifier only when it has not: verifying and then
+so a renderer reuses the verifier's latest acceptance when it was of the
+same object and runs the verifier otherwise: verifying and then
 rendering, or rendering both outputs, verifies once.
 """
 
@@ -26,9 +26,12 @@ from pathlib import Path
 
 from . import arith
 from .certificate import (
+    _COMMON_FACTOR,
+    _DIRECT,
+    _DIVISIBILITY,
+    _FORWARD,
+    _MAGIC_PRIME,
     Certificate,
-    CertShape,
-    Mode,
     _sides,
     verify_certificate,
     was_accepted,
@@ -78,13 +81,13 @@ def _pair_list(solutions) -> str:
 
 
 def _case_header(cert: Certificate) -> str:
-    if cert.shape is CertShape.DIVISIBILITY_NO_SOLUTION:
-        case = "Type i" if cert.mode is Mode.FORWARD else "Type ii"
+    if cert.shape is _DIVISIBILITY:
+        case = "Type i" if cert.mode is _FORWARD else "Type ii"
         return f"(Class I, {case})"
-    if cert.shape is CertShape.COMMON_FACTOR_BOUND:
+    if cert.shape is _COMMON_FACTOR:
         return "(Class I, Type iii)"
-    side = "Front Mode" if cert.mode is Mode.FORWARD else "Back Mode"
-    if cert.shape is CertShape.DIRECT_MODULAR_EXCLUSION:
+    side = "Front Mode" if cert.mode is _FORWARD else "Back Mode"
+    if cert.shape is _DIRECT:
         return f"(Class II, {side}, no magic prime)"
     return f"(Class II, {side}, with magic prime {cert.claims[2].params['prime']})"
 
@@ -104,14 +107,14 @@ def _narrative(cert: Certificate, equation: str) -> list[str]:
         f"{_case_header(cert)}   {equation}",
         f"For positive integers x, y satisfying {equation},",
     ]
-    if cert.shape is CertShape.DIVISIBILITY_NO_SOLUTION:
-        side = f"{inst.a} ^ x" if cert.mode is Mode.FORWARD else f"{inst.c} ^ y"
+    if cert.shape is _DIVISIBILITY:
+        side = f"{inst.a} ^ x" if cert.mode is _FORWARD else f"{inst.c} ^ y"
         lines.append(
             f"this is impossible, because it implies that {side} = 0 (mod {cert.witness_prime})."
         )
         return lines
 
-    if cert.shape is CertShape.COMMON_FACTOR_BOUND:
+    if cert.shape is _COMMON_FACTOR:
         k = cert.modulus_exponent
         modulus = cert.witness_prime**k
         lines.append(f"if x >= {k} and y >= {k},")
@@ -127,7 +130,7 @@ def _narrative(cert: Certificate, equation: str) -> list[str]:
     lines.append(
         f"if {bound_var} >= {t}, {con_base} ^ {con_var} = {observe['target']} (mod {modulus})."
     )
-    if cert.shape is CertShape.DIRECT_MODULAR_EXCLUSION:
+    if cert.shape is _DIRECT:
         lines.append("However, this is impossible.")
     else:
         utilize, compute = cert.claims[2].params, cert.claims[3].params
@@ -160,14 +163,37 @@ def _narrative(cert: Certificate, equation: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Lean script assembly
+# Lean script assembly: each builder returns the script's lines after the
+# prologue, written out as they read.  A claim block is its `have ... :=
+# Claim` head, one line per premise and a `] "revalidator"` line; only a
+# premise, or a head whose statement holds a list, can pass the wrap column.
+
+
+def _premise(prop: str, proof: str) -> str:
+    """One premise of a claim; past the wrap column, its proof goes on a line of its own."""
+    line = f"    {{prop := {prop}, proof := {proof}}},"
+    if len(line) > _WRAP_COLUMN:
+        return f"    {{prop := {prop},\n    proof := {proof}}},"
+    return line
+
 
 # The premises each claim about an exponent starts from, with the
-# hypotheses of the prologue that prove them.
+# hypotheses of the prologue that prove them, rendered once.
 _EXPONENT = {
-    "x": (("x % 1 = 0", "h4"), ("x >= 1", "h1")),
-    "y": (("y % 1 = 0", "h5"), ("y >= 1", "h2")),
+    var: (_premise(f"{var} % 1 = 0", mod_one), _premise(f"{var} >= 1", positive))
+    for var, mod_one, positive in (("x", "h4", "h1"), ("y", "h5", "h2"))
 }
+
+
+def _listing_head(handle: str, statement: str) -> str:
+    """The head of a claim whose statement may end in a list, which breaks past the wrap column."""
+    if statement == "False":
+        return f"  have {handle} := Claim False ["
+    head = f"  have {handle} := Claim ({statement}) ["
+    if len(head) > _WRAP_COLUMN:
+        stem, _, values = statement.partition(" [")
+        return f"  have {handle} := Claim ({stem}\n  [{values}) ["
+    return head
 
 
 def _goal(cert: Certificate) -> str:
@@ -176,109 +202,68 @@ def _goal(cert: Certificate) -> str:
     return f"List.Mem (x, y) [{_pair_list(cert.solutions)}]"
 
 
-class _Script:
-    """Line accumulator with the deterministic wrap rules of the templates."""
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.add = self.lines.append
-
-    def claim(self, handle: str, statement: str, premises: list[tuple[str, str]], kind: str) -> None:
-        add = self.add
-        wrapped = statement if statement == "False" else f"({statement})"
-        head = f"  have {handle} := Claim {wrapped} ["
-        if len(head) > _WRAP_COLUMN and "[" in statement:
-            stem, _, values = statement.partition(" [")
-            add(f"  have {handle} := Claim ({stem}")
-            add(f"  [{values}) [")
-        else:
-            add(head)
-        for prop, proof in premises:
-            line = f"    {{prop := {prop}, proof := {proof}}},"
-            if len(line) > _WRAP_COLUMN:
-                add(f"    {{prop := {prop},")
-                add(f"    proof := {proof}}},")
-            else:
-                add(line)
-        add(f'  ] "{kind}"')
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-def _prologue(script: _Script, cert: Certificate, equation: str) -> None:
-    script.add(
-        f"theorem {theorem_name(cert)} (x : Nat) (y : Nat) (h1 : x >= 1) (h2 : y >= 1)"
+def _prologue(cert: Certificate, equation: str) -> str:
+    return (
+        f"theorem {theorem_name(cert)} (x : Nat) (y : Nat) (h1 : x >= 1) (h2 : y >= 1)\n"
+        f"(h3 : {equation}) :\n"
+        f"  {_goal(cert)}\n"
+        "  := by\n"
+        "  have h4 : x % 1 = 0 := Nat.mod_one x\n"
+        "  have h5 : y % 1 = 0 := Nat.mod_one y"
     )
-    script.add(f"(h3 : {equation}) :")
-    script.add(f"  {_goal(cert)}")
-    script.add("  := by")
-    script.add("  have h4 : x % 1 = 0 := Nat.mod_one x")
-    script.add("  have h5 : y % 1 = 0 := Nat.mod_one y")
 
 
-def _enumeration_premises(equation: str, bound_prop: str) -> list[tuple[str, str]]:
-    return [
+def _enumeration(cert: Certificate, equation: str, bound_prop: str) -> tuple[str, ...]:
+    """The closing lines: the bound, the enumeration claim under it, and the proof's end."""
+    return (
+        f"  have h7 : {bound_prop} := by omega",
+        _listing_head("h8", _goal(cert)),
         *_EXPONENT["x"],
         *_EXPONENT["y"],
-        (equation, "h3"),
-        (bound_prop, "h7"),
+        _premise(equation, "h3"),
+        _premise(bound_prop, "h7"),
+        '  ] "diophantine1_enumeration"',
+        "  exact h8",
+    )
+
+
+def _script_divisibility(cert: Certificate, equation: str) -> list[str]:
+    p = cert.witness_prime
+    zero_base, zero_var, other_base, other_var = _sides(cert.instance, cert.mode)
+    congruence = f"{other_base} ^ {other_var} % {p} = {cert.claims[1].params['target']}"
+    return [
+        f"  have h6 := Claim ({zero_base} ^ {zero_var} % {p} = 0) [",
+        *_EXPONENT[zero_var],
+        '  ] "pow_mod_eq_zero"',
+        f"  have h7 : {congruence} := by omega",
+        "  have h8 := Claim False [",
+        *_EXPONENT[other_var],
+        _premise(congruence, "h7"),
+        '  ] "observe_mod_cycle"',
+        "  exact h8",
     ]
 
 
-def _script_divisibility(cert: Certificate, equation: str) -> _Script:
-    inst = cert.instance
-    p = cert.witness_prime
-    zero_base, zero_var, other_base, other_var = _sides(inst, cert.mode)
-    target = cert.claims[1].params["target"]
-    script = _Script()
-    _prologue(script, cert, equation)
-    script.claim(
-        "h6",
-        f"{zero_base} ^ {zero_var} % {p} = 0",
-        _EXPONENT[zero_var],
-        "pow_mod_eq_zero",
-    )
-    congruence = f"{other_base} ^ {other_var} % {p} = {target}"
-    script.add(f"  have h7 : {congruence} := by omega")
-    script.claim(
-        "h8",
-        "False",
-        [*_EXPONENT[other_var], (congruence, "h7")],
-        "observe_mod_cycle",
-    )
-    script.add("  exact h8")
-    return script
-
-
-def _script_common_factor(cert: Certificate, equation: str) -> _Script:
+def _script_common_factor(cert: Certificate, equation: str) -> list[str]:
     inst = cert.instance
     k = cert.modulus_exponent
     modulus = cert.witness_prime**k
-    script = _Script()
-    _prologue(script, cert, equation)
-    script.add(f"  by_cases h6 : And (x >= {k}) (y >= {k})")
-    script.claim(
-        "h7",
-        f"{inst.a} ^ x % {modulus} = 0",
-        [("x % 1 = 0", "h4"), (f"x >= {k}", "h6.left")],
-        "pow_mod_eq_zero",
-    )
-    script.claim(
-        "h8",
-        f"{inst.c} ^ y % {modulus} = 0",
-        [("y % 1 = 0", "h5"), (f"y >= {k}", "h6.right")],
-        "pow_mod_eq_zero",
-    )
-    script.add("  omega")
-    bound_prop = f"Or (x <= {k - 1}) (y <= {k - 1})"
-    script.add(f"  have h7 : {bound_prop} := by omega")
-    script.claim("h8", _goal(cert), _enumeration_premises(equation, bound_prop), "diophantine1_enumeration")
-    script.add("  exact h8")
-    return script
+    return [
+        f"  by_cases h6 : And (x >= {k}) (y >= {k})",
+        f"  have h7 := Claim ({inst.a} ^ x % {modulus} = 0) [",
+        _EXPONENT["x"][0],
+        _premise(f"x >= {k}", "h6.left"),
+        '  ] "pow_mod_eq_zero"',
+        f"  have h8 := Claim ({inst.c} ^ y % {modulus} = 0) [",
+        _EXPONENT["y"][0],
+        _premise(f"y >= {k}", "h6.right"),
+        '  ] "pow_mod_eq_zero"',
+        "  omega",
+        *_enumeration(cert, equation, f"Or (x <= {k - 1}) (y <= {k - 1})"),
+    ]
 
 
-def _script_exclusion(cert: Certificate, equation: str) -> _Script:
+def _script_exclusion(cert: Certificate, equation: str) -> list[str]:
     """Direct and magic-prime proofs share one template.
 
     A magic prime adds claims 2-4 (utilize, compute, exhaust), and claim 1
@@ -288,19 +273,24 @@ def _script_exclusion(cert: Certificate, equation: str) -> _Script:
     modulus = cert.witness_prime**cert.modulus_exponent
     bound_base, bound_var, con_base, con_var = _sides(cert.instance, cert.mode)
     observe = cert.claims[1].params
-    script = _Script()
-    _prologue(script, cert, equation)
-    script.add(f"  by_cases h6 : {bound_var} >= {t}")
-    script.claim(
-        "h7",
-        f"{bound_base} ^ {bound_var} % {modulus} = 0",
-        [_EXPONENT[bound_var][0], (f"{bound_var} >= {t}", "h6")],
-        "pow_mod_eq_zero",
-    )
     congruence = f"{con_base} ^ {con_var} % {modulus} = {observe['target']}"
-    script.add(f"  have h8 : {congruence} := by omega")
-    statement, magic_claims = "False", []
-    if cert.shape is CertShape.MAGIC_PRIME_EXCLUSION:
+    lines = [
+        f"  by_cases h6 : {bound_var} >= {t}",
+        f"  have h7 := Claim ({bound_base} ^ {bound_var} % {modulus} = 0) [",
+        _EXPONENT[bound_var][0],
+        _premise(f"{bound_var} >= {t}", "h6"),
+        '  ] "pow_mod_eq_zero"',
+        f"  have h8 : {congruence} := by omega",
+    ]
+    if cert.shape is _DIRECT:
+        lines += (
+            "  have h9 := Claim False [",
+            *_EXPONENT[con_var],
+            _premise(congruence, "h8"),
+            '  ] "observe_mod_cycle"',
+            "  apply False.elim h9",
+        )
+    else:
         utilize, compute = cert.claims[2].params, cert.claims[3].params
         prime = utilize["prime"]
         statement = f"{con_var} % {observe['period']} = {observe['residue']}"
@@ -309,28 +299,35 @@ def _script_exclusion(cert: Certificate, equation: str) -> _Script:
             f"List.Mem ({bound_base} ^ {bound_var} % {prime}) "
             f"[{_int_list(compute['output_values'])}]"
         )
-        shift_kind = "compute_mod_add" if cert.mode is Mode.FORWARD else "compute_mod_sub"
-        magic_claims = [
-            ("h10", values, [*_EXPONENT[con_var], (statement, "h9")], "utilize_mod_cycle"),
-            ("h11", shifted, [(values, "h10"), (equation, "h3")], shift_kind),
-            ("h12", "False", [*_EXPONENT[bound_var], (shifted, "h11")], "exhaust_mod_cycle"),
-        ]
-    script.claim("h9", statement, [*_EXPONENT[con_var], (congruence, "h8")], "observe_mod_cycle")
-    for claim in magic_claims:
-        script.claim(*claim)
-    script.add(f"  apply False.elim h{9 + len(magic_claims)}")
-    bound_prop = f"{bound_var} <= {t - 1}"
-    script.add(f"  have h7 : {bound_prop} := by omega")
-    script.claim("h8", _goal(cert), _enumeration_premises(equation, bound_prop), "diophantine1_enumeration")
-    script.add("  exact h8")
-    return script
+        shift_kind = "compute_mod_add" if cert.mode is _FORWARD else "compute_mod_sub"
+        lines += (
+            f"  have h9 := Claim ({statement}) [",
+            *_EXPONENT[con_var],
+            _premise(congruence, "h8"),
+            '  ] "observe_mod_cycle"',
+            _listing_head("h10", values),
+            *_EXPONENT[con_var],
+            _premise(statement, "h9"),
+            '  ] "utilize_mod_cycle"',
+            _listing_head("h11", shifted),
+            _premise(values, "h10"),
+            _premise(equation, "h3"),
+            f'  ] "{shift_kind}"',
+            "  have h12 := Claim False [",
+            *_EXPONENT[bound_var],
+            _premise(shifted, "h11"),
+            '  ] "exhaust_mod_cycle"',
+            "  apply False.elim h12",
+        )
+    lines += _enumeration(cert, equation, f"{bound_var} <= {t - 1}")
+    return lines
 
 
 _SCRIPT_BUILDERS = {
-    CertShape.DIVISIBILITY_NO_SOLUTION: _script_divisibility,
-    CertShape.COMMON_FACTOR_BOUND: _script_common_factor,
-    CertShape.DIRECT_MODULAR_EXCLUSION: _script_exclusion,
-    CertShape.MAGIC_PRIME_EXCLUSION: _script_exclusion,
+    _DIVISIBILITY: _script_divisibility,
+    _COMMON_FACTOR: _script_common_factor,
+    _DIRECT: _script_exclusion,
+    _MAGIC_PRIME: _script_exclusion,
 }
 
 
@@ -344,8 +341,8 @@ def emit_lean(cert: Certificate) -> str:
     """Deterministic Lean proof script for a verified certificate, led by the prose as a comment."""
     _require_verified(cert)
     equation = cert.instance.equation_text()
-    comment = "/-\n" + "\n".join(_narrative(cert, equation)) + "\n-/"
-    return comment + "\n" + _SCRIPT_BUILDERS[cert.shape](cert, equation).text()
+    script = _SCRIPT_BUILDERS[cert.shape](cert, equation)
+    return "\n".join(("/-", *_narrative(cert, equation), "-/", _prologue(cert, equation), *script, ""))
 
 
 def write_proof_files(

@@ -160,7 +160,10 @@ def _in_cycle(unit: int, target: int, modulus: int, order: int) -> bool:
 
 
 def exclusion_step(
-    instance: EquationInstance, candidate: ModulusCandidate, prime_cap: int = MODULUS_CAP
+    instance: EquationInstance,
+    candidate: ModulusCandidate,
+    prime_cap: int = MODULUS_CAP,
+    deadline: float = math.inf,
 ) -> ExclusionStep:
     """Try to refute `var >= t` modulo p^k: a contradiction or a congruence.
 
@@ -169,7 +172,7 @@ def exclusion_step(
     outright; otherwise the unique discrete log becomes a constraint.
     When the period K leaves no magic prime nK + 1 up to prime_cap, the
     log is not computed: a target in the cycle gives a conditional step
-    with no constraint.
+    with no constraint.  The log raises TimeoutError past `deadline`.
     """
     modulus = candidate.key
     _, _, base, variable = _sides(instance, candidate.mode)
@@ -181,7 +184,7 @@ def exclusion_step(
         if period >= prime_cap:
             in_cycle = _in_cycle(unit, target, modulus, period)
             return ExclusionStep(ExclusionKind.CONDITIONAL if in_cycle else ExclusionKind.DIRECT)
-    residue = arith.cycle_discrete_log(unit, target, modulus)
+    residue = arith.cycle_discrete_log(unit, target, modulus, deadline)
     if residue is None:
         return ExclusionStep(kind=ExclusionKind.DIRECT)
     period = arith.multiplicative_order(unit, modulus)
@@ -466,7 +469,10 @@ def solve(
                     "modulus": candidate.key,
                 },
             )
-        step = exclusion_step(instance, candidate, config.prime_budget_cap)
+        try:
+            step = exclusion_step(instance, candidate, config.prime_budget_cap, deadline)
+        except TimeoutError:
+            break
         found = None
         if step.kind is ExclusionKind.CONDITIONAL:
             if step.constraint is not None:

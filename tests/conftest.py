@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,8 @@ HOSTILE_DIGITS = "1" * 5000
 
 # One sha256 over the 12-cube's output bytes; see `cube_output_digest`.
 CUBE12_DIGEST = Path(__file__).parent / "golden" / "cube12.sha256"
+# The same over 400 seeded pairwise-coprime triples; see `coprime_triples`.
+COPRIME200_DIGEST = Path(__file__).parent / "golden" / "coprime200.sha256"
 
 # The golden instance suite with its exact solution sets.
 GOLDEN_SUITE: dict[tuple[int, int, int], list[tuple[int, int]]] = {
@@ -57,19 +61,41 @@ TWO_SOLUTION_TABLE: dict[tuple[int, int, int], list[tuple[int, int]]] = {
 }
 
 
+def output_digest(triples) -> str:
+    """sha256 over each triple's certificate, .lean and .txt bytes, in the given order."""
+    digest = hashlib.sha256()
+    for triple in triples:
+        cert = solve(EquationInstance(*triple)).certificate
+        for text in (serialize_certificate(cert), emit_lean(cert), emit_text(cert)):
+            digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
+
+
 def cube_output_digest(n: int) -> str:
-    """sha256 over every n-cube instance's certificate, .lean and .txt bytes, in cube order.
+    """The output digest of every n-cube instance, in cube order.
 
     The 12-cube reaches every certificate shape in both modes and every
     wrap rule of the emitters, so its digest pins the output bytes far
     past the golden suite.
     """
-    digest = hashlib.sha256()
-    for triple in iter_cube(n, n, n):
-        cert = solve(EquationInstance(*triple)).certificate
-        for text in (serialize_certificate(cert), emit_lean(cert), emit_text(cert)):
-            digest.update(text.encode("utf-8"))
-    return digest.hexdigest()
+    return output_digest(iter_cube(n, n, n))
+
+
+def coprime_triples() -> list[tuple[int, int, int]]:
+    """400 distinct seeded pairwise-coprime triples, a, c in [2, 200] and b in [1, 200], sorted.
+
+    These are all Class II and reach what the 12-cube does not: magic
+    primes above 41^2 = 1,681, where the verifier's primality test runs
+    its Miller-Rabin rounds, and lifts long enough to wrap the emitters'
+    value lists.
+    """
+    rng = random.Random(2)
+    seen: set[tuple[int, int, int]] = set()
+    while len(seen) < 400:
+        a, b, c = rng.randint(2, 200), rng.randint(1, 200), rng.randint(2, 200)
+        if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1:
+            seen.add((a, b, c))
+    return sorted(seen)
 
 
 def read_rows(path) -> tuple[list, int]:

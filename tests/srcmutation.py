@@ -92,6 +92,9 @@ EQUIVALENT: dict[str, str] = {
         "y = 0 leaves c^0 - b = 1 - b <= 0, for which _exponent returns None",
     "_exponent: while n > 1 and n % base == 0:  ->  while n >= 1 and n % base == 0:": _UNIT,
     "_exponent: while n > 1 and n % base == 0:  ->  while n > 0 and n % base == 0:": _UNIT,
+    "_is_prime: if n < 1681:  # 41^2: a composite below it has a prime factor below 41  ->  "
+    "if n < 1680:  # 41^2: a composite below it has a prime factor below 41":
+        "1680 is even, so the trial division has already returned False for it",
     "_is_prime: for _ in range(r - 1):  ->  for _ in range(r - 0):":
         "the extra squaring only asks whether a^(n-1) = -1 (mod n), with n - 1 = 2^r d and d "
         "odd; then 2^(r+1) divides the order of a mod each prime p | n, so each p, and so n, "

@@ -224,11 +224,10 @@ def test_criterion_7_emitter_determinism(golden_certificates):
                     shift, "exhaust_mod_cycle", "diophantine1_enumeration",
                 ], triple
 
-            # stability across sessions, against frozen snapshots
+            # stability across sessions, against frozen snapshots that must exist
             name = f"diophantine1_{triple[0]}_{triple[1]}_{triple[2]}"
-            frozen_lean = GOLDEN_DIR / f"{name}.lean"
-            if frozen_lean.exists():
-                assert rendered_a == frozen_lean.read_text(encoding="utf-8"), triple
-            frozen_text = GOLDEN_DIR / f"{name}.txt"
-            if frozen_text.exists():
-                assert emit_text(cert) == frozen_text.read_text(encoding="utf-8"), triple
+            for suffix in (".cert.json", ".lean", ".txt"):
+                assert (GOLDEN_DIR / f"{name}{suffix}").is_file(), (triple, suffix)
+            assert rendered_a == (GOLDEN_DIR / f"{name}.lean").read_text(encoding="utf-8"), triple
+            frozen_text = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+            assert emit_text(cert) == frozen_text, triple

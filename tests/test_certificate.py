@@ -391,16 +391,19 @@ class TestImmutability:
                     assert not any(isinstance(v, list) for v in params.values())
                 assert built.params == read.params
 
-    def test_collected_certificate_leaves_the_memo_empty(self, golden_certificates, monkeypatch):
-        monkeypatch.setattr(certificate_module, "_accepted", weakref.WeakValueDictionary())
+    def test_collected_certificate_leaves_the_memo_empty(self, golden_certificates):
+        # the memo holds the last acceptance by weak reference only
         cert = parse_certificate(serialize_certificate(golden_certificates[(2, 89, 91)]))
+        twin = parse_certificate(serialize_certificate(cert))
         assert not certificate_module.was_accepted(cert)
         assert verify_certificate(cert).accepted
         assert certificate_module.was_accepted(cert)
-        assert len(certificate_module._accepted) == 1
+        assert not certificate_module.was_accepted(twin)
+        alive = weakref.ref(cert)
         del cert
         gc.collect()
-        assert len(certificate_module._accepted) == 0
+        assert alive() is None
+        assert not certificate_module.was_accepted(twin)
 
     def test_mutable_hand_built_certificate_is_not_remembered(self, golden_certificates):
         cert = golden_certificates[(2, 89, 91)]

@@ -668,6 +668,28 @@ class TestStatsCommand:
         # holding every row took about 8 MB
         assert peak < 2_000_000, peak
 
+        # with no solutions anywhere, every row attains the maximum, 0: none is listed
+        zeros = tmp_path / "zeros.jsonl"
+        with zeros.open("w") as handle:
+            for a, b, c in islice(iter_cube(30, 30, 30), 20_000):
+                record = ScanRecord(
+                    a=a, b=b, c=c, status="Solved", class_tag="ClassII",
+                    solution_count=0, solutions=(),
+                    certificate_digest="ab" * 32, elapsed_ms=0.5,
+                )
+                handle.write(record.to_json() + "\n")
+        tracemalloc.start()
+        try:
+            code = main(["stats", str(zeros)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "max solution count: 0\nclass breakdown:\n" in out
+        assert "instances attaining the maximum" not in out
+        assert peak < 2_000_000, peak
+
 
 class TestReadme:
     @staticmethod

@@ -3,7 +3,13 @@ from __future__ import annotations
 import re
 
 import pytest
-from conftest import CUBE12_DIGEST, cube_output_digest
+from conftest import (
+    COPRIME200_DIGEST,
+    CUBE12_DIGEST,
+    coprime_triples,
+    cube_output_digest,
+    output_digest,
+)
 
 from expodio import (
     EquationInstance,
@@ -184,6 +190,13 @@ class TestEmitLean:
 def test_cube12_output_bytes_match_frozen_digest():
     # every shape in both modes and every wrap rule; regen_golden.py writes the file
     assert cube_output_digest(12) == CUBE12_DIGEST.read_text(encoding="utf-8").strip()
+
+
+def test_coprime200_output_bytes_match_frozen_digest():
+    # magic primes above 41^2 and lifts of up to 73 residues, which the
+    # 12-cube never reaches; regen_golden.py writes the file
+    triples = coprime_triples()
+    assert output_digest(triples) == COPRIME200_DIGEST.read_text(encoding="utf-8").strip()
 
 
 class TestWriteProofFiles:

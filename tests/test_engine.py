@@ -430,6 +430,17 @@ class TestSolve:
         assert result.status is SolveStatus.UNRESOLVED
         assert list(result.solutions) == [(1, 3), (3, 7)]
 
+    def test_wall_limit_stops_a_discrete_log(self):
+        # at the raised cap the log of this census triple builds a baby-step
+        # table for seconds (5 s and 434 MB without a check inside the log)
+        config = SolverConfig(prime_budget_cap=MODULUS_CAP, wall_limit=0.5)
+        start = time.perf_counter()
+        result = solve(EquationInstance(30605155958633, 36, 30903787254083), config)
+        elapsed = time.perf_counter() - start
+        assert result.status is SolveStatus.UNRESOLVED
+        assert result.certificate is None
+        assert elapsed < 1.5, elapsed
+
     def test_a_log_no_magic_prime_can_use_is_skipped(self):
         # both steps have K + 1 > 2^40, the default cap: K = c - 1, then
         # K = a - 1; the second log once built a 15-million-entry table
