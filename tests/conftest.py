@@ -22,10 +22,13 @@ from expodio.cli import iter_cube, iter_records
 HOSTILE_DEEP = "[" * 1000 + "]" * 1000
 HOSTILE_DIGITS = "1" * 5000
 
-# One sha256 over the 12-cube's output bytes; see `cube_output_digest`.
+# One sha256 over the 12-cube's output bytes; see `cube_output_digests`.
 CUBE12_DIGEST = Path(__file__).parent / "golden" / "cube12.sha256"
 # The same over 400 seeded pairwise-coprime triples; see `coprime_triples`.
 COPRIME200_DIGEST = Path(__file__).parent / "golden" / "coprime200.sha256"
+# The same two over the .lean and .txt bytes alone, which a format change leaves alone.
+CUBE12_PROOFS_DIGEST = Path(__file__).parent / "golden" / "cube12-proofs.sha256"
+COPRIME200_PROOFS_DIGEST = Path(__file__).parent / "golden" / "coprime200-proofs.sha256"
 
 # The golden instance suite with its exact solution sets.
 GOLDEN_SUITE: dict[tuple[int, int, int], list[tuple[int, int]]] = {
@@ -61,24 +64,31 @@ TWO_SOLUTION_TABLE: dict[tuple[int, int, int], list[tuple[int, int]]] = {
 }
 
 
-def output_digest(triples) -> str:
-    """sha256 over each triple's certificate, .lean and .txt bytes, in the given order."""
-    digest = hashlib.sha256()
+def output_digests(triples) -> tuple[str, str]:
+    """Two sha256 digests over the triples' outputs, in the given order.
+
+    The first covers each triple's certificate, .lean and .txt bytes; the
+    second the .lean and .txt bytes alone, the proofs, so it survives a
+    change of the certificate format.
+    """
+    output, proofs = hashlib.sha256(), hashlib.sha256()
     for triple in triples:
         cert = solve(EquationInstance(*triple)).certificate
-        for text in (serialize_certificate(cert), emit_lean(cert), emit_text(cert)):
-            digest.update(text.encode("utf-8"))
-    return digest.hexdigest()
+        output.update(serialize_certificate(cert).encode("utf-8"))
+        for text in (emit_lean(cert), emit_text(cert)):
+            output.update(text.encode("utf-8"))
+            proofs.update(text.encode("utf-8"))
+    return output.hexdigest(), proofs.hexdigest()
 
 
-def cube_output_digest(n: int) -> str:
-    """The output digest of every n-cube instance, in cube order.
+def cube_output_digests(n: int) -> tuple[str, str]:
+    """The output digests of every n-cube instance, in cube order.
 
     The 12-cube reaches every certificate shape in both modes and every
-    wrap rule of the emitters, so its digest pins the output bytes far
+    wrap rule of the emitters, so its digests pin the output bytes far
     past the golden suite.
     """
-    return output_digest(iter_cube(n, n, n))
+    return output_digests(iter_cube(n, n, n))
 
 
 def coprime_triples() -> list[tuple[int, int, int]]:

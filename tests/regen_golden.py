@@ -8,6 +8,8 @@ The frozen .cert.json / .lean / .txt files pin byte-level stability of
 the certificate serialization and the emitters across sessions, and
 cube12.sha256 pins the same bytes for every instance of the 12-cube, and
 coprime200.sha256 for 400 seeded pairwise-coprime triples up to 200.
+cube12-proofs.sha256 and coprime200-proofs.sha256 pin the .lean and .txt
+bytes alone, so they stay put when the certificate format changes.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conftest import (  # noqa: E402
     COPRIME200_DIGEST,
+    COPRIME200_PROOFS_DIGEST,
     CUBE12_DIGEST,
+    CUBE12_PROOFS_DIGEST,
     GOLDEN_SUITE,
     coprime_triples,
-    cube_output_digest,
-    output_digest,
+    cube_output_digests,
+    output_digests,
 )
 
 from expodio import EquationInstance, serialize_certificate, solve  # noqa: E402
@@ -46,12 +50,14 @@ def main() -> None:
         )
         (GOLDEN_DIR / f"{name}.txt").write_text(emit_text(cert), encoding="utf-8", newline="\n")
         print(f"froze {name} ({cert.shape.value})")
-    CUBE12_DIGEST.write_text(cube_output_digest(12) + "\n", encoding="utf-8", newline="\n")
-    print(f"froze {CUBE12_DIGEST.name}")
-    COPRIME200_DIGEST.write_text(
-        output_digest(coprime_triples()) + "\n", encoding="utf-8", newline="\n"
-    )
-    print(f"froze {COPRIME200_DIGEST.name}")
+    digests = {
+        (CUBE12_DIGEST, CUBE12_PROOFS_DIGEST): cube_output_digests(12),
+        (COPRIME200_DIGEST, COPRIME200_PROOFS_DIGEST): output_digests(coprime_triples()),
+    }
+    for paths, values in digests.items():
+        for path, value in zip(paths, values):
+            path.write_text(value + "\n", encoding="utf-8", newline="\n")
+            print(f"froze {path.name}")
 
 
 if __name__ == "__main__":

@@ -5,10 +5,12 @@ import re
 import pytest
 from conftest import (
     COPRIME200_DIGEST,
+    COPRIME200_PROOFS_DIGEST,
     CUBE12_DIGEST,
+    CUBE12_PROOFS_DIGEST,
     coprime_triples,
-    cube_output_digest,
-    output_digest,
+    cube_output_digests,
+    output_digests,
 )
 
 from expodio import (
@@ -187,16 +189,38 @@ class TestEmitLean:
             assert emit_text(cert) == emit_text(cert)
 
 
-def test_cube12_output_bytes_match_frozen_digest():
-    # every shape in both modes and every wrap rule; regen_golden.py writes the file
-    assert cube_output_digest(12) == CUBE12_DIGEST.read_text(encoding="utf-8").strip()
+def _frozen(path) -> str:
+    return path.read_text(encoding="utf-8").strip()
 
 
-def test_coprime200_output_bytes_match_frozen_digest():
+@pytest.fixture(scope="module")
+def cube12_digests():
+    # every shape in both modes and every wrap rule; regen_golden.py writes the files
+    return cube_output_digests(12)
+
+
+@pytest.fixture(scope="module")
+def coprime200_digests():
     # magic primes above 41^2 and lifts of up to 73 residues, which the
-    # 12-cube never reaches; regen_golden.py writes the file
-    triples = coprime_triples()
-    assert output_digest(triples) == COPRIME200_DIGEST.read_text(encoding="utf-8").strip()
+    # 12-cube never reaches; regen_golden.py writes the files
+    return output_digests(coprime_triples())
+
+
+def test_cube12_output_bytes_match_frozen_digest(cube12_digests):
+    assert cube12_digests[0] == _frozen(CUBE12_DIGEST)
+
+
+def test_coprime200_output_bytes_match_frozen_digest(coprime200_digests):
+    assert coprime200_digests[0] == _frozen(COPRIME200_DIGEST)
+
+
+def test_cube12_proof_bytes_match_frozen_digest(cube12_digests):
+    # the proofs alone, which no certificate format change may move
+    assert cube12_digests[1] == _frozen(CUBE12_PROOFS_DIGEST)
+
+
+def test_coprime200_proof_bytes_match_frozen_digest(coprime200_digests):
+    assert coprime200_digests[1] == _frozen(COPRIME200_PROOFS_DIGEST)
 
 
 class TestWriteProofFiles:
