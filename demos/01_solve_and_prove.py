@@ -16,13 +16,14 @@ print(f"status:    {result.status.value}")
 print(f"solutions: {result.solutions}")
 print()
 
-# the certificate records the full exclusion argument
+# the certificate states the witness of the exclusion argument; the
+# verifier re-derives every other step from it
 cert = result.certificate
 print(f"proof shape:   {cert.shape.value}")
-enumeration = cert.claims[-1].params
-print(f"attacked side: {cert.mode.value} (bound {enumeration['variable']}"
-      f" < {cert.bound_threshold})")
-print(f"claims:        {[c.kind.value for c in cert.claims]}")
+print(f"attacked side: {cert.mode.value} (bound y < {cert.bound_threshold}"
+      f" modulo {cert.witness_prime}^{cert.modulus_exponent})")
+print(f"witness:       x = {cert.residue} (mod {cert.order[0]}),"
+      f" magic prime {cert.prime}, lifted to {cert.lifted_period}")
 print()
 
 # the human-readable narrative of the argument

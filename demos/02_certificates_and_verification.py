@@ -1,10 +1,11 @@
 """Certificates are self-contained and survive an adversarial referee.
 
-A certificate is a plain JSON document.  The verifier checks every
-claim in it from the (a, b, c) parameters alone, proving each order the
-certificate states with pow and the order's listed prime factors; it
-shares no code with the solver beyond a primality test and an
-exact-power test.  Tampering with any field of the proof gets caught.
+A certificate is a plain JSON document that states only the witness of
+the proof: for a magic-prime proof, the orders with their prime factors,
+the residue, the magic prime and the lift.  The verifier re-derives every
+step from the (a, b, c) parameters and that witness, proving each order
+with pow and its listed primes; it shares no code with the solver.
+Tampering with any field of the proof gets caught.
 """
 
 import json
@@ -23,7 +24,7 @@ cert = result.certificate
 
 text = serialize_certificate(cert)
 print(f"certificate is {len(text)} bytes, digest {certificate_digest(cert)[:16]}...")
-print()
+print(text)
 
 # round-trip through the wire format and re-verify
 clone = parse_certificate(text)
@@ -40,9 +41,7 @@ print()
 
 # or swap the magic prime for one that proves nothing
 doc = json.loads(text)
-for claim in doc["claims"]:
-    if "prime" in claim["params"]:
-        claim["params"]["prime"] = 883
+doc["prime"] = 883
 verdict = verify_certificate(parse_certificate(json.dumps(doc)))
 print(f"swapping the magic prime:  accepted={verdict.accepted}")
 print(f"  reason: {verdict.reason} (claim {verdict.claim_index})")

@@ -11,7 +11,7 @@ proof, and y < 8 leaves a seven-case enumeration.
 
 from expodio import EquationInstance, Mode, final_enumeration, initial_search, magic_prime_search
 from expodio.arith import multiplicative_order
-from expodio.certificate import _expected_target
+from expodio.certificate import _expected_target, _lift
 from expodio.engine import ModulusCandidate, build_magic_prime_certificate, exclusion_step
 
 instance = EquationInstance(5, 3, 2)
@@ -32,14 +32,15 @@ print(f"  hence {con.variable} = {con.residue} (mod {con.period})")
 
 prime, lift = magic_prime_search(instance, con)
 print(f"magic prime found: {prime}")
-# the certificate states the lift's lists; they follow from (residue, period, prime, lift)
+# the certificate states (residue, period, prime, lift); the lists follow from them
 cert = build_magic_prime_certificate(
     instance, Mode.FORWARD, 2, 8, 8, con.residue, prime, lift, final_enumeration(instance, "y", 8)
 )
-utilize, compute = (claim.params for claim in cert.claims[2:4])
-print(f"  exponent classes lift to {utilize['lifted_residues']} (mod {lift})")
-print(f"  5^x mod {prime} is one of   {utilize['values']}")
-print(f"  so 2^y mod {prime} would be {compute['output_values']}")
+print(f"  witness: residue {cert.residue}, order {cert.order}, prime {cert.prime}, lift {lift}")
+lifted, values, shifted = _lift(instance, Mode.FORWARD, cert.residue, con.period, prime, lift)
+print(f"  exponent classes lift to {lifted} (mod {lift})")
+print(f"  5^x mod {prime} is one of   {values}")
+print(f"  so 2^y mod {prime} would be {shifted}")
 print(f"  powers of 2 mod {prime} form a cycle of length {multiplicative_order(2, prime)},")
 print("  and none of those values are in it")
 

@@ -7,7 +7,6 @@ and render it as a prose proof or a Lean script.
 
 from .certificate import (
     CertShape,
-    ClaimKind,
     Mode,
     certificate_digest,
     parse_certificate,
@@ -29,7 +28,6 @@ from .instance import EquationInstance
 
 __all__ = [
     "CertShape",
-    "ClaimKind",
     "Constraint",
     "EquationInstance",
     "Mode",

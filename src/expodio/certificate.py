@@ -1,47 +1,52 @@
 """The certificate format, its reader and its independent verifier: the trusted module.
 
-A certificate records one complete exclusion argument for a^x + b = c^y
-as an ordered list of claims, each tagged with the revalidator that can
-re-establish it by direct computation:
+A certificate proves that its solution list is the complete solution set
+of a^x + b = c^y.  It states the witness the verifier cannot cheaply
+compute, and no fact the verifier re-derives.  Every document holds the
+instance, the shape, the mode, the witness prime p, the modulus exponent
+k, the bound threshold t and the solutions; a shape adds its witness:
 
-    pow_mod_eq_zero            var >= t  =>  base^var = 0 (mod M)
-    observe_mod_cycle          base^var = R (mod M) is impossible, or
-                               forces var = r (mod K); K is base's order
-    utilize_mod_cycle          var = r (mod K)  =>  base^var mod P is in a list
-    compute_mod_add / _sub     shifts that list across the equation
-    exhaust_mod_cycle          the shifted list misses the other power cycle
-    diophantine1_enumeration   bounded exhaustive search of the leftover range
+    DivisibilityNoSolution    nothing
+    CommonFactorBound         nothing
+    DirectModularExclusion    order [K, [q, ...]]: the constrained base mod p^k
+    MagicPrimeExclusion       order, residue r, prime P, lifted_period L and
+                              prime_order [K', [q, ...]]: the zeroed base mod P
 
-Each value is stored once, in the claim that asserts it: the lifted
-residues and power values in utilize_mod_cycle, the shifted values in
-compute_mod_*, the solution list at the top level of the document.
-The canonical text is that document as one line of compact JSON.
+The canonical text is that document as one line of compact JSON.  A
+Certificate is a frozen dataclass whose integer lists are tuples.
 
-Certificates are immutable: a frozen dataclass whose claims are
-ClaimRecord tuples with read-only params, whose integer lists are tuples.
+The proof is a chain of steps, numbered as the Lean outline of `emit`
+numbers its claims, and a rejection names the step that fails:
+
+    0  pow_mod_eq_zero            var >= t  =>  base^var = 0 (mod p^k)
+    1  observe_mod_cycle          the forced residue is outside base's power
+                                  cycle mod p^k, or forces var = r (mod K)
+    2  utilize_mod_cycle          var = r (mod K)  =>  base^var mod P is in a list
+    3  compute_mod_add / _sub     shifts that list across the equation
+    4  exhaust_mod_cycle          the shifted list misses the other power cycle
+    5  diophantine1_enumeration   bounded exhaustive search of the leftover range
+
+A divisibility certificate has steps 0 and 1, a direct exclusion 0, 1 and
+its enumeration as 2, a common factor two pow steps and the enumeration.
 
 verify_certificate works from the (a, b, c) triple alone and shares no
 code with the solver: this module imports only the standard library and
 `instance`, has its own primality test, _is_prime, and its enumeration
 tests exact powers with its own division loop.  A stated residue is
-checked with one pow; each order a proof uses is stated with its prime
-factors and proved exact by Pratt's test (pow and _is_prime); a value
-outside a power cycle is shown by a subgroup test at that order, never by
-a discrete-log search or an order computation.  It checks each claim
-against the claim the engine's builders write for those facts (one claims
-function per shape states its layout) and re-runs the bounded enumeration
-at the enumeration claim.  The lists a magic-prime certificate states
-follow from (residue, period, prime, lift); _lift computes them, for the
-verifier and the builder alike, and the engine's per-prime decision
-calls it too.  The work is bounded by the certificate: a modulus or
-magic prime above MODULUS_CAP (2^62) is rejected before any pow or
-primality test, a Class I witness prime that does not divide the
-numbers it must before its primality test, and a lift unless it has as
-many residues as the certificate lists, before any list of them is
-built.  No rejection reason writes a number above MODULUS_CAP in full.
-It remembers, by weak reference, the last certificate it accepted;
-was_accepted lets a renderer that follows the verification reuse that
-acceptance instead of verifying it again.
+checked with one pow; each stated order is proved exact by Pratt's test
+(pow and _is_prime) on its listed primes; a value outside a power cycle is
+shown by a subgroup test at that order, never by a discrete-log search or
+an order computation.  The lists of a magic-prime proof follow from
+(r, K, P, L); _lift computes them, for the verifier, the renderer and the
+engine's per-prime decision alike.  The work is bounded by the
+certificate: a modulus or magic prime above MODULUS_CAP (2^62) is rejected
+before any pow or primality test, a Class I witness prime that does not
+divide the numbers it must before its primality test, and a lift of more
+than LIFT_CAP residues before any list is built.  No rejection reason
+writes a number above MODULUS_CAP in full.  It remembers, by weak
+reference, the last certificate it accepted; was_accepted lets a renderer
+that follows the verification reuse that acceptance instead of verifying
+it again.
 """
 
 from __future__ import annotations
@@ -52,15 +57,19 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from .instance import EquationInstance
 
-FORMAT_TAG = "diophantine1-certificate/3"
+FORMAT_TAG = "diophantine1-certificate/4"
 
 # The largest modulus p^k or magic prime the verifier accepts; _is_prime
 # is exact below 2^63.  The solver keeps every modulus and prime below it.
 MODULUS_CAP = 1 << 62
+
+# The most residues a magic-prime lift may have, L / K; the solver declines
+# a prime whose lift has more.
+LIFT_CAP = 1 << 16
 
 # json.dumps(doc, separators=(",", ":")) without building an encoder per call;
 # _document builds a fresh tree each time, so no reference cycle can occur
@@ -85,56 +94,19 @@ class CertShape(str, Enum):
     MAGIC_PRIME_EXCLUSION = "MagicPrimeExclusion"
 
 
-class ClaimKind(str, Enum):
-    POW_MOD_EQ_ZERO = "pow_mod_eq_zero"
-    OBSERVE_MOD_CYCLE = "observe_mod_cycle"
-    UTILIZE_MOD_CYCLE = "utilize_mod_cycle"
-    COMPUTE_MOD_ADD = "compute_mod_add"
-    COMPUTE_MOD_SUB = "compute_mod_sub"
-    EXHAUST_MOD_CYCLE = "exhaust_mod_cycle"
-    DIOPHANTINE1_ENUMERATION = "diophantine1_enumeration"
-
-
 # The members as module names, in declaration order: Python 3.11 resolves
 # `Mode.FORWARD` through EnumType.__getattr__, about 0.15 us a lookup.
 _FORWARD = Mode.FORWARD
 _DIVISIBILITY, _COMMON_FACTOR, _DIRECT, _MAGIC_PRIME = CertShape
-_POW, _OBSERVE, _UTILIZE, _ADD, _SUB, _EXHAUST, _ENUMERATION = ClaimKind
-
-
-class Params(dict):
-    """Read-only claim parameters: integers, strings and tuples of integers.
-
-    A dict subclass, so json encodes it as an object; every mutator raises
-    TypeError.  Its values are immutable, so a copy may be the object itself.
-    """
-
-    __slots__ = ()
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("claim params are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-    def __reduce__(self):
-        return (Params, (dict(self),))
-
-    def __copy__(self) -> Params:
-        return self
-
-    def __deepcopy__(self, memo) -> Params:
-        return self
-
-
-class ClaimRecord(NamedTuple):
-    kind: ClaimKind
-    params: Params
-    premises: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Certificate:
+    """One proof; the witness fields its shape does not state are None.
+
+    An order is stated as (K, the ascending primes of K).
+    """
+
     instance: EquationInstance
     shape: CertShape
     mode: Mode | None
@@ -142,7 +114,20 @@ class Certificate:
     modulus_exponent: int
     bound_threshold: int
     solutions: tuple[tuple[int, int], ...]
-    claims: tuple[ClaimRecord, ...]
+    order: tuple[int, tuple[int, ...]] | None = None
+    residue: int | None = None
+    prime: int | None = None
+    lifted_period: int | None = None
+    prime_order: tuple[int, tuple[int, ...]] | None = None
+
+
+# The witness fields each shape states, in document order, after the common ones.
+_WITNESS = {
+    _DIVISIBILITY: (),
+    _COMMON_FACTOR: (),
+    _DIRECT: ("order",),
+    _MAGIC_PRIME: ("order", "residue", "prime", "lifted_period", "prime_order"),
+}
 
 
 @dataclass(frozen=True)
@@ -168,7 +153,7 @@ class _Rejected(Exception):
 
 
 # ---------------------------------------------------------------------------
-# claim layout
+# the facts a proof derives from its witness
 
 def _sides(instance: EquationInstance, mode: Mode) -> tuple[int, str, int, str]:
     """(zeroed base, zeroed var, constrained base, constrained var) for a mode."""
@@ -182,59 +167,6 @@ def _expected_target(instance: EquationInstance, mode: Mode, modulus: int) -> in
     if mode is _FORWARD:
         return (-instance.b) % modulus
     return instance.b % modulus
-
-
-# The claims functions below are the one statement of each shape's claim
-# layout.  The engine's builders store the ClaimRecords they return; the verifier
-# compares a certificate's claims with the records they give for the
-# facts it has re-derived or checked.
-
-
-def _pow_claim(base: int, variable: str, threshold: int, modulus: int) -> ClaimRecord:
-    return ClaimRecord(
-        _POW, Params(base=base, variable=variable, threshold=threshold, modulus=modulus), ()
-    )
-
-
-def _enumeration_claim(variable: str, bound: int, premises: tuple[int, ...]) -> ClaimRecord:
-    return ClaimRecord(_ENUMERATION, Params(variable=variable, bound=bound), premises)
-
-
-def _common_factor_claims(instance: EquationInstance, p: int, k: int) -> tuple[ClaimRecord, ...]:
-    modulus = p**k
-    return (
-        _pow_claim(instance.a, "x", k, modulus),
-        _pow_claim(instance.c, "y", k, modulus),
-        _enumeration_claim("either", k - 1, (0, 1)),
-    )
-
-
-def _direct_exclusion_claims(
-    shape: CertShape,
-    sides: tuple[int, str, int, str],
-    target: int,
-    modulus: int,
-    t: int,
-    order: dict[str, Any],
-) -> tuple[ClaimRecord, ...]:
-    """The direct-exclusion claims for `sides`; a divisibility certificate has the first two."""
-    zero_base, zero_var, other_base, other_var = sides
-    zero = _pow_claim(zero_base, zero_var, t, modulus)
-    observe = ClaimRecord(
-        _OBSERVE,
-        Params(
-            base=other_base,
-            variable=other_var,
-            target=target,
-            modulus=modulus,
-            **order,
-            outcome="impossible",
-        ),
-        (0,),
-    )
-    if shape is _DIVISIBILITY:
-        return zero, observe
-    return zero, observe, _enumeration_claim(zero_var, t - 1, (1,))
 
 
 def _lift(
@@ -253,84 +185,17 @@ def _lift(
     return lifted, values, tuple((v - target) % prime for v in values)
 
 
-def _magic_prime_claims(
-    instance: EquationInstance,
-    mode: Mode,
-    sides: tuple[int, str, int, str],
-    modulus: int,
-    t: int,
-    residue: int,
-    order: dict[str, Any],
-    prime: int,
-    lift: int,
-    zero_order: dict[str, Any],
-) -> tuple[ClaimRecord, ...]:
-    """The magic-prime claims: var = residue (mod the order) lifted to `lift` at `prime`."""
-    zero_base, zero_var, con_base, con_var = sides
-    shift_kind = _ADD if mode is _FORWARD else _SUB
-    period = order["order"]
-    lifted, values, shifted = _lift(instance, mode, residue, period, prime, lift)
-    return (
-        _pow_claim(zero_base, zero_var, t, modulus),
-        ClaimRecord(
-            _OBSERVE,
-            Params(
-                base=con_base,
-                variable=con_var,
-                target=_expected_target(instance, mode, modulus),
-                modulus=modulus,
-                **order,
-                outcome="constrains",
-                residue=residue,
-                period=period,
-            ),
-            (0,),
-        ),
-        ClaimRecord(
-            _UTILIZE,
-            Params(
-                base=con_base,
-                variable=con_var,
-                residue=residue,
-                period=period,
-                prime=prime,
-                lifted_period=lift,
-                lifted_residues=lifted,
-                values=values,
-            ),
-            (1,),
-        ),
-        ClaimRecord(
-            shift_kind,
-            Params(
-                prime=prime,
-                input_base=con_base,
-                input_variable=con_var,
-                shift=instance.b,
-                output_base=zero_base,
-                output_variable=zero_var,
-                output_values=shifted,
-            ),
-            (2,),
-        ),
-        ClaimRecord(
-            _EXHAUST, Params(base=zero_base, variable=zero_var, prime=prime, **zero_order), (3,)
-        ),
-        _enumeration_claim(zero_var, t - 1, (4,)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # canonical serialization
 
 def _document(cert: Certificate) -> dict[str, Any]:
-    """The canonical document of a certificate; it shares the claims' params and tuples.
+    """The canonical document of a certificate; it shares the certificate's tuples.
 
     json's encoder writes a str-enum member as its value and a tuple as an
     array, so both go in as they are.
     """
     inst = cert.instance
-    return {
+    doc = {
         "format": FORMAT_TAG,
         "instance": {"a": inst.a, "b": inst.b, "c": inst.c},
         "shape": cert.shape,
@@ -339,11 +204,10 @@ def _document(cert: Certificate) -> dict[str, Any]:
         "modulus_exponent": cert.modulus_exponent,
         "bound_threshold": cert.bound_threshold,
         "solutions": cert.solutions,
-        "claims": [
-            {"kind": claim.kind, "params": claim.params, "premises": claim.premises}
-            for claim in cert.claims
-        ],
     }
+    for key in _WITNESS[cert.shape]:
+        doc[key] = getattr(cert, key)
+    return doc
 
 
 def certificate_to_dict(cert: Certificate) -> dict[str, Any]:
@@ -378,20 +242,13 @@ def _as_int(value: Any, what: str) -> int:
     return value
 
 
-def _as_params(value: Any, ints: list) -> Params:
-    """Read-only claim params: integers, strings, and lists made tuples, whose items join `ints`."""
-    if not isinstance(value, dict):
-        raise MalformedCertificateError("claim params must be an object")
-    params = Params(value)
-    for key, item in value.items():
-        kind = type(item)
-        if kind is list:
-            ints += item
-            # no one holds params yet: swap the list for a tuple past the guard
-            dict.__setitem__(params, key, tuple(item))
-        elif kind is not int and kind is not str:
-            raise MalformedCertificateError("claim params hold only integers, strings and lists")
-    return params
+def _as_order(value: Any, what: str) -> tuple[int, tuple[int, ...]]:
+    """A stated order [K, [q, ...]] as (K, (q, ...)), of integers only."""
+    if type(value) is not list or len(value) != 2 or type(value[1]) is not list:
+        raise MalformedCertificateError(f"{what} must be [order, [primes]]")
+    if type(value[0]) is not int or not set(map(type, value[1])) <= _INT:
+        raise MalformedCertificateError(f"{what} lists only integers")
+    return value[0], tuple(value[1])
 
 
 def _member(table: dict[str, Enum], value: Any, what: str) -> Enum:
@@ -407,23 +264,19 @@ def _member(table: dict[str, Enum], value: Any, what: str) -> Enum:
 
 _SHAPES = {member.value: member for member in CertShape}
 _MODES = {member.value: member for member in Mode}
-_KINDS = {member.value: member for member in ClaimKind}
 
-_DOCUMENT_KEYS = frozenset(
-    {
-        "format",
-        "instance",
-        "shape",
-        "mode",
-        "witness_prime",
-        "modulus_exponent",
-        "bound_threshold",
-        "solutions",
-        "claims",
-    }
+_COMMON_KEYS = (
+    "format",
+    "instance",
+    "shape",
+    "mode",
+    "witness_prime",
+    "modulus_exponent",
+    "bound_threshold",
+    "solutions",
 )
+_DOCUMENT_KEYS = {shape: frozenset(_COMMON_KEYS + keys) for shape, keys in _WITNESS.items()}
 _INSTANCE_KEYS = frozenset({"a", "b", "c"})
-_CLAIM_KEYS = frozenset({"kind", "params", "premises"})
 
 
 def certificate_from_dict(doc: Any) -> Certificate:
@@ -431,7 +284,8 @@ def certificate_from_dict(doc: Any) -> Certificate:
         raise MalformedCertificateError("certificate must be a JSON object")
     if doc.get("format") != FORMAT_TAG:
         raise MalformedCertificateError(f"unknown format {doc.get('format')!r}")
-    if doc.keys() != _DOCUMENT_KEYS:
+    shape = _member(_SHAPES, doc.get("shape"), "shape")
+    if doc.keys() != _DOCUMENT_KEYS[shape]:
         raise MalformedCertificateError("unexpected or missing certificate fields")
 
     inst = doc["instance"]
@@ -444,7 +298,6 @@ def certificate_from_dict(doc: Any) -> Certificate:
     except ValueError as exc:
         raise MalformedCertificateError(str(exc)) from exc
 
-    shape = _member(_SHAPES, doc["shape"], "shape")
     mode = None if doc["mode"] is None else _member(_MODES, doc["mode"], "mode")
 
     if not isinstance(doc["solutions"], list):
@@ -455,20 +308,11 @@ def certificate_from_dict(doc: Any) -> Certificate:
             raise MalformedCertificateError("each solution must be a pair")
         solutions.append((_as_int(pair[0], "solution x"), _as_int(pair[1], "solution y")))
 
-    if not isinstance(doc["claims"], list):
-        raise MalformedCertificateError("claims must be a list")
-    claims, ints = [], []  # ints: the items of every list, type-checked at once
-    for entry in doc["claims"]:
-        if not isinstance(entry, dict) or entry.keys() != _CLAIM_KEYS:
-            raise MalformedCertificateError("bad claim record")
-        kind, premises = _member(_KINDS, entry["kind"], "claim kind"), entry["premises"]
-        if type(premises) is not list:
-            raise MalformedCertificateError("claim premises must be a list")
-        ints += premises
-        claims.append(ClaimRecord(kind, _as_params(entry["params"], ints), tuple(premises)))
-    if not set(map(type, ints)) <= _INT:
-        raise MalformedCertificateError("claim params and premises list only integers")
-
+    # "order" and "prime_order" are orders, the rest of the witness integers
+    witness = {
+        key: _as_order(doc[key], key) if key.endswith("order") else _as_int(doc[key], key)
+        for key in _WITNESS[shape]
+    }
     return Certificate(
         instance,
         shape,
@@ -477,7 +321,7 @@ def certificate_from_dict(doc: Any) -> Certificate:
         _as_int(doc["modulus_exponent"], "modulus_exponent"),
         _as_int(doc["bound_threshold"], "bound_threshold"),
         tuple(solutions),
-        tuple(claims),
+        **witness,
     )
 
 
@@ -550,12 +394,12 @@ def _is_order(base: int, modulus: int, order: int, order_factors: tuple[int, ...
     return rest == 1 and pow(base, order, modulus) == 1
 
 
-def _stated_order(cert: Certificate, index: int, base: int, modulus: int) -> dict[str, Any]:
-    """The order params claim `index` states for base mod modulus, once _is_order proves them."""
-    order, factors = _stated(cert, index, "order"), _stated(cert, index, "order_factors")
+def _stated_order(stated: tuple[int, tuple[int, ...]], base: int, modulus: int, index: int) -> int:
+    """The order K that `stated`, (K, primes), gives for base mod modulus, once proved."""
+    order, factors = stated
     if not _is_order(base, modulus, order, factors):
         raise _Rejected("stated order is not the order of the base", index)
-    return {"order": order, "order_factors": factors}
+    return order
 
 
 def _outside_cycle(base: int, p: int, k: int, order: int, targets) -> bool:
@@ -602,56 +446,16 @@ def _enumerate_solutions(
     return tuple(sorted(found))
 
 
+def _enumerated(cert: Certificate, variable: str, bound: int, index: int) -> Verdict:
+    """Accept when the solutions are all those with `variable` <= bound: step `index`."""
+    if cert.solutions != _enumerate_solutions(cert.instance, variable, bound):
+        return _reject("re-enumeration does not reproduce the claimed solutions", index)
+    return ACCEPT
+
+
 def _shown(n: int) -> str:
     """A stated number as a rejection reason writes it: its size alone above MODULUS_CAP."""
     return str(n) if abs(n) <= MODULUS_CAP else f"<{n.bit_length()}-bit number>"
-
-
-def _stated(cert: Certificate, index: int, key: str) -> Any:
-    """The value claim `index` gives `key`; raises _Rejected if it gives none."""
-    try:
-        return cert.claims[index].params[key]
-    except (IndexError, KeyError):
-        raise _Rejected(f"claim {index} states no {key}", index) from None
-
-
-_ABSENT = object()
-
-
-def _difference(claim: ClaimRecord, expected: ClaimRecord) -> str:
-    """How a claim differs from the expected one; built only on rejection."""
-    kind, params, premises = expected
-    if claim.kind != kind:
-        return f"the shape needs {kind.value} here"
-    if claim.premises != premises:
-        return f"{kind.value} premises break the dependency chain"
-    stated = dict(claim.params)
-    key = next(
-        (k for k in [*params, *stated] if stated.get(k, _ABSENT) != params.get(k, _ABSENT)),
-        None,
-    )
-    return f"{kind.value} param {key!r} does not match the re-derived facts"
-
-
-def _check_claims(cert: Certificate, expected: tuple[ClaimRecord, ...]) -> Verdict:
-    """Accept when the claims are exactly `expected`, the layout of the re-derived facts.
-
-    At the enumeration claim the solution list must equal a fresh
-    enumeration up to that claim's bound.
-    """
-    claims = cert.claims
-    for i, (want, claim) in enumerate(zip(expected, claims)):
-        # a plain tuple can equal a record; _difference then fails to read it
-        if claim != want or not isinstance(claim, ClaimRecord):
-            return _reject(_difference(claim, want), claim_index=i)
-        if want.kind is _ENUMERATION and cert.solutions != _enumerate_solutions(
-            cert.instance, want.params["variable"], want.params["bound"]
-        ):
-            return _reject("re-enumeration does not reproduce the claimed solutions", claim_index=i)
-    if len(claims) != len(expected):
-        # the common prefix matches: the first claim that differs is missing or extra
-        return _reject("claim count does not fit the shape", min(len(claims), len(expected)))
-    return ACCEPT
 
 
 def _verify_class_two(cert: Certificate) -> Verdict:
@@ -665,8 +469,7 @@ def _verify_class_two(cert: Certificate) -> Verdict:
         return _reject("modulus exceeds the supported cap")
     if not _is_prime(p):
         return _reject(f"{_shown(p)} is not prime")
-    sides = _sides(instance, mode)
-    zero_base, _, con_base, _ = sides
+    zero_base, zero_var, con_base, _ = _sides(instance, mode)
     # k = t * v_p(zero_base), so var >= t makes zero_base^var = 0 (mod p^k)
     if t < 1 or k != t * _valuation(zero_base, p):
         return _reject("modulus exponent does not match the attacked bound")
@@ -676,23 +479,21 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     if k < 1:
         return _reject("pow_mod_eq_zero needs threshold >= 1 and modulus >= 2", 0)
     target = _expected_target(instance, mode, modulus)
-    order = _stated_order(cert, 1, con_base, modulus)
-    period = order["order"]
+    period = _stated_order(cert.order, con_base, modulus, 1)
 
     if cert.shape is _DIRECT:
         if not _outside_cycle(con_base, p, k, period, [target]):
             return _reject("target actually lies in the power cycle", claim_index=1)
-        claims = _direct_exclusion_claims(cert.shape, sides, target, modulus, t, order)
-        return _check_claims(cert, claims)
+        return _enumerated(cert, zero_var, t - 1, 2)
 
     # magic prime shape
-    residue = _stated(cert, 1, "residue")
+    residue = cert.residue
     # period is the exact order, so a residue in [0, period) that maps to
     # the target is the unique discrete log
     if not 0 <= residue < period or pow(con_base, residue, modulus) != target:
         return _reject("congruence is not the discrete log of the target", claim_index=1)
 
-    P = _stated(cert, 2, "prime")
+    P = cert.prime
     if P > MODULUS_CAP or not _is_prime(P):
         return _reject(f"magic prime {_shown(P)} is not a prime below 2^62", claim_index=2)
     if P % period != 1 % period:
@@ -700,16 +501,21 @@ def _verify_class_two(cert: Certificate) -> Verdict:
     if instance.a * instance.b * instance.c % P == 0:
         return _reject("magic prime divides one of the parameters", claim_index=2)
     # a lift L that the period divides and with con_base^L = 1 (mod P) covers
-    # every class of con_var mod the order mod P, in L / period listed residues
-    L = _stated(cert, 2, "lifted_period")
-    count = len(cert.claims[2].params.get("lifted_residues", ()))
-    if count < 1 or L != count * period or pow(con_base, L, P) != 1:
+    # every class of con_var mod the order mod P, in L / period residues
+    L = cert.lifted_period
+    if not 0 < L <= LIFT_CAP * period:
+        return _reject(f"lift is empty or has more than {LIFT_CAP} residues", claim_index=2)
+    if L % period or pow(con_base, L, P) != 1:
         return _reject("lifted residues do not fill the lifted period", claim_index=2)
-    zero_order = _stated_order(cert, 4, zero_base, P)
-    claims = _magic_prime_claims(instance, mode, sides, modulus, t, residue, order, P, L, zero_order)
-    if not _outside_cycle(zero_base, P, 1, zero_order["order"], claims[3].params["output_values"]):
+    _, values, shifted = _lift(instance, mode, residue, period, P, L)
+    # the powers repeat with period lcm(K, order mod P) / K, so distinct
+    # powers make L the shortest lift, and the witness unique
+    if len(set(values)) < len(values):
+        return _reject("lifted residues repeat a power mod the magic prime", claim_index=2)
+    zero_order = _stated_order(cert.prime_order, zero_base, P, 4)
+    if not _outside_cycle(zero_base, P, 1, zero_order, shifted):
         return _reject("shifted values intersect the other power cycle", claim_index=4)
-    return _check_claims(cert, claims)
+    return _enumerated(cert, zero_var, t - 1, 5)
 
 
 # The certificate verify_certificate accepted last, by weak reference, so
@@ -723,21 +529,21 @@ def was_accepted(cert: Certificate) -> bool:
 
 
 def verify_certificate(cert: Certificate) -> Verdict:
-    """Re-validate every claim from the instance alone; Accept or Reject.
+    """Re-validate every step from the instance alone; Accept or Reject.
 
-    Acceptance means the claim chain proves that the certificate's
-    solution list is the complete solution set of a^x + b = c^y.  Every
-    call re-validates.  An accepted certificate is also remembered for
-    was_accepted, because it cannot change afterwards.  One assembled by
-    hand from a list of claims or plain dict params could, so it is not.
+    Acceptance means the witness proves that the certificate's solution
+    list is the complete solution set of a^x + b = c^y.  Every call
+    re-validates.  An accepted certificate is also remembered for
+    was_accepted, because it cannot change afterwards.  One built by hand
+    with a list in a field could, so it is not: a list makes it unhashable.
     """
     global _last_accepted
     verdict = _verify(cert)
-    if (
-        verdict.accepted
-        and type(cert.claims) is tuple
-        and all(type(claim.params) is Params for claim in cert.claims)
-    ):
+    if verdict.accepted:
+        try:
+            hash(cert)
+        except TypeError:
+            return verdict
         _last_accepted = weakref.ref(cert)
     return verdict
 
@@ -748,7 +554,7 @@ def _verify(cert: Certificate) -> Verdict:
         if not isinstance(instance, EquationInstance):
             return _reject("missing instance")
         # completeness and exactness of the solution list are settled by
-        # re-running the bounded enumeration at the enumeration claim; the
+        # re-running the bounded enumeration at the last step; the
         # claimed pairs are only ever compared, never exponentiated
         if cert.solutions != tuple(sorted(set(cert.solutions))):
             return _reject("solution list is not sorted and duplicate-free")
@@ -776,8 +582,7 @@ def _verify_divisibility(cert: Certificate) -> Verdict:
     if cert.solutions != ():
         return _reject("divisibility certificates prove there are no solutions")
     p = cert.witness_prime
-    sides = _sides(instance, mode)
-    zero_base, _, other_base, _ = sides
+    zero_base, _, other_base, _ = _sides(instance, mode)
     # p divides the zeroed base and b, so it is no larger than b: the
     # divisions go before the primality test
     if zero_base % p:
@@ -786,10 +591,11 @@ def _verify_divisibility(cert: Certificate) -> Verdict:
         return _reject(f"{_shown(p)} does not divide b")
     if not _is_prime(p):
         return _reject(f"{_shown(p)} is not prime")
-    # the stated order proves other_base a unit mod p, and p divides b:
-    # the target is 0, which no power of a unit reaches
-    order = _stated_order(cert, 1, other_base, p)
-    return _check_claims(cert, _direct_exclusion_claims(cert.shape, sides, 0, p, 1, order))
+    # the equation makes other_base^var = 0 (mod p), which no power of a
+    # base that p does not divide reaches
+    if other_base % p == 0:
+        return _reject(f"{_shown(p)} divides {_shown(other_base)} as well", 1)
+    return ACCEPT
 
 
 def _verify_common_factor(cert: Certificate) -> Verdict:
@@ -811,4 +617,4 @@ def _verify_common_factor(cert: Certificate) -> Verdict:
     modulus = p**k
     if instance.b % modulus == 0:
         return _reject(f"{_shown(modulus)} divides b, so no contradiction arises")
-    return _check_claims(cert, _common_factor_claims(instance, p, k))
+    return _enumerated(cert, "either", k - 1, 2)

@@ -11,13 +11,18 @@ acceptance of the certificate, and no Lean kernel checks the scripts.
 Direct and magic-prime proofs share one template, prose and Lean alike:
 the magic prime only adds its three claims about the prime P.
 
+The templates are the one statement of each shape's claim chain; the
+verifier's claim indices number its steps as they do.  A certificate
+states only its witness, so the templates compute the forced target with
+`_expected_target` and a magic prime's lifted residues, powers and
+shifted values with `_lift`, both from the trusted module.
+
 Rendering is deterministic: the same certificate always produces the
 same bytes.  Only certificates accepted by the independent verifier are
-rendered at all, so a renderer reads each fact from its claim by the
-claim's position in the shape's template.  Certificates are immutable,
-so a renderer reuses the verifier's latest acceptance when it was of the
-same object and runs the verifier otherwise: verifying and then
-rendering, or rendering both outputs, verifies once.
+rendered at all.  Certificates are immutable, so a renderer reuses the
+verifier's latest acceptance when it was of the same object and runs the
+verifier otherwise: verifying and then rendering, or rendering both
+outputs, verifies once.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from .certificate import (
     _FORWARD,
     _MAGIC_PRIME,
     Certificate,
+    _expected_target,
+    _lift,
     _sides,
     verify_certificate,
     was_accepted,
@@ -89,7 +96,7 @@ def _case_header(cert: Certificate) -> str:
     side = "Front Mode" if cert.mode is _FORWARD else "Back Mode"
     if cert.shape is _DIRECT:
         return f"(Class II, {side}, no magic prime)"
-    return f"(Class II, {side}, with magic prime {cert.claims[2].params['prime']})"
+    return f"(Class II, {side}, with magic prime {cert.prime})"
 
 
 def _conclusion_lines(cert: Certificate, equation: str) -> list[str]:
@@ -98,6 +105,13 @@ def _conclusion_lines(cert: Certificate, equation: str) -> list[str]:
     if not cert.solutions:
         return [f"Further examination shows that {equation} is impossible."]
     return [f"Further examination shows that (x, y) = {_pair_list(cert.solutions)}."]
+
+
+def _magic_lists(cert: Certificate):
+    """The lifted residues, powers and shifted values of a magic-prime certificate."""
+    return _lift(
+        cert.instance, cert.mode, cert.residue, cert.order[0], cert.prime, cert.lifted_period
+    )
 
 
 def _narrative(cert: Certificate, equation: str) -> list[str]:
@@ -126,30 +140,26 @@ def _narrative(cert: Certificate, equation: str) -> list[str]:
     t = cert.bound_threshold
     modulus = cert.witness_prime**cert.modulus_exponent
     bound_base, bound_var, con_base, con_var = _sides(cert.instance, cert.mode)
-    observe = cert.claims[1].params
-    lines.append(
-        f"if {bound_var} >= {t}, {con_base} ^ {con_var} = {observe['target']} (mod {modulus})."
-    )
+    target = _expected_target(cert.instance, cert.mode, modulus)
+    lines.append(f"if {bound_var} >= {t}, {con_base} ^ {con_var} = {target} (mod {modulus}).")
     if cert.shape is _DIRECT:
         lines.append("However, this is impossible.")
     else:
-        utilize, compute = cert.claims[2].params, cert.claims[3].params
-        residue, period, prime = observe["residue"], observe["period"], utilize["prime"]
+        lifted, values, shifted = _magic_lists(cert)
+        residue, period, prime = cert.residue, cert.order[0], cert.prime
         # Power values mod P only depend on the exponent mod ord_P(base);
         # report the residues modulo that order when it differs from K.
         order = arith.multiplicative_order(con_base % prime, prime)
         if order == period:
             lines.append(f"So {con_var} = {residue} (mod {period}).")
         else:
-            reduced = [r % order for r in utilize["lifted_residues"]]
+            reduced = [r % order for r in lifted]
             lines.append(f"So {con_var} = {residue} (mod {period}),")
             lines.append(f"which implies {con_var} = {_int_list(reduced)} (mod {order}).")
-        lines.append(
-            f"Therefore, {con_base} ^ {con_var} = {_int_list(utilize['values'])} (mod {prime})."
-        )
+        lines.append(f"Therefore, {con_base} ^ {con_var} = {_int_list(values)} (mod {prime}).")
         impossible = (
             f"So {bound_base} ^ {bound_var} = "
-            f"{_int_list(compute['output_values'])} (mod {prime}), but this is impossible."
+            f"{_int_list(shifted)} (mod {prime}), but this is impossible."
         )
         if len(impossible) > _WRAP_COLUMN:
             head = impossible[: -len(" but this is impossible.")]
@@ -230,7 +240,8 @@ def _enumeration(cert: Certificate, equation: str, bound_prop: str) -> tuple[str
 def _script_divisibility(cert: Certificate, equation: str) -> list[str]:
     p = cert.witness_prime
     zero_base, zero_var, other_base, other_var = _sides(cert.instance, cert.mode)
-    congruence = f"{other_base} ^ {other_var} % {p} = {cert.claims[1].params['target']}"
+    target = _expected_target(cert.instance, cert.mode, p)
+    congruence = f"{other_base} ^ {other_var} % {p} = {target}"
     return [
         f"  have h6 := Claim ({zero_base} ^ {zero_var} % {p} = 0) [",
         *_EXPONENT[zero_var],
@@ -272,8 +283,8 @@ def _script_exclusion(cert: Certificate, equation: str) -> list[str]:
     t = cert.bound_threshold
     modulus = cert.witness_prime**cert.modulus_exponent
     bound_base, bound_var, con_base, con_var = _sides(cert.instance, cert.mode)
-    observe = cert.claims[1].params
-    congruence = f"{con_base} ^ {con_var} % {modulus} = {observe['target']}"
+    target = _expected_target(cert.instance, cert.mode, modulus)
+    congruence = f"{con_base} ^ {con_var} % {modulus} = {target}"
     lines = [
         f"  by_cases h6 : {bound_var} >= {t}",
         f"  have h7 := Claim ({bound_base} ^ {bound_var} % {modulus} = 0) [",
@@ -291,14 +302,11 @@ def _script_exclusion(cert: Certificate, equation: str) -> list[str]:
             "  apply False.elim h9",
         )
     else:
-        utilize, compute = cert.claims[2].params, cert.claims[3].params
-        prime = utilize["prime"]
-        statement = f"{con_var} % {observe['period']} = {observe['residue']}"
-        values = f"List.Mem ({con_base} ^ {con_var} % {prime}) [{_int_list(utilize['values'])}]"
-        shifted = (
-            f"List.Mem ({bound_base} ^ {bound_var} % {prime}) "
-            f"[{_int_list(compute['output_values'])}]"
-        )
+        _, powers, shifted_values = _magic_lists(cert)
+        prime = cert.prime
+        statement = f"{con_var} % {cert.order[0]} = {cert.residue}"
+        values = f"List.Mem ({con_base} ^ {con_var} % {prime}) [{_int_list(powers)}]"
+        shifted = f"List.Mem ({bound_base} ^ {bound_var} % {prime}) [{_int_list(shifted_values)}]"
         shift_kind = "compute_mod_add" if cert.mode is _FORWARD else "compute_mod_sub"
         lines += (
             f"  have h9 := Claim ({statement}) [",

@@ -16,8 +16,8 @@ is conjectural; the solver gives up cleanly (status Unresolved) when
 its budgets are exhausted.
 
 The engine also builds the certificates: it computes each order a proof
-states with the arithmetic kernel and lays out the claims with the claims
-functions of `certificate`, whose verifier shares no code with the solver.
+states with the arithmetic kernel and its prime factors, the witness that
+`certificate`'s verifier, which shares no code with the solver, checks.
 """
 
 from __future__ import annotations
@@ -27,19 +27,17 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Callable
 
 from . import arith
 from .certificate import (
+    LIFT_CAP,
     MODULUS_CAP,
     Certificate,
     CertShape,
     Mode,
-    _common_factor_claims,
-    _direct_exclusion_claims,
     _expected_target,
     _lift,
-    _magic_prime_claims,
     _sides,
 )
 from .classify import (
@@ -171,27 +169,22 @@ def exclusion_step(
     If the target is outside the cycle of the base the bound is disproved
     outright; otherwise the unique discrete log becomes a constraint.
     When the period K leaves no magic prime nK + 1 up to prime_cap, the
-    log is not computed: a target in the cycle gives a conditional step
-    with no constraint.  The log raises TimeoutError past `deadline`.
+    log is not computed: the step is conditional with no constraint.  The
+    log raises TimeoutError past `deadline`.
     """
     modulus = candidate.key
     _, _, base, variable = _sides(instance, candidate.mode)
     unit = base % modulus
     target = _expected_target(instance, candidate.mode, modulus)
-    # the period is below the modulus, so only a modulus above the cap can reach it
-    if modulus > prime_cap:
-        period = arith.multiplicative_order(unit, modulus)
-        if period >= prime_cap:
-            in_cycle = _in_cycle(unit, target, modulus, period)
-            return ExclusionStep(ExclusionKind.CONDITIONAL if in_cycle else ExclusionKind.DIRECT)
-    residue = arith.cycle_discrete_log(unit, target, modulus, deadline)
-    if residue is None:
-        return ExclusionStep(kind=ExclusionKind.DIRECT)
     period = arith.multiplicative_order(unit, modulus)
-    return ExclusionStep(
-        kind=ExclusionKind.CONDITIONAL,
-        constraint=Constraint(variable=variable, residue=residue, period=period),
-    )
+    if not _in_cycle(unit, target, modulus, period):
+        return ExclusionStep(ExclusionKind.DIRECT)
+    if period >= prime_cap:
+        return ExclusionStep(ExclusionKind.CONDITIONAL)
+    residue = arith.cycle_discrete_log(unit, target, modulus, deadline)
+    if residue is None:  # only a kernel fault gets here; the verifier rejects what follows
+        return ExclusionStep(ExclusionKind.DIRECT)
+    return ExclusionStep(ExclusionKind.CONDITIONAL, Constraint(variable, residue, period))
 
 
 def witness_for_prime(
@@ -202,7 +195,9 @@ def witness_for_prime(
     Lifts the constraint to L = lcm(K, ord_P(base)), takes the shifted
     values of the constrained side from `certificate._lift`, and tests
     their disjointness from the other side's power cycle (membership in
-    the unique subgroup of that order).  Returns the lift L, or None.
+    the unique subgroup of that order).  Returns the lift L, or None, also
+    for a lift of more than certificate.LIFT_CAP residues, which the
+    verifier would reject.
     """
     if instance.a % prime == 0 or instance.b % prime == 0 or instance.c % prime == 0:
         return None
@@ -210,6 +205,8 @@ def witness_for_prime(
     mode = Mode.FORWARD if constraint.variable == "x" else Mode.BACKWARD
     other, _, base, _ = _sides(instance, mode)
     lift = math.lcm(constraint.period, arith.multiplicative_order(base % prime, prime))
+    if lift > LIFT_CAP * constraint.period:
+        return None
     _, _, shifted = _lift(instance, mode, constraint.residue, constraint.period, prime, lift)
     other_order = arith.multiplicative_order(other % prime, prime)
     for s in shifted:
@@ -265,33 +262,21 @@ def _check_bound(solutions, zero_var: str, t: int) -> None:
             raise CertificateBuildError(f"solution {sol} contradicts {zero_var} < {t}")
 
 
-def _order_of(base: int, modulus: int) -> dict[str, Any]:
-    """The order params of a unit base mod modulus: its order and that order's primes."""
+def _order_of(base: int, modulus: int) -> tuple[int, tuple[int, ...]]:
+    """The order of a unit base mod modulus, with that order's primes."""
     order = arith.multiplicative_order(base % modulus, modulus)
     primes = tuple(q for q, _ in arith.factorize(order)) if order > 1 else ()
-    return {"order": order, "order_factors": primes}
+    return order, primes
 
 
 def build_divisibility_certificate(instance: EquationInstance, mode: Mode, p: int) -> Certificate:
     """Type i / ii certificate: one side is 0 mod p, the other never is."""
-    sides = _sides(instance, mode)
-    zero_base, _, other_base, _ = sides
+    zero_base, _, other_base, _ = _sides(instance, mode)
     if zero_base % p != 0 or instance.b % p != 0:
         raise CertificateBuildError(f"prime {p} does not divide both b and {zero_base}")
     if other_base % p == 0:
         raise CertificateBuildError(f"prime {p} divides both sides of {instance.equation_text()}")
-    shape = CertShape.DIVISIBILITY_NO_SOLUTION
-    target = _expected_target(instance, mode, p)
-    return Certificate(
-        instance=instance,
-        shape=shape,
-        mode=mode,
-        witness_prime=p,
-        modulus_exponent=1,
-        bound_threshold=1,
-        solutions=(),
-        claims=_direct_exclusion_claims(shape, sides, target, p, 1, _order_of(other_base, p)),
-    )
+    return Certificate(instance, CertShape.DIVISIBILITY_NO_SOLUTION, mode, p, 1, 1, ())
 
 
 def build_common_factor_certificate(
@@ -307,39 +292,25 @@ def build_common_factor_certificate(
     for x, y in solutions:
         if x >= k and y >= k:
             raise CertificateBuildError(f"solution ({x}, {y}) contradicts min(x, y) < {k}")
-    return Certificate(
-        instance=instance,
-        shape=CertShape.COMMON_FACTOR_BOUND,
-        mode=None,
-        witness_prime=p,
-        modulus_exponent=k,
-        bound_threshold=k,
-        solutions=solutions,
-        claims=_common_factor_claims(instance, p, k),
-    )
+    return Certificate(instance, CertShape.COMMON_FACTOR_BOUND, None, p, k, k, solutions)
 
 
 def build_direct_exclusion_certificate(
     instance: EquationInstance, mode: Mode, p: int, k: int, t: int, solutions
 ) -> Certificate:
     """Type iv / vi certificate: the forced residue is outside the power cycle."""
-    sides = _sides(instance, mode)
-    _, zero_var, con_base, _ = sides
+    _, zero_var, con_base, _ = _sides(instance, mode)
     solutions = _check_solutions(instance, solutions)
     _check_bound(solutions, zero_var, t)
-    shape = CertShape.DIRECT_MODULAR_EXCLUSION
-    modulus = p**k
-    target = _expected_target(instance, mode, modulus)
-    order = _order_of(con_base, modulus)
     return Certificate(
-        instance=instance,
-        shape=shape,
-        mode=mode,
-        witness_prime=p,
-        modulus_exponent=k,
-        bound_threshold=t,
-        solutions=solutions,
-        claims=_direct_exclusion_claims(shape, sides, target, modulus, t, order),
+        instance,
+        CertShape.DIRECT_MODULAR_EXCLUSION,
+        mode,
+        p,
+        k,
+        t,
+        solutions,
+        order=_order_of(con_base, p**k),
     )
 
 
@@ -355,23 +326,22 @@ def build_magic_prime_certificate(
     solutions,
 ) -> Certificate:
     """Type v / vii certificate: at `prime`, var = residue lifted to `lift` separates the sides."""
-    sides = _sides(instance, mode)
-    zero_base, zero_var, con_base, _ = sides
+    zero_base, zero_var, con_base, _ = _sides(instance, mode)
     solutions = _check_solutions(instance, solutions)
     _check_bound(solutions, zero_var, t)
-    modulus = p**k
-    order, zero_order = _order_of(con_base, modulus), _order_of(zero_base, prime)
     return Certificate(
-        instance=instance,
-        shape=CertShape.MAGIC_PRIME_EXCLUSION,
-        mode=mode,
-        witness_prime=p,
-        modulus_exponent=k,
-        bound_threshold=t,
-        solutions=solutions,
-        claims=_magic_prime_claims(
-            instance, mode, sides, modulus, t, residue, order, prime, lift, zero_order
-        ),
+        instance,
+        CertShape.MAGIC_PRIME_EXCLUSION,
+        mode,
+        p,
+        k,
+        t,
+        solutions,
+        order=_order_of(con_base, p**k),
+        residue=residue,
+        prime=prime,
+        lifted_period=lift,
+        prime_order=_order_of(zero_base, prime),
     )
 
 

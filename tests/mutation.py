@@ -19,21 +19,7 @@ from expodio.certificate import (
     verify_certificate,
 )
 
-_KIND_POOL = [
-    "pow_mod_eq_zero",
-    "observe_mod_cycle",
-    "utilize_mod_cycle",
-    "compute_mod_add",
-    "compute_mod_sub",
-    "exhaust_mod_cycle",
-    "diophantine1_enumeration",
-    "bogus_revalidator",
-]
-
 _STRING_POOLS = {
-    "variable": ["x", "y", "either"],
-    "input_variable": ["x", "y"],
-    "output_variable": ["x", "y"],
     "mode": ["Forward", "Backward"],
     "shape": [
         "DivisibilityNoSolution",
@@ -41,12 +27,11 @@ _STRING_POOLS = {
         "DirectModularExclusion",
         "MagicPrimeExclusion",
     ],
-    "outcome": ["impossible", "constrains"],
-    "kind": _KIND_POOL,
     "format": [
         "diophantine1-certificate/0",
         "diophantine1-certificate/1",
         "diophantine1-certificate/2",
+        "diophantine1-certificate/3",
         "garbage",
     ],
 }
@@ -93,12 +78,8 @@ def mutate_certificate_doc(doc: dict, rng: random.Random) -> dict:
             parent[key] = value + delta
             return mutated
         if isinstance(value, str):
-            pool = _STRING_POOLS.get(str(key) if not isinstance(key, int) else "", None)
-            if pool is None and isinstance(key, int):
-                pool = _STRING_POOLS.get(str(path[-2]), None)
-            options = [s for s in (pool or ["mutated"]) if s != value]
-            if not options:
-                options = [value + "_mutated"]
+            # every string of the document is a value of a top-level field
+            options = [s for s in _STRING_POOLS.get(key, ["mutated"]) if s != value]
             parent[key] = rng.choice(options)
             return mutated
         if isinstance(value, list):

@@ -1,8 +1,7 @@
 """Source-mutation probe of the trusted module, src/expodio/certificate.py.
 
 Makes one mutant of certificate.py per site anywhere in it: the format,
-the claim layout, the serializer, the parser and the verifier with its
-primality test:
+the serializer, the parser and the verifier with its primality test:
 
 - each comparison operator flipped (`<` and `<=`, `>` and `>=`, `==`
   and `!=`, `is` and `is not`, `in` and `not in`);
@@ -75,6 +74,11 @@ _CHEAP_POWER = (
 
 _UNIT = "n = 1 is no multiple of a base >= 2, so the loop stops there either way"
 
+_ONE_MORE = (
+    "the closing enumeration runs after the exclusion is proved, which leaves no solution "
+    "with the bounded variable at the threshold, so enumerating it as well adds none"
+)
+
 # Survivors that cannot change a verdict, keyed by their description.
 EQUIVALENT: dict[str, str] = {
     "_is_order: if order >= modulus:  ->  if order > modulus:":
@@ -102,9 +106,12 @@ EQUIVALENT: dict[str, str] = {
     "_verify_class_two: if p > MODULUS_CAP or k * (p.bit_length() - 1) > 62 or p**k > MODULUS_CAP:"
     "  ->  if p > MODULUS_CAP or k * (p.bit_length() - 1) > 63 or p**k > MODULUS_CAP:":
         _CHEAP_POWER,
-    "_verify_class_two: if P > MODULUS_CAP or not _is_prime(P):  ->  "
-    "if P >= MODULUS_CAP or not _is_prime(P):":
-        "MODULUS_CAP is 2^62, which is not prime, so _is_prime rejects it with the same reason",
+    "_verify_class_two: return _enumerated(cert, zero_var, t - 1, 2)  ->  "
+    "return _enumerated(cert, zero_var, t - 0, 2)": _ONE_MORE,
+    "_verify_class_two: return _enumerated(cert, zero_var, t - 1, 5)  ->  "
+    "return _enumerated(cert, zero_var, t - 0, 5)": _ONE_MORE,
+    '_verify_common_factor: return _enumerated(cert, "either", k - 1, 2)  ->  '
+    'return _enumerated(cert, "either", k - 0, 2)': _ONE_MORE,
 }
 
 

@@ -166,17 +166,20 @@ def test_criterion_5_arithmetic_properties():
 def test_criterion_6_magic_prime_fidelity(golden_results):
     with criterion(6, "witnesses at P=257 and P=17497 reproduce the published value sets"):
         # the default search picks the published primes
-        result = golden_results[(5, 3, 2)]
-        utilize, compute = (c.params for c in result.certificate.claims[2:4])
-        assert utilize["prime"] == 257
-        assert compute["output_values"] == (17, 227, 246, 36)
-        assert verify_certificate(result.certificate).accepted
+        cert = golden_results[(5, 3, 2)].certificate
+        assert cert.prime == 257
+        assert _lift(cert.instance, cert.mode, 35, 64, 257, cert.lifted_period)[2] == (
+            17, 227, 246, 36
+        )
+        assert verify_certificate(cert).accepted
 
-        result = golden_results[(3, 10, 13)]
-        utilize = result.certificate.claims[2].params
-        assert utilize["prime"] == 17497
-        assert utilize["values"] == (11616, 6486, 5881, 11011)
-        assert verify_certificate(result.certificate).accepted
+        cert = golden_results[(3, 10, 13)].certificate
+        assert cert.prime == 17497
+        assert _lift(cert.instance, cert.mode, 1461, 2187, 17497, cert.lifted_period)[1] == (
+            11616, 6486, 5881, 11011
+        )
+        assert (cert.residue, cert.order[0]) == (1461, 2187)
+        assert verify_certificate(cert).accepted
 
         # each published prime checked directly
         inst = EquationInstance(5, 3, 2)

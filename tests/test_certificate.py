@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+import re
 import weakref
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from oracle import brute_force_cycle, brute_force_order, brute_force_solutions, 
 
 from expodio import (
     CertShape,
-    ClaimKind,
     EquationInstance,
     Mode,
     SolveStatus,
@@ -45,6 +45,15 @@ from expodio.engine import (
     witness_for_prime,
 )
 
+# The witness each shape states after the eight common fields, in document order.
+_WITNESS_KEYS = {
+    CertShape.DIVISIBILITY_NO_SOLUTION: [],
+    CertShape.COMMON_FACTOR_BOUND: [],
+    CertShape.DIRECT_MODULAR_EXCLUSION: ["order"],
+    CertShape.MAGIC_PRIME_EXCLUSION: ["order", "residue", "prime", "lifted_period", "prime_order"],
+}
+
+# The claim chain of each shape, as its Lean outline states it.
 _EXPECTED_KINDS = {
     CertShape.DIVISIBILITY_NO_SOLUTION: ["pow_mod_eq_zero", "observe_mod_cycle"],
     CertShape.COMMON_FACTOR_BOUND: [
@@ -74,22 +83,34 @@ def _expected_kinds(cert):
     ]
 
 
+def _claim_kinds(cert):
+    """The revalidators of the certificate's Lean outline, in order: its claim chain."""
+    return re.findall(r'\] "([a-z0-9_]+)"', emit_lean(cert))
+
+
+def _witness_keys(cert):
+    """The document's keys after the eight every certificate states."""
+    return list(certificate_to_dict(cert))[8:]
+
+
 class TestBuildCertificate:
     def test_direct_exclusion_claim_sequence(self):
         # built at the first threshold where the residue leaves the cycle
         inst = EquationInstance(7, 3, 10)
         cert = build_direct_exclusion_certificate(inst, Mode.FORWARD, 2, 3, 3, [(1, 1)])
-        assert [c.kind.value for c in cert.claims] == [
+        assert _claim_kinds(cert) == [
             "pow_mod_eq_zero",
             "observe_mod_cycle",
             "diophantine1_enumeration",
         ]
+        assert _witness_keys(cert) == ["order"]
+        assert cert.order == (2, (2,))  # 7 has order 2 mod 8
         assert verify_certificate(cert).accepted
 
     def test_magic_prime_claim_sequence(self, golden_certificates):
         cert = golden_certificates[(2, 89, 91)]
         assert cert.shape is CertShape.MAGIC_PRIME_EXCLUSION
-        assert [c.kind.value for c in cert.claims] == [
+        assert _claim_kinds(cert) == [
             "pow_mod_eq_zero",
             "observe_mod_cycle",
             "utilize_mod_cycle",
@@ -97,15 +118,18 @@ class TestBuildCertificate:
             "exhaust_mod_cycle",
             "diophantine1_enumeration",
         ]
+        assert (cert.order, cert.residue, cert.prime) == ((147, (3, 7)), 76, 2647)
+        assert (cert.lifted_period, cert.prime_order) == (1323, (147, (3, 7)))
 
     def test_backward_uses_subtraction(self, golden_certificates):
         cert = golden_certificates[(3, 7, 2)]
         assert cert.mode is Mode.BACKWARD
-        assert ClaimKind.COMPUTE_MOD_SUB in [c.kind for c in cert.claims]
+        assert "compute_mod_sub" in _claim_kinds(cert)
 
     def test_all_golden_sequences(self, golden_certificates):
         for triple, cert in golden_certificates.items():
-            assert [c.kind.value for c in cert.claims] == _expected_kinds(cert), triple
+            assert _claim_kinds(cert) == _expected_kinds(cert), triple
+            assert _witness_keys(cert) == _WITNESS_KEYS[cert.shape], triple
 
     def test_inconsistent_inputs_rejected(self):
         inst = EquationInstance(7, 3, 10)
@@ -127,32 +151,36 @@ class TestVerifyCertificate:
             assert verdict.accepted, (triple, verdict.reason)
 
     def test_rejects_wrong_solution_list(self, golden_certificates):
-        doc = certificate_to_dict(golden_certificates[(5, 3, 2)])
-        doc["solutions"] = [[1, 3]]
-        verdict = verify_certificate(parse_certificate(json.dumps(doc)))
-        assert not verdict.accepted
-        assert verdict.claim_index == len(doc["claims"]) - 1  # the enumeration claim
+        # each is rejected at its enumeration claim, the last of its chain
+        for triple, index in (((5, 3, 2), 5), ((17, 3, 20), 2), ((2, 4, 6), 2)):
+            doc = certificate_to_dict(golden_certificates[triple])
+            doc["solutions"] = doc["solutions"][1:]
+            verdict = verify_certificate(parse_certificate(json.dumps(doc)))
+            assert not verdict.accepted
+            assert verdict.reason == "re-enumeration does not reproduce the claimed solutions"
+            assert verdict.claim_index == index, triple
 
     def test_rejects_swapped_magic_prime(self, golden_certificates):
         doc = certificate_to_dict(golden_certificates[(5, 3, 2)])
-        for claim in doc["claims"]:
-            if "prime" in claim["params"]:
-                claim["params"]["prime"] = 19
+        doc["prime"] = 19
         verdict = verify_certificate(parse_certificate(json.dumps(doc)))
         assert not verdict.accepted
         assert verdict.claim_index in (2, 3, 4)
 
     def test_rejects_dropped_claim(self, golden_certificates):
+        # each step's witness is required: without it the document is malformed
         doc = certificate_to_dict(golden_certificates[(2, 1, 3)])
-        del doc["claims"][2]
-        verdict = verify_certificate(parse_certificate(json.dumps(doc)))
-        assert not verdict.accepted
+        for key in _WITNESS_KEYS[CertShape.MAGIC_PRIME_EXCLUSION]:
+            dropped = {k: v for k, v in doc.items() if k != key}
+            with pytest.raises(MalformedCertificateError, match="missing certificate fields"):
+                parse_certificate(json.dumps(dropped))
 
     def test_rejects_unknown_claim_kind(self, golden_certificates):
+        # a field outside the shape's witness, another shape's or a new one, is malformed
         doc = certificate_to_dict(golden_certificates[(2, 6, 9)])
-        doc["claims"][0]["kind"] = "novel_revalidator"
-        with pytest.raises(MalformedCertificateError):
-            parse_certificate(json.dumps(doc))
+        for key, value in (("order", [2, [2]]), ("novel_revalidator", 1)):
+            with pytest.raises(MalformedCertificateError, match="unexpected"):
+                parse_certificate(json.dumps({**doc, key: value}))
 
     def test_rejects_loosened_bound(self, golden_certificates):
         doc = certificate_to_dict(golden_certificates[(3, 7, 2)])
@@ -165,15 +193,14 @@ class TestVerifyCertificate:
         # residue + period and -1 both map to the same or no target, but
         # only the residue in [0, period) is the discrete log
         doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
-        observe = doc["claims"][1]["params"]
-        observe["residue"] = observe["residue"] + observe["period"] if shift == "period" else -1
+        doc["residue"] = doc["residue"] + doc["order"][0] if shift == "period" else -1
         verdict = verify_certificate(parse_certificate(json.dumps(doc)))
         assert not verdict.accepted
         assert verdict.claim_index == 1
 
     def test_rejects_residue_equal_to_the_period(self):
         # backward (2, 1, 3) at x >= 4 constrains y = 0 (mod 4), magic prime 5;
-        # residue 4 = period states zero exponent classes, so the claims would
+        # residue 4 = period states zero exponent classes, so the lift would
         # exclude nothing, yet pow(3, 4, 16) still meets the target 1
         inst = EquationInstance(2, 1, 3)
         con = exclusion_step(inst, ModulusCandidate(Mode.BACKWARD, 2, 4, 4)).constraint
@@ -184,11 +211,7 @@ class TestVerifyCertificate:
         )
         assert verify_certificate(cert).accepted
         doc = certificate_to_dict(cert)
-        for index in (1, 2):
-            doc["claims"][index]["params"]["residue"] = 4
-        doc["claims"][2]["params"]["lifted_residues"] = []
-        doc["claims"][2]["params"]["values"] = []
-        doc["claims"][3]["params"]["output_values"] = []
+        doc["residue"] = 4
         verdict = verify_certificate(parse_certificate(json.dumps(doc)))
         assert not verdict.accepted
         assert verdict.claim_index == 1
@@ -200,6 +223,23 @@ class TestVerifyCertificate:
             for _ in range(120):
                 rejected, reason = mutated_certificate_is_rejected(doc, rng)
                 assert rejected, (triple, reason)
+
+
+# Non-strings in the shape and mode fields.  The ids number the unhashable
+# values from 6, as they did when a claim's kind was the first such field.
+_ENUM_CASES = [
+    pytest.param(field, bad, id=f"{field}-{bad if bad in (7, None) else f'bad{i}'}")
+    for i, (field, bad) in enumerate(
+        [
+            (field, bad)
+            for field in ("shape", "mode")
+            for bad in (["Forward"], [], {"Forward": 1}, {}, 7, None)
+            # a null mode is well formed: it means "no mode"
+            if not (field == "mode" and bad is None)
+        ],
+        start=6,
+    )
+]
 
 
 class TestSerialization:
@@ -220,7 +260,7 @@ class TestSerialization:
         # a tampered certificate is rejected identically before and
         # after a trip through the wire format
         doc = certificate_to_dict(golden_certificates[(3, 7, 2)])
-        doc["claims"][2]["params"]["values"][0] += 1
+        doc["prime_order"][0] += 1
         text = json.dumps(doc)
         first = verify_certificate(parse_certificate(text))
         second = verify_certificate(parse_certificate(serialize_certificate(parse_certificate(text))))
@@ -236,81 +276,70 @@ class TestSerialization:
         for triple, cert in golden_certificates.items():
             text, digest = serialize_certificate(cert), certificate_digest(cert)
             doc = certificate_to_dict(cert)
-            for claim in doc["claims"]:
-                for key, value in claim["params"].items():
-                    if isinstance(value, list):
-                        value.append(7)
-                    else:
-                        claim["params"][key] = 7
-                claim["params"]["extra"] = 1
+            for key, value in doc.items():
+                if isinstance(value, list):
+                    value.append(7)
+                elif isinstance(value, dict):
+                    value["extra"] = 1
+                else:
+                    doc[key] = 7
             assert serialize_certificate(cert) == text, triple
             assert certificate_digest(cert) == digest, triple
 
     def test_to_dict_shares_no_list_between_claims(self, golden_certificates):
-        # changing one value list of a magic-prime document leaves every
-        # other params value as it was
+        # changing one list of a magic-prime document, the two orders'
+        # primes among them, leaves every other value as it was
         cert = golden_certificates[(2, 89, 91)]
-        assert cert.shape is CertShape.MAGIC_PRIME_EXCLUSION
+        assert cert.order == cert.prime_order  # equal values, one list each
         doc = certificate_to_dict(cert)
-        params = [claim["params"] for claim in doc["claims"]]
-        before = copy.deepcopy(params)
-        params[2]["values"][0] += 1
-        params[3]["output_values"][0] += 1
-        for i, p in enumerate(params):
-            for key, value in p.items():
-                if (i, key) not in {(2, "values"), (3, "output_values")}:
-                    assert value == before[i][key], (i, key)
-        lists = [id(v) for p in params for v in p.values() if isinstance(v, list)]
-        assert len(lists) == len(set(lists))
+        before = copy.deepcopy(doc)
+        doc["order"][1][0] += 1
+        doc["solutions"][0][0] += 1
+        assert doc["prime_order"] == before["prime_order"]
+        assert doc["solutions"][1] == before["solutions"][1]
+        lists = [doc["order"], doc["order"][1], doc["prime_order"], doc["prime_order"][1]]
+        lists += [doc["solutions"], *doc["solutions"]]
+        assert len(set(map(id, lists))) == len(lists)
 
     @pytest.mark.parametrize("bad", [True, False, 1.0, 0.0])
     def test_non_integers_in_integer_lists_are_malformed(self, golden_certificates, bad):
         base = certificate_to_dict(golden_certificates[(2, 89, 91)])
-        for field in ("lifted_residues", "values"):
-            doc = json.loads(json.dumps(base))
-            doc["claims"][2]["params"][field][0] = bad
-            with pytest.raises(MalformedCertificateError):
-                parse_certificate(json.dumps(doc))
+        for field in ("order", "prime_order"):
+            for index in ((0,), (1, 0)):
+                doc = json.loads(json.dumps(base))
+                parent = doc[field] if index == (0,) else doc[field][1]
+                parent[index[-1]] = bad
+                with pytest.raises(MalformedCertificateError):
+                    parse_certificate(json.dumps(doc))
         doc = json.loads(json.dumps(base))
-        doc["claims"][1]["premises"] = [bad]
+        doc["solutions"][0] = [bad, 1]
         with pytest.raises(MalformedCertificateError):
             parse_certificate(json.dumps(doc))
 
     def test_params_hold_exact_integers(self, golden_certificates):
-        # each edit compares equal to the integer it replaces, so only the
-        # parser can tell it apart from the canonical certificate
+        # each edit of a witness field compares equal to the integer it
+        # replaces, so only the parser can tell it apart from the canonical
+        # certificate
         edited = []
+        for key in ("residue", "prime", "lifted_period"):
+            doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
+            doc[key] = float(doc[key])
+            edited.append(doc)
         doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
-        doc["claims"][0]["params"]["base"] = 2.0
-        edited.append(doc)
-        doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
-        values = doc["claims"][2]["params"]["values"]
-        values[0] = float(values[0])
+        doc["prime_order"][1][0] = float(doc["prime_order"][1][0])
         edited.append(doc)
         doc = certificate_to_dict(golden_certificates[(2, 6, 9)])
-        doc["claims"][0]["params"]["threshold"] = True
+        doc["bound_threshold"] = True
         edited.append(doc)
         for doc in edited:
             with pytest.raises(MalformedCertificateError):
                 parse_certificate(json.dumps(doc))
 
-    @pytest.mark.parametrize(
-        "field, bad",
-        [
-            (field, bad)
-            for field in ("kind", "shape", "mode")
-            for bad in (["pow_mod_eq_zero"], [], {"Forward": 1}, {}, 7, None)
-            # a null mode is well formed: it means "no mode"
-            if not (field == "mode" and bad is None)
-        ],
-    )
+    @pytest.mark.parametrize("field, bad", _ENUM_CASES)
     def test_enum_fields_must_be_strings(self, golden_certificates, field, bad):
         # a list or a dict is unhashable, so it must be refused before any lookup
         doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
-        if field == "kind":
-            doc["claims"][1]["kind"] = bad
-        else:
-            doc[field] = bad
+        doc[field] = bad
         with pytest.raises(MalformedCertificateError, match="must be a string"):
             parse_certificate(json.dumps(doc))
 
@@ -324,9 +353,11 @@ class TestSerialization:
             parse_certificate(json.dumps(doc))
 
     def test_retired_format_is_malformed(self, golden_certificates):
-        # /2 stated no orders, which the verifier no longer computes
+        # /2 stated no orders, which the verifier no longer computes, and /3
+        # a claim list that restated what the verifier re-derives
         doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
-        for retired in ("diophantine1-certificate/1", "diophantine1-certificate/2"):
+        for retired in ("/1", "/2", "/3"):
+            retired = "diophantine1-certificate" + retired
             doc["format"] = retired
             with pytest.raises(MalformedCertificateError, match="unknown format"):
                 parse_certificate(json.dumps(doc))
@@ -363,33 +394,25 @@ class TestSerialization:
 
 class TestImmutability:
     def test_params_are_read_only(self, golden_certificates):
+        # the witness fields, like every field, cannot be reassigned
         cert = parse_certificate(serialize_certificate(golden_certificates[(2, 89, 91)]))
-        for claim in cert.claims:
-            params = claim.params
-            key = next(iter(params))
-            edits = (
-                lambda: params.__setitem__("extra", 1),
-                lambda: params.__setitem__(key, 7),
-                lambda: params.__delitem__(key),
-                lambda: params.update({key: 7}),
-                lambda: params.pop(key),
-                lambda: params.setdefault("extra", 1),
-                lambda: params.clear(),
-            )
-            for edit in edits:
-                with pytest.raises(TypeError):
-                    edit()
-            with pytest.raises(TypeError):
-                params |= {key: 7}
+        for key in _WITNESS_KEYS[cert.shape]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cert, key, 7)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(cert, key)
         assert verify_certificate(cert).accepted
 
     def test_integer_lists_are_tuples(self, golden_certificates):
         for cert in golden_certificates.values():
             parsed = parse_certificate(serialize_certificate(cert))
-            for built, read in zip(cert.claims, parsed.claims):
-                for params in (built.params, read.params):
-                    assert not any(isinstance(v, list) for v in params.values())
-                assert built.params == read.params
+            for built in (cert, parsed):
+                lists = [built.solutions, *built.solutions]
+                for order in (built.order, built.prime_order):
+                    if order is not None:
+                        lists += [order, order[1]]
+                assert all(type(value) is tuple for value in lists)
+            assert parsed == cert
 
     def test_collected_certificate_leaves_the_memo_empty(self, golden_certificates):
         # the memo holds the last acceptance by weak reference only
@@ -406,11 +429,13 @@ class TestImmutability:
         assert not certificate_module.was_accepted(twin)
 
     def test_mutable_hand_built_certificate_is_not_remembered(self, golden_certificates):
+        # a list in a field could change after the acceptance, so the memo
+        # skips it; the verifier reads it all the same
         cert = golden_certificates[(2, 89, 91)]
-        plain = tuple(c._replace(params=dict(c.params)) for c in cert.claims)
+        (K, primes), (K2, primes2) = cert.order, cert.prime_order
         for twin in (
-            dataclasses.replace(cert, claims=plain),
-            dataclasses.replace(cert, claims=list(cert.claims)),
+            dataclasses.replace(cert, order=[K, primes]),
+            dataclasses.replace(cert, prime_order=(K2, list(primes2))),
         ):
             assert verify_certificate(twin).accepted
             assert not certificate_module.was_accepted(twin)
@@ -425,7 +450,6 @@ class TestImmutability:
             twin = clone(cert)
             assert twin == cert
             assert serialize_certificate(twin) == serialize_certificate(cert)
-            assert all(type(c.params) is type(o.params) for c, o in zip(twin.claims, cert.claims))
             assert verify_certificate(twin).accepted
 
 
@@ -540,7 +564,7 @@ class TestVerifierIndependence:
     def test_trusted_module_line_count(self):
         # the trusted base is certificate.py, every line of it: the format,
         # the parser and the verifier; the bound only ever goes down
-        assert trusted_lines() <= 814
+        assert trusted_lines() <= 620
 
     def test_parse_and_verify_run_with_the_kernel_gone(self, monkeypatch):
         # the verifier shares no arithmetic with the solver: every

@@ -22,6 +22,17 @@ from expodio.cli import ScanRecord, build_parser, iter_cube, main
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# The (2, 6, 9) certificate in the retired format /3.
+_FORMAT_3_CERTIFICATE = (
+    '{"format":"diophantine1-certificate/3","instance":{"a":2,"b":6,"c":9},'
+    '"shape":"DivisibilityNoSolution","mode":"Forward","witness_prime":3,'
+    '"modulus_exponent":1,"bound_threshold":1,"solutions":[],'
+    '"claims":[{"kind":"pow_mod_eq_zero","params":{"base":9,"variable":"y","threshold":1,'
+    '"modulus":3},"premises":[]},{"kind":"observe_mod_cycle","params":{"base":2,'
+    '"variable":"x","target":0,"modulus":3,"order":2,"order_factors":[2],'
+    '"outcome":"impossible"},"premises":[0]}]}'
+)
+
 
 def run_cli(args: list[str], capsys) -> tuple[int, str, str]:
     code = main(args)
@@ -558,11 +569,19 @@ class TestVerifyCommand:
         cert_file = tmp_path / "cert.json"
         assert run_cli(["solve", "3", "7", "2", "--cert", str(cert_file)], capsys)[0] == 0
         doc = json.loads(cert_file.read_text())
-        doc["claims"][3]["params"]["output_values"][0] += 1
+        doc["prime_order"][0] += 1
         cert_file.write_text(json.dumps(doc))
         code, out, _ = run_cli(["verify", str(cert_file)], capsys)
         assert code == 3
         assert "Reject" in out
+
+    def test_retired_format_exits_1(self, capsys, tmp_path):
+        # a format /3 file, whose claim list restated what the verifier re-derives
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(_FORMAT_3_CERTIFICATE)
+        code, _, err = run_cli(["verify", str(cert_file)], capsys)
+        assert code == 1
+        assert "diophantine1-certificate/3" in err
 
     def test_empty_file(self, capsys, tmp_path):
         cert_file = tmp_path / "empty.json"

@@ -13,7 +13,6 @@ from conftest import GOLDEN_SUITE
 from oracle import brute_force_cycle, brute_force_solutions
 
 from expodio import (
-    ClaimKind,
     Constraint,
     EquationInstance,
     Mode,
@@ -278,22 +277,22 @@ class TestMagicPrimeSearch:
         cert = build_magic_prime_certificate(
             inst, Mode.BACKWARD, 3, 3, 3, con.residue, P, L, final_enumeration(inst, "x", 3)
         )
-        utilize, compute = (claim.params for claim in cert.claims[2:4])
-        assert (utilize["prime"], utilize["lifted_period"]) == (P, L)
+        assert (cert.prime, cert.lifted_period) == (P, L)
+        lifted, values, shifted = _lists(inst, con, found)
         lhs = {
             (pow(inst.c, y, P) - inst.b) % P
             for y in range(1, 4 * L + 1)
             if y % con.period == con.residue % con.period
         }
-        assert lhs == set(compute["output_values"])
-        assert {pow(inst.c, r, P) for r in utilize["lifted_residues"]} == set(utilize["values"])
+        assert lhs == set(shifted)
+        assert {pow(inst.c, r, P) for r in lifted} == set(values)
         rhs = set(brute_force_cycle(inst.a, P))
         assert not (lhs & rhs)
 
     def test_decision_matches_every_12_cube_certificate(self):
         # the per-prime decision and the certificate state one lift: at each
-        # magic prime of the 12-cube, witness_for_prime returns the stated L,
-        # and _lift there gives the stated lists
+        # magic prime of the 12-cube, witness_for_prime returns the stated L
+        # for the stated residue and period
         checked = 0
         for triple in iter_cube(12, 12, 12):
             inst = EquationInstance(*triple)
@@ -304,15 +303,8 @@ class TestMagicPrimeSearch:
                 cert.mode, cert.witness_prime, cert.bound_threshold, cert.modulus_exponent
             )
             con = exclusion_step(inst, candidate).constraint
-            utilize, compute = (claim.params for claim in cert.claims[2:4])
-            assert (con.residue, con.period) == (utilize["residue"], utilize["period"])
-            P, L = utilize["prime"], utilize["lifted_period"]
-            assert witness_for_prime(inst, con, P) == L, triple
-            assert _lists(inst, con, (P, L)) == (
-                utilize["lifted_residues"],
-                utilize["values"],
-                compute["output_values"],
-            ), triple
+            assert (con.residue, con.period) == (cert.residue, cert.order[0]), triple
+            assert witness_for_prime(inst, con, cert.prime) == cert.lifted_period, triple
             checked += 1
         assert checked > 100
 
@@ -372,15 +364,16 @@ class TestSolve:
     def test_completeness_handoff(self, golden_results):
         # every initial-search solution must sit below the proved bound
         for triple, result in golden_results.items():
-            enumeration = result.certificate.claims[-1]
-            if enumeration.kind is not ClaimKind.DIOPHANTINE1_ENUMERATION:
+            cert = result.certificate
+            if cert.shape is CertShape.DIVISIBILITY_NO_SOLUTION:
                 assert result.solutions == ()
                 continue
-            index = {"x": 0, "y": 1, "either": None}[enumeration.params["variable"]]
+            # the closing enumeration bounds the zeroed variable, or either for a common factor
+            index = {Mode.FORWARD: 1, Mode.BACKWARD: 0, None: None}[cert.mode]
             for sol in initial_search(EquationInstance(*triple)):
                 assert sol in result.solutions
                 if index is not None:
-                    assert sol[index] <= enumeration.params["bound"]
+                    assert sol[index] <= cert.bound_threshold - 1
 
     def test_unresolved_on_tiny_budget(self):
         config = SolverConfig(prime_budget_count=0)

@@ -3,9 +3,10 @@
 The random fuzzer samples the mutation space; these tests walk it
 exhaustively.  For one golden certificate of each shape, every integer
 leaf is nudged, every boolean flipped, every string swapped, every list
-element dropped, and each variant must fail verification (or fail to
-parse).  A certificate field that could absorb a change without the
-verifier noticing would show up here as an accepted mutant.
+element dropped and every list extended, and each variant must fail
+verification (or fail to parse).  A certificate field that could absorb a
+change without the verifier noticing would show up here as an accepted
+mutant.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ import pytest
 
 from expodio import EquationInstance, arith, final_enumeration, solve
 from expodio.certificate import (
+    LIFT_CAP,
     Certificate,
     CertShape,
-    ClaimKind,
     MalformedCertificateError,
     Mode,
-    Params,
-    _common_factor_claims,
+    _lift,
+    _sides,
     certificate_from_dict,
     certificate_to_dict,
     parse_certificate,
@@ -35,10 +36,11 @@ from expodio.certificate import (
 from expodio.cli import iter_cube
 from expodio.emit import EmitRefusedError, emit_lean
 from expodio.engine import (
+    Constraint,
     build_common_factor_certificate,
     build_direct_exclusion_certificate,
-    build_divisibility_certificate,
     build_magic_prime_certificate,
+    witness_for_prime,
 )
 
 _REPRESENTATIVES = {
@@ -79,6 +81,16 @@ def _with_dropped(doc, path, index):
     return mutated
 
 
+def _with_appended(doc, path):
+    """`doc` with a copy of the list's last item, or [1, 1] if it is empty, appended."""
+    mutated = copy.deepcopy(doc)
+    parent = mutated
+    for key in path:
+        parent = parent[key]
+    parent.append(copy.deepcopy(parent[-1]) if parent else [1, 1])
+    return mutated
+
+
 def _assert_rejected(mutated, what):
     try:
         cert = parse_certificate(json.dumps(mutated))
@@ -94,10 +106,11 @@ def test_every_field_is_load_bearing(shape, triple, golden_certificates):
     assert cert.shape.value == shape
     doc = certificate_to_dict(cert)
 
-    checked = 0
+    checked, attacked = 0, set()
     for path, value in _leaf_paths(doc):
         if path[0] == "instance":
             continue  # changing the instance changes the theorem, not the proof
+        attacked.add(path[0])
         if isinstance(value, bool):
             variants = [not value]
         elif isinstance(value, int):
@@ -106,13 +119,15 @@ def test_every_field_is_load_bearing(shape, triple, golden_certificates):
             if path[0] == "format":
                 variants = ["diophantine1-certificate/999"]
             else:
-                variants = [v for v in ("x", "y", "either", "Forward", "Backward",
-                                        "impossible", "constrains", "pow_mod_eq_zero",
-                                        "exhaust_mod_cycle") if v != value][:2]
+                variants = [v for v in ("Forward", "Backward", "DivisibilityNoSolution",
+                                        "CommonFactorBound", "DirectModularExclusion",
+                                        "MagicPrimeExclusion") if v != value][:2]
         elif isinstance(value, list):
             for i in range(len(value)):
                 _assert_rejected(_with_dropped(doc, path, i), f"{path} drop [{i}]")
                 checked += 1
+            _assert_rejected(_with_appended(doc, path), f"{path} append")
+            checked += 1
             continue
         elif value is None:
             continue
@@ -122,27 +137,18 @@ def test_every_field_is_load_bearing(shape, triple, golden_certificates):
             _assert_rejected(_with_mutation(doc, path, variant), f"{path} -> {variant!r}")
             checked += 1
 
-    # each shape exposes a meaningful number of attack points
-    assert checked > 20, (shape, checked)
+    # every field but the instance was attacked, on average at least two ways
+    assert attacked == set(doc) - {"instance"}, (shape, attacked)
+    assert checked >= 2 * len(attacked), (shape, checked)
 
 
-@pytest.mark.parametrize("shape,triple", sorted(_REPRESENTATIVES.items()))
-def test_a_wrong_claim_kind_is_rejected_at_that_claim(shape, triple, golden_certificates):
-    doc = certificate_to_dict(golden_certificates[triple])
-    for index, claim in enumerate(doc["claims"]):
-        for kind in ClaimKind:
-            if kind.value == claim["kind"]:
-                continue
-            mutated = _with_mutation(doc, ("claims", index, "kind"), kind.value)
-            verdict = verify_certificate(parse_certificate(json.dumps(mutated)))
-            assert not verdict.accepted, (index, kind)
-            assert verdict.claim_index == index, (index, kind, verdict.reason)
-
-
-
-# Claims the verifier cannot read, built by hand as plain tuples or dicts
-# with the same fields: each is a malformed certificate, not a crash.
-@pytest.mark.parametrize("as_plain", [tuple, lambda claim: claim._asdict()], ids=["tuple", "dict"])
+# A stated order the verifier cannot read, built by hand as a flat tuple
+# (K, q, ...) or as a dict of the same fields: a malformed certificate, not a crash.
+@pytest.mark.parametrize(
+    "as_plain",
+    [lambda order: (order[0], *order[1]), lambda order: {"order": order[0], "primes": order[1]}],
+    ids=["tuple", "dict"],
+)
 @pytest.mark.parametrize(
     "triple",
     [_REPRESENTATIVES["MagicPrimeExclusion"], _REPRESENTATIVES["DirectModularExclusion"]],
@@ -150,7 +156,7 @@ def test_a_wrong_claim_kind_is_rejected_at_that_claim(shape, triple, golden_cert
 )
 def test_claims_it_cannot_read_are_rejected(triple, as_plain, golden_certificates):
     cert = golden_certificates[triple]
-    plain = dataclasses.replace(cert, claims=tuple(as_plain(claim) for claim in cert.claims))
+    plain = dataclasses.replace(cert, order=as_plain(cert.order))
     verdict = verify_certificate(plain)
     assert not verdict.accepted
     assert verdict.reason.startswith("malformed certificate"), verdict.reason
@@ -160,19 +166,13 @@ def test_claims_it_cannot_read_are_rejected(triple, as_plain, golden_certificate
 
 
 def _hand_built(triple, shape, mode, p, k, t, solutions=()):
-    return Certificate(EquationInstance(*triple), shape, mode, p, k, t, solutions, ())
+    return Certificate(EquationInstance(*triple), shape, mode, p, k, t, solutions)
 
 
-def _divisibility_by_hand(triple, p):
-    """A divisibility certificate for `triple` at a p that does not divide b.
-
-    Its claims are those built for the same a and c with b = p, which state
-    the order of a mod p: well-formed claims do not carry a p that b refutes.
-    """
-    a, _, c = triple
-    claims = build_divisibility_certificate(EquationInstance(a, p, c), Mode.FORWARD, p).claims
-    return dataclasses.replace(
-        _hand_built(triple, _DIVISIBILITY, Mode.FORWARD, p, 1, 1), claims=claims
+def _lists(cert):
+    """The lifted residues, powers and shifted values a magic-prime certificate implies."""
+    return _lift(
+        cert.instance, cert.mode, cert.residue, cert.order[0], cert.prime, cert.lifted_period
     )
 
 
@@ -182,7 +182,7 @@ def _magic_prime_193_for_5_3_2():
     cert = build_magic_prime_certificate(
         EquationInstance(5, 3, 2), Mode.FORWARD, 2, 8, 8, 35, 193, 192, ((1, 3), (3, 7))
     )
-    assert cert.claims[2].params["lifted_residues"] == (35, 99, 163)
+    assert _lists(cert)[0] == (35, 99, 163)
     return cert
 
 
@@ -194,7 +194,7 @@ def _magic_prime_11_for_10_5_3():
     cert = build_magic_prime_certificate(
         EquationInstance(10, 5, 3), Mode.FORWARD, 3, 1, 1, 0, 11, 2, ()
     )
-    assert cert.claims[3].params["output_values"] == (6, 4)
+    assert _lists(cert)[2] == (6, 4)
     return cert
 
 
@@ -203,42 +203,19 @@ def _residue_minus_one_for_2_7_3():
     cert = build_magic_prime_certificate(
         EquationInstance(2, 7, 3), Mode.BACKWARD, 2, 2, 2, -1, 73, 12, ((1, 2),)
     )
-    assert cert.claims[2].params["lifted_residues"] == tuple(range(-1, 12, 2))
+    assert _lists(cert)[0] == tuple(range(-1, 12, 2))
     return cert
 
 
-def _edited(triple, index, drop=(), **changes):
-    """The solved certificate of `triple` with claim `index` changed.
-
-    `changes` sets the claim's kind or premises, or its params; `drop` names
-    params to remove.
-    """
-    cert = solve(EquationInstance(*triple)).certificate
-    claim = cert.claims[index]
-    fields = {key: changes.pop(key) for key in ("kind", "premises") if key in changes}
-    params = {k: v for k, v in {**claim.params, **changes}.items() if k not in drop}
-    claims = list(cert.claims)
-    claims[index] = claim._replace(params=Params(params), **fields)
-    return dataclasses.replace(cert, claims=tuple(claims))
+def _edited(triple, **changes):
+    """The solved certificate of `triple` with the given fields changed."""
+    return dataclasses.replace(solve(EquationInstance(*triple)).certificate, **changes)
 
 
 def _lift_times(factor):
     """(2, 1, 3) stating `factor` times its lift, which still returns 3 to 1 mod P."""
-    lift = solve(EquationInstance(2, 1, 3)).certificate.claims[2].params["lifted_period"]
-    return _edited((2, 1, 3), 2, lifted_period=lift * factor)
-
-
-def _empty_lift():
-    """(2, 1, 3) lifted to L = 0: no residue, so no value is left to miss <3>."""
-    cert = _edited((2, 1, 3), 2, lifted_period=0, lifted_residues=(), values=())
-    claims = list(cert.claims)
-    claims[3] = claims[3]._replace(params=Params({**claims[3].params, "output_values": ()}))
-    return dataclasses.replace(cert, claims=tuple(claims))
-
-
-def _truncated(triple, count):
-    cert = solve(EquationInstance(*triple)).certificate
-    return dataclasses.replace(cert, claims=cert.claims[:count])
+    lift = solve(EquationInstance(2, 1, 3)).certificate.lifted_period
+    return _edited((2, 1, 3), lifted_period=lift * factor)
 
 
 _DIRECT, _DIVISIBILITY = CertShape.DIRECT_MODULAR_EXCLUSION, CertShape.DIVISIBILITY_NO_SOLUTION
@@ -255,24 +232,26 @@ _REJECTIONS = [
      "constrained base shares a factor with the modulus", None),
     ("zero power", lambda: _hand_built((3, 1, 2), _DIRECT, _FORWARD, 3, 0, 1),
      "pow_mod_eq_zero needs threshold >= 1 and modulus >= 2", 0),
-    ("magic prime divides c", lambda: _edited((2, 1, 5), 2, prime=5),
+    ("magic prime divides c", lambda: _edited((2, 1, 5), prime=5),
      "magic prime divides one of the parameters", 2),
     ("magic prime 193", _magic_prime_193_for_5_3_2,
      "shifted values intersect the other power cycle", 4),
     ("divisibility with solutions",
      lambda: _hand_built((2, 6, 9), _DIVISIBILITY, _FORWARD, 3, 1, 1, ((1, 1),)),
      "divisibility certificates prove there are no solutions", None),
-    ("divisibility prime not dividing b", lambda: _divisibility_by_hand((2, 1, 3), 3),
+    ("divisibility prime not dividing b",
+     lambda: _hand_built((2, 1, 3), _DIVISIBILITY, _FORWARD, 3, 1, 1),
      "3 does not divide b", None),
+    # 2 divides 4, 2 and 2: 2^x = 0 (mod 2) does not refute 2^1 + 2 = 4^1
+    ("divisibility prime dividing both bases",
+     lambda: _hand_built((2, 2, 4), _DIVISIBILITY, _FORWARD, 2, 1, 1),
+     "2 divides 2 as well", 1),
     ("common factor exponent", lambda: _hand_built((2, 1, 4), _COMMON, None, 2, 5, 5),
      "bound exponent is too large to stem from b", None),
     ("common factor divides b", lambda: _hand_built((2, 4, 6), _COMMON, None, 2, 2, 2),
      "4 divides b, so no contradiction arises", None),
-    # 2 divides a but not c; the claims are laid out as for a common factor,
-    # and they would hide the solutions (1, 1) and (3, 2)
-    ("common factor prime not dividing c", lambda: dataclasses.replace(
-        _hand_built((2, 1, 3), _COMMON, None, 2, 1, 1),
-        claims=_common_factor_claims(EquationInstance(2, 1, 3), 2, 1)),
+    # 2 divides a but not c; the proof would hide the solutions (1, 1) and (3, 2)
+    ("common factor prime not dividing c", lambda: _hand_built((2, 1, 3), _COMMON, None, 2, 1, 1),
      "2 does not divide both a and c", None),
     ("missing instance",
      lambda: dataclasses.replace(_hand_built((2, 1, 3), _DIRECT, _FORWARD, 3, 1, 1), instance=None),
@@ -293,51 +272,56 @@ _REJECTIONS = [
      "shifted values intersect the other power cycle", 4),
     ("residue -1", _residue_minus_one_for_2_7_3,
      "congruence is not the discrete log of the target", 1),
-    ("no claim 1", lambda: _truncated((5, 3, 2), 1), "claim 1 states no order", 1),
-    ("no order factors", lambda: _edited((5, 3, 2), 1, drop=("order_factors",)),
-     "claim 1 states no order_factors", 1),
-    ("no claim 4", lambda: _truncated((5, 3, 2), 4), "claim 4 states no order", 4),
-    ("no claim 2", lambda: _truncated((5, 3, 2), 2), "claim 2 states no prime", 2),
-    ("no residue", lambda: _edited((5, 3, 2), 1, drop=("residue",)),
-     "claim 1 states no residue", 1),
-    ("wrong residue", lambda: _edited((5, 3, 2), 1, residue=34),
+    # hand-built certificates missing a witness field the shape needs
+    ("no claim 1", lambda: _edited((5, 3, 2), order=None),
+     "malformed certificate: cannot unpack non-iterable NoneType object", None),
+    ("no order factors", lambda: _edited((5, 3, 2), order=(64,)),
+     "malformed certificate: not enough values to unpack (expected 2, got 1)", None),
+    ("no claim 4", lambda: _edited((5, 3, 2), prime_order=None),
+     "malformed certificate: cannot unpack non-iterable NoneType object", None),
+    ("no claim 2", lambda: _edited((5, 3, 2), prime=None),
+     "malformed certificate: '>' not supported between instances of 'NoneType' and 'int'", None),
+    ("no residue", lambda: _edited((5, 3, 2), residue=None),
+     "malformed certificate: '<=' not supported between instances of 'int' and 'NoneType'",
+     None),
+    ("wrong residue", lambda: _edited((5, 3, 2), residue=34),
      "congruence is not the discrete log of the target", 1),
-    # the residue is read from claim 1 and the prime from claim 2; a later copy is compared
-    ("claim 2 residue", lambda: _edited((5, 3, 2), 2, residue=34),
-     "utilize_mod_cycle param 'residue' does not match the re-derived facts", 2),
-    ("claim 3 prime", lambda: _edited((5, 3, 2), 3, prime=449),
-     "compute_mod_add param 'prime' does not match the re-derived facts", 3),
-    ("composite magic prime", lambda: _edited((5, 3, 2), 2, prime=255),
+    ("composite magic prime", lambda: _edited((5, 3, 2), prime=255),
      "magic prime 255 is not a prime below 2^62", 2),
     # 2^62 + 135 is prime, but above certificate.MODULUS_CAP, which bounds
     # every modulus and magic prime; a reason writes no number above it in full
-    ("magic prime above 2^62", lambda: _edited((2, 1, 3), 2, prime=2**62 + 135),
+    ("magic prime above 2^62", lambda: _edited((2, 1, 3), prime=2**62 + 135),
      "magic prime <63-bit number> is not a prime below 2^62", 2),
     # 2^62 itself passes the size tests and is written in full
     ("witness prime 2^62", lambda: _hand_built((3, 1, 2), _DIRECT, _FORWARD, 2**62, 1, 1),
      "4611686018427387904 is not prime", None),
-    # claim 2 lists one lifted residue; at these primes a lift of y = 0
-    # (mod 4) would have about 2^24 and 2^30 of them, and the stated lift,
-    # whose length fits the list, does not return 3 to 1: none is built
-    ("lift longer than listed", lambda: _edited((2, 1, 3), 2, prime=67_108_913),
+    # the stated lift 4 of y = 0 (mod 4) does not return 3 to 1 at these
+    # primes, where a true lift would have about 2^24 and 2^30 residues:
+    # none is built
+    ("lift longer than listed", lambda: _edited((2, 1, 3), prime=67_108_913),
      "lifted residues do not fill the lifted period", 2),
-    ("lift past memory", lambda: _edited((2, 1, 3), 2, prime=4_294_967_357),
+    ("lift past memory", lambda: _edited((2, 1, 3), prime=4_294_967_357),
      "lifted residues do not fill the lifted period", 2),
     # a stated lift 2^30 times too long still returns 3 to 1; it is
     # rejected by its length before any residue is built
     ("stated lift past memory", lambda: _lift_times(2**30),
+     "lift is empty or has more than 65536 residues", 2),
+    # twice the lift is a lift too, but its powers repeat: only the shortest is accepted
+    ("lift twice too long", lambda: _lift_times(2),
+     "lifted residues repeat a power mod the magic prime", 2),
+    # 2^16 residues are within the cap, so this lift is built before it is refused
+    ("lift at the cap", lambda: _lift_times(LIFT_CAP),
+     "lifted residues repeat a power mod the magic prime", 2),
+    ("empty lift", lambda: _edited((2, 1, 3), lifted_period=0),
+     "lift is empty or has more than 65536 residues", 2),
+    ("lift not a multiple of the period", lambda: _edited((2, 1, 3), lifted_period=6),
      "lifted residues do not fill the lifted period", 2),
-    ("empty lift", _empty_lift, "lifted residues do not fill the lifted period", 2),
-    ("no lifted residues", lambda: _edited((2, 1, 3), 2, drop=("lifted_residues",)),
-     "lifted residues do not fill the lifted period", 2),
-    ("lifted residues not a list", lambda: _edited((2, 1, 3), 2, lifted_residues=7),
-     "malformed certificate: object of type 'int' has no len()", None),
-    ("magic prime off the progression", lambda: _edited((5, 3, 2), 2, prime=131),
+    ("no lifted residues", lambda: _edited((2, 1, 3), lifted_period=None),
+     "malformed certificate: '<' not supported between instances of 'int' and 'NoneType'", None),
+    ("lifted residues not a list", lambda: _edited((2, 1, 3), lifted_period=[4]),
+     "malformed certificate: '<' not supported between instances of 'int' and 'list'", None),
+    ("magic prime off the progression", lambda: _edited((5, 3, 2), prime=131),
      "magic prime is not 1 mod the constraint period", 2),
-    ("wrong claim kind", lambda: _edited((5, 3, 2), 0, kind=ClaimKind.OBSERVE_MOD_CYCLE),
-     "the shape needs pow_mod_eq_zero here", 0),
-    ("wrong premises", lambda: _edited((5, 3, 2), 1, premises=(2,)),
-     "observe_mod_cycle premises break the dependency chain", 1),
 ]
 
 
@@ -357,6 +341,32 @@ def test_each_rejection_fires(build, reason, claim_index):
     assert verdict.claim_index == claim_index
 
 
+# (2, 1, 3) at x >= 4 constrains y = 0 (mod 4).  At P = 20 * 65537 + 1
+# the order of 3 is 4 * 65537, so the lift has 2^16 + 1 residues, one more
+# than certificate.LIFT_CAP: a true lift, too long to state or to build.
+_LONG_LIFT_PRIME, _LONG_LIFT = 1_310_741, 4 * (LIFT_CAP + 1)
+
+
+def test_a_lift_past_the_cap_is_rejected_before_any_list(monkeypatch):
+    import expodio.certificate as certificate_module
+    import expodio.engine as engine_module
+
+    def boom(*args, **kwargs):  # pragma: no cover - should never run
+        raise AssertionError("a lift past the cap was built")
+
+    instance = EquationInstance(2, 1, 3)
+    assert pow(3, _LONG_LIFT, _LONG_LIFT_PRIME) == 1
+    cert = _edited((2, 1, 3), prime=_LONG_LIFT_PRIME, lifted_period=_LONG_LIFT)
+    monkeypatch.setattr(certificate_module, "_lift", boom)
+    monkeypatch.setattr(engine_module, "_lift", boom)
+    start = time.process_time()
+    verdict = verify_certificate(cert)
+    assert (time.process_time() - start) * 1000 < 10
+    assert verdict.reason == "lift is empty or has more than 65536 residues"
+    assert verdict.claim_index == 2
+    assert witness_for_prime(instance, Constraint("y", 0, 4), _LONG_LIFT_PRIME) is None
+
+
 # Mersenne primes of 4,423 and 11,213 bits: a primality test on either
 # takes seconds, and either written out runs to thousands of digits.
 _HUGE_PRIMES = {"2^4423 - 1": 2**4423 - 1, "2^11213 - 1": 2**11213 - 1}
@@ -373,7 +383,7 @@ def _forged_primes(golden_certificates):
         yield f"(17, 3, 20) {name} k=0", dataclasses.replace(
             cert, witness_prime=huge, modulus_exponent=0
         )
-        yield f"(3, 7, 2) {name} magic", _edited((3, 7, 2), 2, prime=huge)
+        yield f"(3, 7, 2) {name} magic", _edited((3, 7, 2), prime=huge)
 
 
 def test_a_huge_stated_prime_is_rejected_cheaply(golden_certificates):
@@ -387,7 +397,7 @@ def test_a_huge_stated_prime_is_rejected_cheaply(golden_certificates):
 
 
 # Hostile values for every field: each integer in turn (top level, instance,
-# claim params, premises, list elements) and each list in turn.  Parsing a
+# witness, list elements) and each list in turn.  Parsing a
 # list reads the type of each element, about 30 ms for 10^6 of them here.
 _HOSTILE_INTS = {"2^4423 - 1": 2**4423 - 1, "4,300 digits": 10**4299 + 1, "0": 0, "-1": -1}
 _HOSTILE_LIST = list(range(2, 10**6 + 2))
@@ -408,8 +418,9 @@ def _hostile_cases(doc):
 @pytest.mark.parametrize("shape,triple", sorted(_REPRESENTATIVES.items()))
 def test_hostile_values_in_every_field_are_rejected_cheaply(shape, triple, golden_certificates):
     doc = certificate_to_dict(golden_certificates[triple])
-    checked = 0
+    checked, attacked = 0, set()
     for path, name, hostile in _hostile_cases(doc):
+        attacked.add(path[0])
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
@@ -423,13 +434,20 @@ def test_hostile_values_in_every_field_are_rejected_cheaply(shape, triple, golde
         elapsed_ms = (time.process_time() - start) * 1000
         parent[path[-1]] = original
         what = f"{path} = {name}"
-        assert not accepted, what
-        assert len(reason) < 200, (what, reason)
+        if accepted and path == ("instance", "a") and shape == "DivisibilityNoSolution":
+            # another theorem, (a', 6, 9), and the same proof: 3 divides 9
+            # and 6, but not a', so a' ^ x + 6 = 9 ^ y has no solution mod 3
+            assert hostile % doc["witness_prime"] != 0, what
+        else:
+            assert not accepted, what
+        assert len(reason or "") < 200, (what, reason)
         bound = _LIST_CPU_MS if hostile is _HOSTILE_LIST else _INT_CPU_MS
         assert elapsed_ms < bound, (what, elapsed_ms)
         checked += 1
     assert verify_certificate(certificate_from_dict(doc)).accepted
-    assert checked > 60, checked
+    # every field that holds an integer or a list, each with every hostile value
+    assert attacked == set(doc) - {"format", "shape", "mode"}, attacked
+    assert checked > 20, checked
 
 
 def test_common_factor_exponent_bound():
@@ -480,11 +498,7 @@ def test_a_wrong_order_cannot_hide_a_cycle_member(triple, p, k):
     )
     verdict = verify_certificate(cert)
     assert (verdict.reason, verdict.claim_index) == ("target actually lies in the power cycle", 1)
-    claims = list(cert.claims)
-    claims[1] = claims[1]._replace(
-        params=Params({**claims[1].params, "order": 5, "order_factors": (5,)})
-    )
-    verdict = verify_certificate(dataclasses.replace(cert, claims=tuple(claims)))
+    verdict = verify_certificate(dataclasses.replace(cert, order=(5, (5,))))
     assert not verdict.accepted
     assert verdict.reason == "stated order is not the order of the base"
     assert verdict.claim_index == 1
@@ -506,27 +520,27 @@ _WRONG_ORDERS = {
     "not below the modulus": lambda K, ps, M: (M, ps),
 }
 
-# (triple, claim index): orders 6 = 2 * 3 modulo 13 for a divisibility
-# and a direct exclusion, and the golden magic prime's 147 = 3 * 7 modulo
-# 7^3 in claim 1 and modulo P = 2647 in claim 4
+# (triple, field, claim index): order 6 = 2 * 3 modulo 13 for a direct
+# exclusion, and the golden magic prime's 147 = 3 * 7 modulo 7^3 in claim
+# 1 and modulo P = 2647 in claim 4
 _STATED_ORDERS = {
-    "divisibility": ((4, 13, 13), 1),
-    "direct exclusion": ((13, 2, 17), 1),
-    "magic prime K": ((2, 89, 91), 1),
-    "magic prime D": ((2, 89, 91), 4),
+    "direct exclusion": ((13, 2, 17), "order", 1),
+    "magic prime K": ((2, 89, 91), "order", 1),
+    "magic prime D": ((2, 89, 91), "prime_order", 4),
 }
 
 
 @pytest.mark.parametrize("wrong", sorted(_WRONG_ORDERS))
 @pytest.mark.parametrize("case", sorted(_STATED_ORDERS))
 def test_a_wrong_order_is_rejected_at_its_claim(case, wrong):
-    triple, index = _STATED_ORDERS[case]
-    params = solve(EquationInstance(*triple)).certificate.claims[index].params
-    K, ps = params["order"], params["order_factors"]
+    triple, field, index = _STATED_ORDERS[case]
+    cert = solve(EquationInstance(*triple)).certificate
+    K, ps = getattr(cert, field)
+    modulus = cert.prime if field == "prime_order" else cert.witness_prime**cert.modulus_exponent
     assert len(ps) >= 2
-    order, primes = _WRONG_ORDERS[wrong](K, ps, params.get("modulus", params.get("prime")))
+    order, primes = _WRONG_ORDERS[wrong](K, ps, modulus)
     assert (order, primes) != (K, ps)
-    verdict = verify_certificate(_edited(triple, index, order=order, order_factors=primes))
+    verdict = verify_certificate(_edited(triple, **{field: (order, primes)}))
     assert not verdict.accepted
     assert verdict.reason == "stated order is not the order of the base"
     assert verdict.claim_index == index
@@ -549,8 +563,10 @@ def test_a_kernel_fault_shared_with_the_solver_is_caught(monkeypatch):
     ]
     assert wrongly_accepted == []
     for cert, accepted in zip(solved, faulty):
-        for claim in cert.claims:
-            params = claim.params
-            if accepted and "order" in params:
-                modulus = params.get("modulus", params.get("prime"))
-                assert params["order"] == true_order(params["base"] % modulus, modulus)
+        if not accepted or cert.order is None:
+            continue
+        zero_base, _, con_base, _ = _sides(cert.instance, cert.mode)
+        modulus = cert.witness_prime**cert.modulus_exponent
+        assert cert.order[0] == true_order(con_base % modulus, modulus)
+        if cert.prime_order is not None:
+            assert cert.prime_order[0] == true_order(zero_base % cert.prime, cert.prime)
