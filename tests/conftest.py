@@ -17,9 +17,10 @@ from expodio import (
 )
 from expodio.cli import iter_cube, iter_records
 
-# Two short JSON texts json cannot load: nesting 1,000 deep raises
-# RecursionError, and an integer of 5,000 digits the int-string-limit ValueError.
-HOSTILE_DEEP = "[" * 1000 + "]" * 1000
+# Two short JSON texts json cannot load: nesting 10,000 deep raises
+# RecursionError on every supported Python (3.12 and later load 1,000
+# levels), and an integer of 5,000 digits the int-string-limit ValueError.
+HOSTILE_DEEP = "[" * 10_000 + "]" * 10_000
 HOSTILE_DIGITS = "1" * 5000
 
 # One sha256 over the 12-cube's output bytes; see `cube_output_digests`.

@@ -93,6 +93,34 @@ def _witness_keys(cert):
     return list(certificate_to_dict(cert))[8:]
 
 
+# These two come first in the module: under `tests/srcmutation.py`, which
+# stops at the first failure, a mutant that would send a later test into an
+# endless loop fails here at once instead.
+
+
+def test_trusted_primality_refuses_one_zero_and_negatives():
+    # a stated witness prime of 1 would never leave _valuation's division loop
+    for n in (1, 0, -1):
+        assert certificate_module._is_prime(n) is False, n
+
+
+class _Unpowerable(int):
+    """An int whose power raises: a modulus past the cap must be refused before p**k."""
+
+    def __pow__(self, exponent, modulus=None):
+        raise AssertionError("p**k was computed for a modulus past the cap")
+
+
+def test_a_huge_modulus_exponent_is_refused_before_any_power(golden_certificates):
+    # p = 2 has bit length 2, so the size test bounds k by 62 without computing 2**k
+    cert = golden_certificates[(7, 3, 10)]
+    assert cert.shape is CertShape.MAGIC_PRIME_EXCLUSION
+    huge = dataclasses.replace(cert, witness_prime=_Unpowerable(2), modulus_exponent=10**9)
+    verdict = verify_certificate(huge)
+    assert not verdict.accepted
+    assert verdict.reason == "modulus exceeds the supported cap"
+
+
 class TestBuildCertificate:
     def test_direct_exclusion_claim_sequence(self):
         # built at the first threshold where the residue leaves the cycle
@@ -372,6 +400,27 @@ class TestSerialization:
         for hostile in (HOSTILE_DEEP, '{"format": %s}' % HOSTILE_DIGITS):
             with pytest.raises(MalformedCertificateError, match="not valid JSON"):
                 parse_certificate(hostile)
+        # 1,000 levels load on Python 3.12 and later, where the parser
+        # refuses the list instead; either way the text is malformed
+        with pytest.raises(MalformedCertificateError):
+            parse_certificate("[" * 1000 + "]" * 1000)
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("a", 1, "parameter a must be >= 2, got 1"),
+            ("b", 0, "parameter b must be >= 1, got 0"),
+            ("c", 1, "parameter c must be >= 2, got 1"),
+        ],
+    )
+    def test_instance_outside_the_domain_is_malformed(
+        self, golden_certificates, field, value, reason
+    ):
+        # the other two parameters stay in the domain, so each bound is tested alone
+        doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
+        doc["instance"][field] = value
+        with pytest.raises(MalformedCertificateError, match=f"^{re.escape(reason)}$"):
+            parse_certificate(json.dumps(doc))
 
     def test_frozen_goldens_still_verify_and_reserialize(self):
         golden_dir = Path(__file__).parent / "golden"

@@ -22,6 +22,7 @@ from expodio import (
     serialize_certificate,
     verify_certificate,
 )
+from expodio import emit as emit_module
 from expodio.certificate import CertShape
 from expodio.emit import (
     PRELUDE,
@@ -181,6 +182,20 @@ class TestEmitLean:
         assert "(h3 : 2 ^ x + 1 = 3 ^ y) :" in body
         assert "by_cases h6 : y >= 3" in body
         assert "{prop := x % 18 = 9, proof := h9}," in body
+
+    def test_each_render_lifts_once(self, golden_certificates, monkeypatch):
+        # the prose and the script share one computation of the magic
+        # prime's lists: one _lift per emit_lean, one per emit_text
+        cert = golden_certificates[(2, 89, 91)]
+        assert cert.shape is CertShape.MAGIC_PRIME_EXCLUSION
+        assert verify_certificate(cert).accepted
+        calls = []
+        lift = emit_module._lift
+        monkeypatch.setattr(emit_module, "_lift", lambda *args: calls.append(args) or lift(*args))
+        emit_lean(cert)
+        assert len(calls) == 1
+        emit_text(cert)
+        assert len(calls) == 2
 
     def test_deterministic_output(self, golden_certificates):
         for cert in golden_certificates.values():
