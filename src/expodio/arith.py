@@ -109,8 +109,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue

@@ -1,6 +1,6 @@
 """Command-line surface: solve, scan, verify, stats.
 
-    expodio solve A B C [--emit-lean DIR] [--emit-text DIR] [--cert FILE] [--json]
+    expodio solve A B C [--emit DIR] [--cert FILE] [--json]
     expodio scan --a-max N --b-max N --c-max N --out FILE [--jobs N] [--retry-unresolved]
     expodio verify FILE
     expodio stats FILE
@@ -175,17 +175,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if cert is not None:
         if args.cert:
             try:
-                Path(args.cert).write_text(serialize_certificate(cert), encoding="utf-8")
+                Path(args.cert).write_text(serialize_certificate(cert), encoding="utf-8", newline="\n")
             except OSError as exc:
                 raise CliError(f"cannot write certificate: {exc}") from exc
-        try:
-            if args.emit_lean:
-                emit.write_proof_files(cert, args.emit_lean, lean=True, text=False)
-            if args.emit_text:
-                emit.write_proof_files(cert, args.emit_text, lean=False, text=True)
-        except (emit.EmitRefusedError, OSError) as exc:
-            raise CliError(f"cannot emit proof: {exc}") from exc
-    elif args.cert or args.emit_lean or args.emit_text:
+        if args.emit:
+            try:
+                emit.write_proof_files(cert, args.emit)
+            except (emit.EmitRefusedError, OSError) as exc:
+                raise CliError(f"cannot emit proof: {exc}") from exc
+    elif args.cert or args.emit:
         print("no certificate produced (instance unresolved); nothing written", file=sys.stderr)
 
     return EXIT_OK if result.status is SolveStatus.SOLVED else EXIT_UNRESOLVED
@@ -275,7 +273,7 @@ def _run_pool(
         unresolved += status != SolveStatus.SOLVED.value
         if cert_text is not None and keep_certs_dir is not None:
             name = f"cert_{a}_{b}_{c}.json"
-            (keep_certs_dir / name).write_text(cert_text, encoding="utf-8")
+            (keep_certs_dir / name).write_text(cert_text, encoding="utf-8", newline="\n")
         if processed % 250_000 == 0:
             rate = processed / (time.perf_counter() - start)
             print(
@@ -450,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("a", type=int)
     p_solve.add_argument("b", type=int)
     p_solve.add_argument("c", type=int)
-    p_solve.add_argument("--emit-lean", metavar="DIR", help="write the Lean proof script here")
-    p_solve.add_argument("--emit-text", metavar="DIR", help="write the prose proof here")
+    p_solve.add_argument("--emit", metavar="DIR", help="write the Lean and prose proofs here")
     p_solve.add_argument("--cert", metavar="FILE", help="write the serialized certificate here")
     p_solve.add_argument("--json", action="store_true", help="print a scan-record JSON line")
     p_solve.add_argument("--verbose", "-v", action="store_true", help="log the search progress")

@@ -14,24 +14,22 @@ the magic prime only adds its three claims about the prime P.
 The templates are the one statement of each shape's claim chain; the
 verifier's claim indices number its steps as they do.  A certificate
 states only its witness, so a render derives the rest with the trusted
-module's `_sides`, `_expected_target` and `_lift`.  Each fact and list is
-computed once per render, by `_facts`, and both the prose builder and the
-script builder read it from there: one `_lift` per `emit_lean` or
-`emit_text`.  Every line that never depends on the certificate is
-literal text in the module.
+module's `_sides`, `_expected_target` and `_lift`.  Each shape has one
+builder, which states each fact once, as a local, and returns the prose
+and the script together: a render makes one `_lift` call, whichever of
+`emit_lean`, `emit_text` or `write_proof_files` asked for it.  Every line
+that never depends on the certificate is literal text in the module.
 
 Rendering is deterministic: the same certificate always produces the
 same bytes.  Only certificates accepted by the independent verifier are
 rendered at all.  Certificates are immutable, so a renderer reuses the
 verifier's latest acceptance when it was of the same object and runs the
-verifier otherwise: verifying and then rendering, or rendering both
-outputs, verifies once.
+verifier otherwise: verifying and then rendering verifies once.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple
 
 from . import arith
 from .certificate import (
@@ -91,59 +89,8 @@ def _pair_list(solutions) -> str:
     return ", ".join(f"({x}, {y})" for x, y in solutions)
 
 
-class _Facts(NamedTuple):
-    """The facts a render's prose and script state, numbers as text.
-
-    The modulus is p^k.  A certificate with a mode adds the target forced
-    mod p^k and its two sides: the zeroed side's power and variable and the
-    constrained side's, as `2 ^ x` and `x`.  A magic prime adds P, the
-    order of the constrained base mod P, and from `_lift` the lifted
-    residues and the text of the powers and the shifted values.
-    """
-
-    equation: str
-    modulus: str
-    target: str | None = None
-    zero_power: str | None = None
-    zero_var: str | None = None
-    con_power: str | None = None
-    con_var: str | None = None
-    prime: str | None = None
-    order: int | None = None
-    lifted: list[int] | None = None
-    values: str | None = None
-    shifted: str | None = None
-
-
-def _facts(cert: Certificate) -> _Facts:
-    """Each fact of a render, computed once: one `_lift` for a magic prime."""
-    inst, mode = cert.instance, cert.mode
-    equation = inst.equation_text()
-    modulus = cert.witness_prime**cert.modulus_exponent
-    if mode is None:
-        return _Facts(equation, str(modulus))
-    zero_base, zero_var, con_base, con_var = _sides(inst, mode)
-    sides = (
-        str(_expected_target(inst, mode, modulus)),
-        f"{zero_base} ^ {zero_var}",
-        zero_var,
-        f"{con_base} ^ {con_var}",
-        con_var,
-    )
-    if cert.shape is not _MAGIC_PRIME:
-        return _Facts(equation, str(modulus), *sides)
-    prime = cert.prime
-    lifted, values, shifted = _lift(
-        inst, mode, cert.residue, cert.order[0], prime, cert.lifted_period
-    )
-    order = arith.multiplicative_order(con_base % prime, prime)
-    magic = str(prime), order, lifted, _int_list(values), _int_list(shifted)
-    return _Facts(equation, str(modulus), *sides, *magic)
-
-
 # ---------------------------------------------------------------------------
-# The prose, one sentence per line, as placed in the comment block: each
-# shape's builder returns it whole.
+# The prose, one sentence per line, as placed in the comment block.
 
 
 def _opening(header: str, equation: str) -> str:
@@ -158,67 +105,8 @@ def _conclusion(cert: Certificate, equation: str) -> str:
     return f"Further examination shows that (x, y) = {_pair_list(cert.solutions)}."
 
 
-def _narrative_divisibility(cert: Certificate, facts: _Facts) -> str:
-    case = "Type i" if cert.mode is _FORWARD else "Type ii"
-    power, p = facts.con_power, facts.modulus
-    return (
-        f"{_opening(f'(Class I, {case})', facts.equation)}"
-        f"this is impossible, because it implies that {power} = 0 (mod {p})."
-    )
-
-
-def _narrative_common_factor(cert: Certificate, facts: _Facts) -> str:
-    equation = facts.equation
-    k = cert.modulus_exponent
-    return (
-        f"{_opening('(Class I, Type iii)', equation)}"
-        f"if x >= {k} and y >= {k},\n"
-        f"{cert.instance.b} = 0 (mod {facts.modulus}), which is impossible.\n"
-        f"Therefore, x < {k} or y < {k}.\n"
-        f"{_conclusion(cert, equation)}"
-    )
-
-
 # A magic prime's last sentence keeps this on its line within the wrap column.
 _IMPOSSIBLE = "but this is impossible."
-
-
-def _narrative_exclusion(cert: Certificate, facts: _Facts) -> str:
-    equation = facts.equation
-    bound_var, con_power, con_var = facts.zero_var, facts.con_power, facts.con_var
-    side = "Front Mode" if cert.mode is _FORWARD else "Back Mode"
-    t = cert.bound_threshold
-    if facts.prime is None:
-        header = f"(Class II, {side}, no magic prime)"
-        refutation = "However, this is impossible."
-    else:
-        prime, order = facts.prime, facts.order
-        header = f"(Class II, {side}, with magic prime {prime})"
-        residue, period = cert.residue, cert.order[0]
-        # Power values mod P only depend on the exponent mod ord_P(base);
-        # report the residues modulo that order when it differs from K.
-        if order == period:
-            congruence = f"So {con_var} = {residue} (mod {period})."
-        else:
-            reduced = _int_list([r % order for r in facts.lifted])
-            congruence = (
-                f"So {con_var} = {residue} (mod {period}),\n"
-                f"which implies {con_var} = {reduced} (mod {order})."
-            )
-        impossible = f"So {facts.zero_power} = {facts.shifted} (mod {prime}),"
-        wrap = "\n" if len(impossible) + 1 + len(_IMPOSSIBLE) > _WRAP_COLUMN else " "
-        refutation = (
-            f"{congruence}\n"
-            f"Therefore, {con_power} = {facts.values} (mod {prime}).\n"
-            f"{impossible}{wrap}{_IMPOSSIBLE}"
-        )
-    return (
-        f"{_opening(header, equation)}"
-        f"if {bound_var} >= {t}, {con_power} = {facts.target} (mod {facts.modulus}).\n"
-        f"{refutation}\n"
-        f"Therefore, {bound_var} < {t}.\n"
-        f"{_conclusion(cert, equation)}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -279,28 +167,47 @@ def _enumeration(goal: str, equation_premise: str, bound_prop: str) -> str:
     )
 
 
-def _script_divisibility(cert: Certificate, facts: _Facts, goal: str) -> str:
-    p = facts.modulus
-    congruence = f"{facts.con_power} % {p} = {facts.target}"
-    return (
-        f"  have h6 := Claim ({facts.zero_power} % {p} = 0) [\n"
-        f"{_EXPONENT[facts.zero_var]}\n"
+# ---------------------------------------------------------------------------
+# One builder per shape: (cert, equation text, goal) -> (prose, script).
+
+
+def _divisibility(cert: Certificate, equation: str, goal: str) -> tuple[str, str]:
+    inst, mode = cert.instance, cert.mode
+    p = cert.witness_prime**cert.modulus_exponent
+    zero_base, zero_var, con_base, con_var = _sides(inst, mode)
+    con_power = f"{con_base} ^ {con_var}"
+    congruence = f"{con_power} % {p} = {_expected_target(inst, mode, p)}"
+    case = "Type i" if mode is _FORWARD else "Type ii"
+    prose = (
+        f"{_opening(f'(Class I, {case})', equation)}"
+        f"this is impossible, because it implies that {con_power} = 0 (mod {p})."
+    )
+    script = (
+        f"  have h6 := Claim ({zero_base} ^ {zero_var} % {p} = 0) [\n"
+        f"{_EXPONENT[zero_var]}\n"
         '  ] "pow_mod_eq_zero"\n'
         f"  have h7 : {congruence} := by omega\n"
         "  have h8 := Claim False [\n"
-        f"{_EXPONENT[facts.con_var]}\n"
+        f"{_EXPONENT[con_var]}\n"
         f"{_premise(congruence, 'h7')}\n"
         '  ] "observe_mod_cycle"\n'
         "  exact h8"
     )
+    return prose, script
 
 
-def _script_common_factor(cert: Certificate, facts: _Facts, goal: str) -> str:
-    modulus = facts.modulus
-    inst = cert.instance
-    k = cert.modulus_exponent
+def _common_factor(cert: Certificate, equation: str, goal: str) -> tuple[str, str]:
+    inst, k = cert.instance, cert.modulus_exponent
+    modulus = cert.witness_prime**k
+    prose = (
+        f"{_opening('(Class I, Type iii)', equation)}"
+        f"if x >= {k} and y >= {k},\n"
+        f"{inst.b} = 0 (mod {modulus}), which is impossible.\n"
+        f"Therefore, x < {k} or y < {k}.\n"
+        f"{_conclusion(cert, equation)}"
+    )
     bound_prop = f"Or (x <= {k - 1}) (y <= {k - 1})"
-    return (
+    script = (
         f"  by_cases h6 : And (x >= {k}) (y >= {k})\n"
         f"  have h7 := Claim ({inst.a} ^ x % {modulus} = 0) [\n"
         f"{_MOD_ONE['x']}\n"
@@ -311,23 +218,29 @@ def _script_common_factor(cert: Certificate, facts: _Facts, goal: str) -> str:
         f"{_premise(f'y >= {k}', 'h6.right')}\n"
         '  ] "pow_mod_eq_zero"\n'
         "  omega\n"
-        f"{_enumeration(goal, _premise(facts.equation, 'h3'), bound_prop)}"
+        f"{_enumeration(goal, _premise(equation, 'h3'), bound_prop)}"
     )
+    return prose, script
 
 
-def _script_exclusion(cert: Certificate, facts: _Facts, goal: str) -> str:
+def _exclusion(cert: Certificate, equation: str, goal: str) -> tuple[str, str]:
     """Direct and magic-prime proofs share one template.
 
     A magic prime adds claims 2-4 (utilize, compute, exhaust), and claim 1
     then states the residue congruence instead of False.
     """
-    modulus, bound_power = facts.modulus, facts.zero_power
-    bound_var, con_power, con_var = facts.zero_var, facts.con_power, facts.con_var
-    t = cert.bound_threshold
-    congruence = f"{con_power} % {modulus} = {facts.target}"
-    equation_premise = _premise(facts.equation, "h3")
-    if facts.prime is None:
-        refutation = (
+    inst, mode, t = cert.instance, cert.mode, cert.bound_threshold
+    modulus = cert.witness_prime**cert.modulus_exponent
+    zero_base, bound_var, con_base, con_var = _sides(inst, mode)
+    bound_power, con_power = f"{zero_base} ^ {bound_var}", f"{con_base} ^ {con_var}"
+    target = _expected_target(inst, mode, modulus)
+    congruence = f"{con_power} % {modulus} = {target}"
+    equation_premise = _premise(equation, "h3")
+    side = "Front Mode" if mode is _FORWARD else "Back Mode"
+    if cert.shape is _DIRECT:
+        header = f"(Class II, {side}, no magic prime)"
+        refutation = "However, this is impossible."
+        script_refutation = (
             "  have h9 := Claim False [\n"
             f"{_EXPONENT[con_var]}\n"
             f"{_premise(congruence, 'h8')}\n"
@@ -335,95 +248,115 @@ def _script_exclusion(cert: Certificate, facts: _Facts, goal: str) -> str:
             "  apply False.elim h9"
         )
     else:
-        prime = facts.prime
-        statement = f"{con_var} % {cert.order[0]} = {cert.residue}"
-        values = f"List.Mem ({con_power} % {prime}) [{facts.values}]"
-        shifted = f"List.Mem ({bound_power} % {prime}) [{facts.shifted}]"
-        shift_kind = "compute_mod_add" if cert.mode is _FORWARD else "compute_mod_sub"
+        prime, residue, period = cert.prime, cert.residue, cert.order[0]
+        lifted, powers, shifts = _lift(inst, mode, residue, period, prime, cert.lifted_period)
+        values, shifted = _int_list(powers), _int_list(shifts)
+        order = arith.multiplicative_order(con_base % prime, prime)
+        header = f"(Class II, {side}, with magic prime {prime})"
+        # Power values mod P only depend on the exponent mod ord_P(base);
+        # report the residues modulo that order when it differs from K.
+        if order == period:
+            cycle = f"So {con_var} = {residue} (mod {period})."
+        else:
+            reduced = _int_list([r % order for r in lifted])
+            cycle = (
+                f"So {con_var} = {residue} (mod {period}),\n"
+                f"which implies {con_var} = {reduced} (mod {order})."
+            )
+        impossible = f"So {bound_power} = {shifted} (mod {prime}),"
+        wrap = "\n" if len(impossible) + 1 + len(_IMPOSSIBLE) > _WRAP_COLUMN else " "
         refutation = (
+            f"{cycle}\n"
+            f"Therefore, {con_power} = {values} (mod {prime}).\n"
+            f"{impossible}{wrap}{_IMPOSSIBLE}"
+        )
+        statement = f"{con_var} % {period} = {residue}"
+        value_mem = f"List.Mem ({con_power} % {prime}) [{values}]"
+        shift_mem = f"List.Mem ({bound_power} % {prime}) [{shifted}]"
+        shift_kind = "compute_mod_add" if mode is _FORWARD else "compute_mod_sub"
+        script_refutation = (
             f"  have h9 := Claim ({statement}) [\n"
             f"{_EXPONENT[con_var]}\n"
             f"{_premise(congruence, 'h8')}\n"
             '  ] "observe_mod_cycle"\n'
-            f"{_listing_head('h10', values)}\n"
+            f"{_listing_head('h10', value_mem)}\n"
             f"{_EXPONENT[con_var]}\n"
             f"{_premise(statement, 'h9')}\n"
             '  ] "utilize_mod_cycle"\n'
-            f"{_listing_head('h11', shifted)}\n"
-            f"{_premise(values, 'h10')}\n"
+            f"{_listing_head('h11', shift_mem)}\n"
+            f"{_premise(value_mem, 'h10')}\n"
             f"{equation_premise}\n"
             f'  ] "{shift_kind}"\n'
             "  have h12 := Claim False [\n"
             f"{_EXPONENT[bound_var]}\n"
-            f"{_premise(shifted, 'h11')}\n"
+            f"{_premise(shift_mem, 'h11')}\n"
             '  ] "exhaust_mod_cycle"\n'
             "  apply False.elim h12"
         )
-    return (
+    prose = (
+        f"{_opening(header, equation)}"
+        f"if {bound_var} >= {t}, {con_power} = {target} (mod {modulus}).\n"
+        f"{refutation}\n"
+        f"Therefore, {bound_var} < {t}.\n"
+        f"{_conclusion(cert, equation)}"
+    )
+    script = (
         f"  by_cases h6 : {bound_var} >= {t}\n"
         f"  have h7 := Claim ({bound_power} % {modulus} = 0) [\n"
         f"{_MOD_ONE[bound_var]}\n"
         f"{_premise(f'{bound_var} >= {t}', 'h6')}\n"
         '  ] "pow_mod_eq_zero"\n'
         f"  have h8 : {congruence} := by omega\n"
-        f"{refutation}\n"
+        f"{script_refutation}\n"
         f"{_enumeration(goal, equation_premise, f'{bound_var} <= {t - 1}')}"
     )
+    return prose, script
 
 
-# Each shape's (prose builder, script builder).
 _BUILDERS = {
-    _DIVISIBILITY: (_narrative_divisibility, _script_divisibility),
-    _COMMON_FACTOR: (_narrative_common_factor, _script_common_factor),
-    _DIRECT: (_narrative_exclusion, _script_exclusion),
-    _MAGIC_PRIME: (_narrative_exclusion, _script_exclusion),
+    _DIVISIBILITY: _divisibility,
+    _COMMON_FACTOR: _common_factor,
+    _DIRECT: _exclusion,
+    _MAGIC_PRIME: _exclusion,
 }
 
 
-def emit_text(cert: Certificate) -> str:
-    """Deterministic prose proof for a verified certificate."""
+def _render(cert: Certificate) -> tuple[str, str]:
+    """The prose proof and the Lean script of a certificate the verifier accepts."""
     _require_verified(cert)
-    narrative = _BUILDERS[cert.shape][0]
-    return narrative(cert, _facts(cert)) + "\n"
-
-
-def emit_lean(cert: Certificate) -> str:
-    """Deterministic Lean proof script for a verified certificate, led by the prose as a comment."""
-    _require_verified(cert)
-    narrative, script = _BUILDERS[cert.shape]
-    facts = _facts(cert)
+    equation = cert.instance.equation_text()
     goal = _goal(cert)
-    return (
-        f"/-\n{narrative(cert, facts)}\n-/\n"
+    prose, script = _BUILDERS[cert.shape](cert, equation, goal)
+    lean = (
+        f"/-\n{prose}\n-/\n"
         f"theorem {theorem_name(cert)} (x : Nat) (y : Nat) (h1 : x >= 1) (h2 : y >= 1)\n"
-        f"(h3 : {facts.equation}) :\n"
+        f"(h3 : {equation}) :\n"
         f"  {goal}\n"
         "  := by\n"
         "  have h4 : x % 1 = 0 := Nat.mod_one x\n"
         "  have h5 : y % 1 = 0 := Nat.mod_one y\n"
-        f"{script(cert, facts, goal)}\n"
+        f"{script}\n"
     )
+    return prose + "\n", lean
 
 
-def write_proof_files(
-    cert: Certificate,
-    directory: str | Path,
-    lean: bool = True,
-    text: bool = True,
-) -> list[Path]:
-    """Write <theorem>.lean / <theorem>.txt (and the prelude) into a directory."""
+def emit_text(cert: Certificate) -> str:
+    """Deterministic prose proof for a verified certificate."""
+    return _render(cert)[0]
+
+
+def emit_lean(cert: Certificate) -> str:
+    """Deterministic Lean proof script for a verified certificate, led by the prose as a comment."""
+    return _render(cert)[1]
+
+
+def write_proof_files(cert: Certificate, directory: str | Path) -> list[Path]:
+    """Write the prelude, <theorem>.lean and <theorem>.txt from one render; none if rejected."""
+    text, lean = _render(cert)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     name = theorem_name(cert)
-    if lean:
-        prelude_path = directory / PRELUDE_FILENAME
-        prelude_path.write_text(PRELUDE, encoding="utf-8", newline="\n")
-        path = directory / f"{name}.lean"
-        path.write_text(emit_lean(cert), encoding="utf-8", newline="\n")
-        written.extend([prelude_path, path])
-    if text:
-        path = directory / f"{name}.txt"
-        path.write_text(emit_text(cert), encoding="utf-8", newline="\n")
-        written.append(path)
+    written = [directory / PRELUDE_FILENAME, directory / f"{name}.lean", directory / f"{name}.txt"]
+    for path, content in zip(written, (PRELUDE, lean, text)):
+        path.write_text(content, encoding="utf-8", newline="\n")
     return written

@@ -66,8 +66,9 @@ class SolverConfig:
     larger than prime_budget_cap, which is at most 2^62 (the verifier
     rejects a larger magic prime).  The whole run stops after wall_limit
     seconds (None: no limit; NaN is rejected, like any limit that is not
-    positive).  The initial search derives its ceiling from the instance,
-    and the queue is finite: it drops a modulus above
+    positive): checked between moduli, before each magic prime tried and
+    inside a discrete log.  The initial search derives its ceiling from
+    the instance, and the queue is finite: it drops a modulus above
     certificate.MODULUS_CAP, the verifier's limit, so each prime factor
     of a or c adds at most 62 moduli.
     """
@@ -220,12 +221,14 @@ def magic_prime_search(
     constraint: Constraint,
     config: SolverConfig = DEFAULT_CONFIG,
     on_event: EventCallback | None = None,
+    deadline: float = math.inf,
 ) -> tuple[int, int] | None:
     """First magic prime P = nK + 1 within budget and its lift, (P, L), or None.
 
     The candidates are the primes nK + 1 up to prime_budget_cap that
     divide none of a, b, c, ascending, and at most prime_budget_count
-    of them: the count is checked before a prime is drawn.
+    of them: the count is checked before a prime is drawn.  Raises
+    TimeoutError when a prime would be tried past `deadline`.
     """
     primes = arith.primes_in_progression(constraint.period)
     tried = 0
@@ -234,6 +237,8 @@ def magic_prime_search(
         if prime > config.prime_budget_cap:
             return None
         if instance.a % prime and instance.b % prime and instance.c % prime:
+            if time.perf_counter() > deadline:
+                raise TimeoutError("wall limit reached in the magic-prime search")
             tried += 1
             if on_event is not None:
                 on_event("try_prime", {"prime": prime})
@@ -288,10 +293,8 @@ def build_common_factor_certificate(
         raise CertificateBuildError(f"prime {p} does not divide both a and c")
     if instance.b % modulus == 0:
         raise CertificateBuildError(f"{modulus} divides b; bound exponent {k} is unsound")
+    # a solution with x, y >= k would make p^k divide b = c^y - a^x
     solutions = _check_solutions(instance, solutions)
-    for x, y in solutions:
-        if x >= k and y >= k:
-            raise CertificateBuildError(f"solution ({x}, {y}) contradicts min(x, y) < {k}")
     return Certificate(instance, CertShape.COMMON_FACTOR_BOUND, None, p, k, k, solutions)
 
 
@@ -441,15 +444,14 @@ def solve(
             )
         try:
             step = exclusion_step(instance, candidate, config.prime_budget_cap, deadline)
+            found = None
+            if step.constraint is not None:
+                found = magic_prime_search(instance, step.constraint, config, on_event, deadline)
         except TimeoutError:
             break
-        found = None
-        if step.kind is ExclusionKind.CONDITIONAL:
-            if step.constraint is not None:
-                found = magic_prime_search(instance, step.constraint, config, on_event)
-            if found is None:
-                push(candidate.mode, candidate.p, candidate.k // candidate.t, candidate.t + 1)
-                continue
+        if step.kind is ExclusionKind.CONDITIONAL and found is None:
+            push(candidate.mode, candidate.p, candidate.k // candidate.t, candidate.t + 1)
+            continue
         solutions, cert = _conclude(instance, candidate, known, step.constraint, found)
         if on_event is not None:
             on_event("succeeded", {})

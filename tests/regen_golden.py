@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from conftest import (  # noqa: E402
+from goldens import (  # noqa: E402
     COPRIME200_DIGEST,
     COPRIME200_PROOFS_DIGEST,
     CUBE12_DIGEST,

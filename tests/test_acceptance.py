@@ -11,7 +11,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import GOLDEN_SUITE, TWO_SOLUTION_TABLE, read_rows
+from conftest import TWO_SOLUTION_TABLE, read_rows
+from goldens import GOLDEN_SUITE
 from independence import certificate_import_violations
 from mutation import mutated_certificate_is_rejected
 from oracle import brute_force_solutions, sieve_primes

@@ -172,6 +172,23 @@ class TestCycleDiscreteLog:
             assert arith._dlog_pohlig_hellman(2, target, m, order) == exp % order
             assert arith._dlog_bsgs(2, target, m, order) == exp % order
 
+    def test_pohlig_hellman_target_outside_the_cycle(self):
+        # 4 has order (p - 1) / 2 = 3 * 166,667 mod the prime p = 1,000,003,
+        # the quadratic residues, so the non-residue 2 is outside its cycle:
+        # the digit of the prime 166,667, found by baby-step/giant-step, fails
+        m = 1_000_003
+        assert arith.multiplicative_order(4, m) == 500_001
+        assert arith._dlog_pohlig_hellman(4, 2, m, 500_001) is None
+        assert arith.cycle_discrete_log(4, 2, m) is None
+
+    def test_pohlig_hellman_recheck_refuses_a_wrong_answer(self):
+        # with the base's true order every digit that succeeds pins the log,
+        # so only an order that is not the base's reaches the final recheck:
+        # 2 has order 12 mod 13, and the digits for the order 6 give x = 2
+        # for the target 2^8 = 9, which the recheck refuses
+        assert arith._dlog_pohlig_hellman(2, 9, 13, 6) is None
+        assert arith._dlog_pohlig_hellman(2, 9, 13, 12) == 8
+
     def test_huge_prime_power_modulus(self):
         m = 5**26  # just below the 2^62 cap
         order = arith.multiplicative_order(2, m)
@@ -192,6 +209,11 @@ class TestPrimesInProgression:
                 assert arith.is_prime(p)
                 assert p % k == 1
 
+    def test_rejects_a_step_below_one(self):
+        # a generator: it checks the step on the first draw
+        with pytest.raises(ValueError):
+            next(arith.primes_in_progression(0))
+
 
 class TestExactPowerDecompose:
     def test_examples(self):
@@ -211,3 +233,22 @@ class TestExactPowerDecompose:
                 assert arith.exact_power_decompose(value + 1, a) is None
                 if value - 1 >= 1:
                     assert arith.exact_power_decompose(value - 1, a) is None
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (arith.multiplicative_order, (1, 1)),
+        (arith.cycle_discrete_log, (1, 0, 1)),
+        (arith.cycle_discrete_log, (2, 27, 27)),
+        (arith.cycle_discrete_log, (2, -1, 27)),
+        (arith.exact_power_decompose, (0, 2)),
+        (arith.exact_power_decompose, (8, 1)),
+        (arith.p_adic_valuation, (0, 2)),
+        (arith.p_adic_valuation, (8, 1)),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_documented_value_errors(call, args):
+    with pytest.raises(ValueError):
+        call(*args)

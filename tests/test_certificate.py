@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN_SUITE, HOSTILE_DEEP, HOSTILE_DIGITS
+from conftest import HOSTILE_DEEP, HOSTILE_DIGITS
+from goldens import GOLDEN_SUITE
 from independence import certificate_import_violations, trusted_lines
 from mutation import mutated_certificate_is_rejected
 from oracle import brute_force_cycle, brute_force_order, brute_force_solutions, sieve_primes
@@ -38,6 +39,7 @@ from expodio.cli import iter_cube
 from expodio.engine import (
     CertificateBuildError,
     ModulusCandidate,
+    build_common_factor_certificate,
     build_direct_exclusion_certificate,
     build_divisibility_certificate,
     build_magic_prime_certificate,
@@ -170,6 +172,13 @@ class TestBuildCertificate:
         with pytest.raises(CertificateBuildError):
             # p does not divide b
             build_divisibility_certificate(inst, Mode.FORWARD, 5)
+        with pytest.raises(CertificateBuildError, match="divides both sides"):
+            # 2 divides b = 4 and c = 6, but also a = 2
+            build_divisibility_certificate(EquationInstance(2, 4, 6), Mode.FORWARD, 2)
+        with pytest.raises(CertificateBuildError, match="does not divide both a and c"):
+            build_common_factor_certificate(EquationInstance(2, 1, 3), 2, 1, ())
+        with pytest.raises(CertificateBuildError, match="divides b; bound exponent 2"):
+            build_common_factor_certificate(EquationInstance(2, 4, 6), 2, 2, ())
 
 
 class TestVerifyCertificate:
@@ -209,6 +218,15 @@ class TestVerifyCertificate:
         for key, value in (("order", [2, [2]]), ("novel_revalidator", 1)):
             with pytest.raises(MalformedCertificateError, match="unexpected"):
                 parse_certificate(json.dumps({**doc, key: value}))
+
+    @pytest.mark.parametrize("triple", [(17, 3, 20), (2, 89, 91)])
+    def test_rejects_a_modular_exclusion_without_a_mode(self, golden_certificates, triple):
+        # the parser reads "mode": null for every shape; a Class II proof needs one
+        doc = certificate_to_dict(golden_certificates[triple])
+        doc["mode"] = None
+        verdict = verify_certificate(parse_certificate(json.dumps(doc)))
+        assert not verdict.accepted
+        assert verdict.reason == "modular exclusion certificates need a mode"
 
     def test_rejects_loosened_bound(self, golden_certificates):
         doc = certificate_to_dict(golden_certificates[(3, 7, 2)])
@@ -380,6 +398,13 @@ class TestSerialization:
         with pytest.raises(MalformedCertificateError, match="bad instance field"):
             parse_certificate(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [{"x": 1, "y": 1}, 11, "(1, 1)", None])
+    def test_solutions_must_be_a_list(self, golden_certificates, bad):
+        doc = certificate_to_dict(golden_certificates[(2, 89, 91)])
+        doc["solutions"] = bad
+        with pytest.raises(MalformedCertificateError, match="solutions must be a list"):
+            parse_certificate(json.dumps(doc))
+
     def test_retired_format_is_malformed(self, golden_certificates):
         # /2 stated no orders, which the verifier no longer computes, and /3
         # a claim list that restated what the verifier re-derives
@@ -393,6 +418,8 @@ class TestSerialization:
     def test_malformed_inputs(self):
         with pytest.raises(MalformedCertificateError):
             parse_certificate("")
+        with pytest.raises(MalformedCertificateError, match="must be a JSON object"):
+            parse_certificate("[]")
         with pytest.raises(MalformedCertificateError):
             parse_certificate("{}")
         with pytest.raises(MalformedCertificateError):

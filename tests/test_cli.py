@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from conftest import HOSTILE_DEEP, HOSTILE_DIGITS, read_rows
 from oracle import brute_force_solutions
 
 import expodio.cli as cli_module
-from expodio import parse_certificate, verify_certificate
+from expodio import certificate_digest, parse_certificate, verify_certificate
 from expodio.cli import ScanRecord, build_parser, iter_cube, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -137,12 +138,14 @@ class TestSolveCommand:
         proof_dir = tmp_path / "proofs"
         code, _, _ = run_cli(
             ["solve", "2", "89", "91", "--cert", str(cert_file),
-             "--emit-lean", str(proof_dir), "--emit-text", str(proof_dir)],
+             "--emit", str(proof_dir)],
             capsys,
         )
         assert code == 0
         cert = parse_certificate(cert_file.read_text())
         assert verify_certificate(cert).accepted
+        # the file holds the canonical bytes, whatever the platform's line separator
+        assert hashlib.sha256(cert_file.read_bytes()).hexdigest() == certificate_digest(cert)
         assert (proof_dir / "diophantine1_2_89_91.lean").exists()
         assert (proof_dir / "diophantine1_2_89_91.txt").exists()
         assert (proof_dir / "prelude.lean").exists()
@@ -383,6 +386,10 @@ class TestScanCommand:
         cert_files = sorted(certs_dir.glob("cert_*.json"))
         records, _ = read_rows(out_file)
         assert len(cert_files) == sum(1 for r in records if r.certificate_digest)
+        for r in records:
+            if r.certificate_digest:
+                data = (certs_dir / f"cert_{r.a}_{r.b}_{r.c}.json").read_bytes()
+                assert hashlib.sha256(data).hexdigest() == r.certificate_digest
         sample = parse_certificate((certs_dir / "cert_2_1_3.json").read_text())
         assert verify_certificate(sample).accepted
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from conftest import (
+from goldens import (
     COPRIME200_DIGEST,
     COPRIME200_PROOFS_DIGEST,
     CUBE12_DIGEST,
@@ -183,9 +183,9 @@ class TestEmitLean:
         assert "by_cases h6 : y >= 3" in body
         assert "{prop := x % 18 = 9, proof := h9}," in body
 
-    def test_each_render_lifts_once(self, golden_certificates, monkeypatch):
+    def test_each_render_lifts_once(self, golden_certificates, monkeypatch, tmp_path):
         # the prose and the script share one computation of the magic
-        # prime's lists: one _lift per emit_lean, one per emit_text
+        # prime's lists: one _lift per emit_lean, emit_text or write_proof_files
         cert = golden_certificates[(2, 89, 91)]
         assert cert.shape is CertShape.MAGIC_PRIME_EXCLUSION
         assert verify_certificate(cert).accepted
@@ -196,6 +196,8 @@ class TestEmitLean:
         assert len(calls) == 1
         emit_text(cert)
         assert len(calls) == 2
+        write_proof_files(cert, tmp_path)
+        assert len(calls) == 3
 
     def test_deterministic_output(self, golden_certificates):
         for cert in golden_certificates.values():
@@ -247,6 +249,18 @@ class TestWriteProofFiles:
         lean = (tmp_path / "diophantine1_3_7_2.lean").read_text(encoding="utf-8")
         assert lean.startswith("/-\n(Class II, Back Mode, with magic prime 73)")
         assert "structure VerifiedFact" in PRELUDE and "axiom Claim" in PRELUDE
+        assert lean == emit_lean(cert)
+        assert (tmp_path / "diophantine1_3_7_2.txt").read_text(encoding="utf-8") == emit_text(cert)
+
+    def test_rejected_certificate_writes_nothing(self, tmp_path, golden_certificates):
+        # 883 is the first prime of the progression, which fails as a magic prime
+        import dataclasses
+
+        broken = dataclasses.replace(golden_certificates[(2, 89, 91)], prime=883)
+        target = tmp_path / "proofs"
+        with pytest.raises(EmitRefusedError):
+            write_proof_files(broken, target)
+        assert not target.exists()
 
     def test_rewrite_is_byte_identical(self, tmp_path, golden_certificates):
         cert = golden_certificates[(5, 3, 2)]
@@ -294,7 +308,7 @@ class TestVerifyOnce:
         from expodio.cli import main
 
         out = str(tmp_path)
-        assert main(["solve", "5", "3", "2", "--emit-lean", out, "--emit-text", out]) == 0
+        assert main(["solve", "5", "3", "2", "--emit", out]) == 0
         capsys.readouterr()
         assert len(verify_calls) == 1
         assert (tmp_path / "diophantine1_5_3_2.lean").exists()

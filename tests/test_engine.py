@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_SUITE
+from goldens import GOLDEN_SUITE
 from oracle import brute_force_cycle, brute_force_solutions
 
 from expodio import (
@@ -424,8 +424,9 @@ class TestSolve:
         assert list(result.solutions) == [(1, 3), (3, 7)]
 
     def test_wall_limit_stops_a_discrete_log(self):
-        # at the raised cap the log of this census triple builds a baby-step
-        # table for seconds (5 s and 434 MB without a check inside the log)
+        # at the raised cap this census triple runs for seconds without a
+        # limit; its logs are quick (every prime of each period is below
+        # 2^16), so the limit ends it between moduli or before a magic prime
         config = SolverConfig(prime_budget_cap=MODULUS_CAP, wall_limit=0.5)
         start = time.perf_counter()
         result = solve(EquationInstance(30605155958633, 36, 30903787254083), config)
@@ -433,6 +434,43 @@ class TestSolve:
         assert result.status is SolveStatus.UNRESOLVED
         assert result.certificate is None
         assert elapsed < 1.5, elapsed
+
+    def test_wall_limit_reaches_the_discrete_log(self, monkeypatch):
+        # at the raised cap the first modulus popped is a, where 36 has the
+        # period 2 * 15,451,893,627,041: Pohlig-Hellman hands that prime to
+        # baby-step/giant-step, which raises once past the deadline
+        raises = []
+        check = arith._check_deadline
+
+        def counting(deadline):
+            try:
+                check(deadline)
+            except TimeoutError:
+                raises.append(deadline)
+                raise
+
+        monkeypatch.setattr(arith, "_check_deadline", counting)
+        config = SolverConfig(prime_budget_cap=MODULUS_CAP, wall_limit=0.1)
+        start = time.perf_counter()
+        result = solve(EquationInstance(30903787254083, 36, 30903787254101), config)
+        elapsed = time.perf_counter() - start
+        assert result.status is SolveStatus.UNRESOLVED
+        assert result.certificate is None
+        assert len(raises) == 1
+        assert elapsed < 1.0, elapsed
+
+    def test_wall_limit_holds_inside_the_magic_prime_search(self):
+        # at the raised cap each constraint of this census triple tries up to
+        # 64 large magic primes; without a check per prime a 0.05 s limit
+        # let 46 of them start late
+        limit, tries = 0.05, []
+        config = SolverConfig(prime_budget_cap=MODULUS_CAP, wall_limit=limit)
+        on_event = lambda kind, _: kind == "try_prime" and tries.append(time.perf_counter())
+        start = time.perf_counter()
+        result = solve(EquationInstance(30605155958633, 36, 30903787254083), config, on_event)
+        assert result.status is SolveStatus.UNRESOLVED
+        assert tries
+        assert sum(t > start + limit for t in tries) <= 2
 
     def test_a_log_no_magic_prime_can_use_is_skipped(self):
         # both steps have K + 1 > 2^40, the default cap: K = c - 1, then
